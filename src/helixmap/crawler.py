@@ -21,10 +21,11 @@ import logging
 import threading
 import time
 import urllib.robotparser
+from collections import deque
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urljoin, urlsplit, urlunsplit
 
 import requests
 
@@ -116,19 +117,39 @@ class _LinkCollector(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.hrefs: list[str] = []
+        self.base: str | None = None
 
     def handle_starttag(self, tag, attrs):
         if tag in ("a", "area"):
             for name, value in attrs:
                 if name == "href" and value:
                     self.hrefs.append(value)
+        elif tag == "base" and self.base is None:
+            for name, value in attrs:
+                if name == "href" and value is not None:
+                    self.base = value
 
 
-def extract_hrefs(html: str) -> list[str]:
-    """All a[href] / area[href] values in document order."""
+def _join(base: str, href: str) -> str:
+    try:
+        return urljoin(base, href.strip())
+    except ValueError:
+        return href  # unparseable: left for canonicalize to reject
+
+
+def extract_hrefs(html: str, url: str = "") -> list[str]:
+    """All a[href] / area[href] values in document order.
+
+    When the document has a ``<base href>``, the first one is resolved
+    against ``url`` (the document's own URL) and every href against it, as
+    a browser does; otherwise the values are returned as written.
+    """
     collector = _LinkCollector()
     collector.feed(html)
-    return collector.hrefs
+    if collector.base is None:
+        return collector.hrefs
+    base = _join(url, collector.base)
+    return [_join(base, href) for href in collector.hrefs]
 
 
 class Fetcher:
@@ -259,11 +280,11 @@ def crawl_outlinks(
             )
             return CrawlResult(links=links, report=report)
 
-    queue: list[tuple[CanonicalUrl, int]] = [(entry, 0)]
+    queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
     seen: set[str] = {str(entry)}
 
     while queue and report.pages_fetched < policy.max_pages_per_site:
-        url, depth = queue.pop(0)
+        url, depth = queue.popleft()
         if robots is not None and not robots.can_fetch(policy.user_agent, str(url)):
             report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
             continue
@@ -283,7 +304,7 @@ def crawl_outlinks(
         if "html" not in content_type.lower():
             continue
 
-        for href in extract_hrefs(body):
+        for href in extract_hrefs(body, str(final_url)):
             try:
                 resolved = canonicalize(href, base=final_url)
             except (MalformedUrl, UnsupportedScheme):

@@ -10,26 +10,34 @@ Canonicalization rules:
 
 - only ``http``/``https`` URLs are accepted; everything else (``mailto:``,
   ``data:``, userinfo URLs) is rejected,
-- scheme and host are lowercased; non-ASCII hosts are converted to punycode,
+- scheme and host are lowercased; hosts holding a WHATWG forbidden domain
+  code point (space, ``<``, ``>``, ``%``, ``^``, ``|``, controls) are
+  rejected; non-ASCII hosts are converted to punycode by UTS #46
+  non-transitional processing, so ``faß.de`` becomes ``xn--fa-hia.de``,
 - default ports are dropped, fragments are removed,
 - dot segments (``./``, ``../``) are resolved out of the path,
 - ``www.`` is never special-cased: it disappears only through registrable
   domain reduction.
 
-Reduction follows the public-suffix longest-match algorithm against a
-versioned suffix snapshot. Hosts that cannot be reduced cleanly (IP
-literals, hosts with no matching suffix rule) are kept and flagged rather
-than dropped, so the analyst decides their fate.
+Reduction follows the publicsuffix.org algorithm against a versioned
+suffix snapshot: it walks the host's own suffixes (``a.b.c``, ``b.c``,
+``c``) and looks each up in the rule sets, so its cost grows with the
+host's label count, not with the size of the list. Hosts that cannot be
+reduced cleanly (IP literals, hosts with no matching suffix rule) are kept
+and flagged rather than dropped, so the analyst decides their fate.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from urllib.parse import urljoin, urlsplit
+
+import idna
 
 
 class MalformedUrl(ValueError):
@@ -42,6 +50,8 @@ class UnsupportedScheme(ValueError):
 
 _ALLOWED_SCHEMES = ("http", "https")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+# the forbidden domain code points of the WHATWG URL standard
+_FORBIDDEN_HOST_CHARS = re.compile(r"[\x00-\x20#%/:<>?@\[\\\]^|\x7f]")
 
 
 @dataclass(frozen=True)
@@ -93,16 +103,23 @@ class ReductionRules:
     """Public-suffix snapshot plus the set of sub-domain exception domains.
 
     The suffix snapshot uses the standard one-rule-per-line text form:
-    ``//`` comments, ``*`` wildcard labels, ``!`` exception rules. The
-    sub-domain exception file lists one registrable domain per line whose
+    ``//`` comments, ``*`` wildcard labels, ``!`` exception rules. Rules are
+    kept as plain suffix strings in three sets: exact rules, wildcard bases
+    (``*.b.c`` is kept as ``b.c``) and exceptions (``!a.b.c`` as ``a.b.c``).
+    A host is matched by looking its own suffixes up in those sets, longest
+    first: an exception prevails and its suffix drops the leftmost label;
+    otherwise the longest suffix that is an exact rule, or whose one-label-
+    shorter suffix is a wildcard base, is the public suffix.
+
+    The sub-domain exception file lists one registrable domain per line whose
     sub-domains are to be kept as distinct site keys.
     """
 
     def __init__(self, suffix_text: str, subdomain_exceptions: set[str] | None = None):
         self.version = "unversioned"
-        self._exact: set[tuple[str, ...]] = set()
-        self._wildcards: set[tuple[str, ...]] = set()
-        self._exceptions: set[tuple[str, ...]] = set()
+        self._exact: set[str] = set()
+        self._wildcards: set[str] = set()
+        self._exceptions: set[str] = set()
         for line in suffix_text.splitlines():
             line = line.strip()
             if line.startswith("//"):
@@ -114,18 +131,18 @@ class ReductionRules:
                 continue
             rule = line.split()[0].lower()
             if rule.startswith("!"):
-                self._exceptions.add(tuple(rule[1:].split(".")))
+                self._exceptions.add(rule[1:])
             elif rule.startswith("*."):
-                self._wildcards.add(tuple(rule.split(".")))
+                self._wildcards.add(rule[2:])
             else:
-                self._exact.add(tuple(rule.split(".")))
+                self._exact.add(rule)
         if not (self._exact or self._wildcards):
             raise ValueError("suffix snapshot contains no rules")
 
         self.subdomain_exceptions = frozenset(subdomain_exceptions or ())
         for domain in self.subdomain_exceptions:
-            reduced = self.registrable_domain(domain)
-            if reduced != domain:
+            labels = domain.split(".")
+            if self.registrable_length(labels) != len(labels):
                 raise ValueError(
                     f"subdomain exception {domain!r} is not a registrable domain"
                 )
@@ -153,45 +170,25 @@ class ReductionRules:
         )
         return cls(text, subdomain_exceptions)
 
-    def public_suffix(self, host: str) -> str | None:
-        """Longest-match public suffix of ``host``, or None if no rule matches."""
-        labels = tuple(host.split("."))
-        best: tuple[str, ...] | None = None
-        for rule in self._exceptions:
-            if self._rule_matches(rule, labels):
-                # an exception rule wins outright; its suffix drops the left label
-                return ".".join(rule[1:])
-        for rule in self._exact | self._wildcards:
-            if self._rule_matches(rule, labels):
-                if best is None or len(rule) > len(best):
-                    best = rule
-        if best is None:
-            return None
-        return ".".join(labels[len(labels) - len(best):])
-
-    @staticmethod
-    def _rule_matches(rule: tuple[str, ...], labels: tuple[str, ...]) -> bool:
-        if len(rule) > len(labels):
-            return False
-        for rule_label, host_label in zip(reversed(rule), reversed(labels)):
-            if rule_label != "*" and rule_label != host_label:
-                return False
-        return True
-
-    def registrable_domain(self, host: str) -> str | None:
-        """Suffix plus one label, or None when no suffix rule matches.
-
-        ``None`` also covers hosts that *are* a public suffix (no registrable
-        part exists).
-        """
-        suffix = self.public_suffix(host)
-        if suffix is None:
-            return None
-        suffix_len = len(suffix.split("."))
-        labels = host.split(".")
-        if len(labels) <= suffix_len:
-            return None
-        return ".".join(labels[len(labels) - suffix_len - 1:])
+    def registrable_length(self, labels: list[str]) -> int:
+        """Label count of the registrable domain of a host split into
+        ``labels``: its public suffix plus one label. 0 when there is none,
+        because no rule matches or the host is itself a public suffix."""
+        n = len(labels)
+        candidates = [".".join(labels[i:]) for i in range(n)]  # longest first
+        suffix = 0
+        for i, candidate in enumerate(candidates):
+            if candidate in self._exceptions:
+                suffix = n - i - 1
+                break
+        else:
+            for i, candidate in enumerate(candidates):
+                if candidate in self._exact or (
+                    i + 1 < n and candidates[i + 1] in self._wildcards
+                ):
+                    suffix = n - i
+                    break
+        return suffix + 1 if 0 < suffix < n else 0
 
 
 def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
@@ -262,9 +259,11 @@ def _normalize_host(host: str, raw: str) -> str:
         return host
     if any(not label for label in host.split(".")):
         raise MalformedUrl(f"empty host label in {raw!r}")
+    if _FORBIDDEN_HOST_CHARS.search(host):
+        raise MalformedUrl(f"forbidden code point in host of {raw!r}")
     if not host.isascii():
         try:
-            host = host.encode("idna").decode("ascii")
+            host = idna.encode(host, uts46=True, transitional=False).decode("ascii")
         except UnicodeError as exc:
             raise MalformedUrl(f"cannot encode IDN host in {raw!r}") from exc
     return host
@@ -303,34 +302,27 @@ def _remove_dot_segments(path: str) -> str:
     return "".join(output)
 
 
-def _is_ip_literal(host: str) -> bool:
-    try:
-        ipaddress.ip_address(host)
-    except ValueError:
-        return False
-    return True
-
-
 def reduce_host(host: str, rules: ReductionRules) -> Reduction:
     """Reduce one lowercase host name to its site key.
 
     IP literals and hosts with no matching suffix rule are retained and
     flagged; for unknown suffixes the fallback key is the last two labels.
     """
-    if _is_ip_literal(host):
-        return Reduction(SiteKey(host), ReductionFlag.IP_LITERAL)
+    # every string ip_address accepts holds a colon or ends in a digit
+    if ":" in host or host[-1:].isdigit():
+        try:
+            ipaddress.ip_address(host)
+            return Reduction(SiteKey(host), ReductionFlag.IP_LITERAL)
+        except ValueError:
+            pass
 
-    registrable = rules.registrable_domain(host)
-    if registrable is None:
-        labels = host.split(".")
-        fallback = ".".join(labels[-2:])
-        return Reduction(SiteKey(fallback), ReductionFlag.UNKNOWN_SUFFIX)
-
-    if registrable in rules.subdomain_exceptions and host != registrable:
-        reg_len = len(registrable.split("."))
-        labels = host.split(".")
-        kept = ".".join(labels[len(labels) - reg_len - 1:])
-        return Reduction(SiteKey(kept, SiteLevel.SUBDOMAIN))
+    labels = host.split(".")
+    keep = rules.registrable_length(labels)
+    if not keep:
+        return Reduction(SiteKey(".".join(labels[-2:])), ReductionFlag.UNKNOWN_SUFFIX)
+    registrable = ".".join(labels[-keep:])
+    if registrable in rules.subdomain_exceptions and len(labels) > keep:
+        return Reduction(SiteKey(".".join(labels[-keep - 1:]), SiteLevel.SUBDOMAIN))
     return Reduction(SiteKey(registrable))
 
 

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import ipaddress
+import os
+import subprocess
+import sys
+import types
+from importlib import resources
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helixmap import urls
 from helixmap.urls import (
     CanonicalUrl,
     GenericFilterList,
@@ -24,6 +33,11 @@ from helixmap.urls import (
 
 RULES = ReductionRules.bundled()
 RULES_WLV = ReductionRules.bundled({"wlv.ac.uk"})
+SNAPSHOT_TEXT = (
+    resources.files("helixmap.data")
+    .joinpath("public_suffix_snapshot.dat")
+    .read_text(encoding="utf-8")
+)
 
 
 # --- canonicalize -----------------------------------------------------------
@@ -93,9 +107,21 @@ def test_idn_host_punycoded():
     assert canonicalize("http://münchen.de/").host == "xn--mnchen-3ya.de"
 
 
+def test_idn_deviation_characters_kept_by_uts46():
+    # IDNA 2003 would map these to fass.de and xn--0xahbl4a.gr
+    assert canonicalize("http://faß.de/").host == "xn--fa-hia.de"
+    assert canonicalize("http://σοφός.gr/").host == "xn--0xagbn4a.gr"
+
+
 def test_empty_label_rejected():
     with pytest.raises(MalformedUrl):
         canonicalize("http://a..b.com/")
+
+
+@pytest.mark.parametrize("host", ["ex ample.com", "a<b>.com", "exa%41mple.com", "a|b.com"])
+def test_forbidden_host_code_point_rejected(host):
+    with pytest.raises(MalformedUrl):
+        canonicalize(f"http://{host}/")
 
 
 _hostnames = st.lists(
@@ -247,24 +273,85 @@ SAMPLED_HOSTS = [
 ]
 
 
-def test_reduction_matches_independent_matcher_on_sampled_hosts():
-    from importlib import resources
+def _assert_matches_oracle(host: str) -> None:
+    expected = _oracle_registrable(host, SNAPSHOT_TEXT)
+    got = reduce_host(host, RULES)
+    if expected is None:
+        assert got.flag is ReductionFlag.UNKNOWN_SUFFIX, host
+        assert got.site.value == ".".join(host.split(".")[-2:]), host
+    else:
+        assert got.site.value == expected, host
+        assert got.flag is None, host
 
-    text = (
-        resources.files("helixmap.data")
-        .joinpath("public_suffix_snapshot.dat")
-        .read_text(encoding="utf-8")
-    )
+
+def test_reduction_matches_independent_matcher_on_sampled_hosts():
     assert len(SAMPLED_HOSTS) >= 50
     for host in SAMPLED_HOSTS:
-        expected = _oracle_registrable(host, text)
-        got = reduce_host(host, RULES)
-        if expected is None:
-            assert got.flag is ReductionFlag.UNKNOWN_SUFFIX, host
-            assert got.site.value == ".".join(host.split(".")[-2:]), host
-        else:
-            assert got.site.value == expected, host
-            assert got.flag is None, host
+        _assert_matches_oracle(host)
+
+
+# every rule of the snapshot as a host suffix: "*.sch.uk" gives "sch.uk" and
+# "!www.ck" gives "www.ck", so prefixes land on wildcards and exceptions
+_RULE_SUFFIXES = sorted(
+    {
+        line.strip().lstrip("!").removeprefix("*.")
+        for line in SNAPSHOT_TEXT.splitlines()
+        if line.strip() and not line.startswith("//")
+    }
+)
+
+
+@given(
+    prefix=st.lists(
+        st.one_of(st.sampled_from(["www", "a", "b"]), _hostnames.map(lambda h: h.split(".")[0])),
+        max_size=3,
+    ),
+    suffix=st.sampled_from(_RULE_SUFFIXES),
+)
+@settings(max_examples=300)
+def test_reduction_matches_independent_matcher_on_rule_suffixes(prefix, suffix):
+    _assert_matches_oracle(".".join([*prefix, suffix]))
+
+
+def test_longest_exception_prevails_whatever_the_hash_seed():
+    # both exceptions match z.y.x.a.com; the longer one decides
+    code = (
+        "from helixmap.urls import ReductionRules, reduce_host\n"
+        "rules = ReductionRules('com\\n*.a.com\\n!x.a.com\\n*.x.a.com\\n!y.x.a.com')\n"
+        "print(reduce_host('z.y.x.a.com', rules).site.value)\n"
+    )
+    src = str(Path(urls.__file__).resolve().parents[1])
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "y.x.a.com", seed
+
+
+def test_ip_literal_check_skipped_for_hostnames(monkeypatch):
+    calls = []
+
+    def ip_address(host):
+        calls.append(host)
+        return ipaddress.ip_address(host)
+
+    monkeypatch.setattr(urls, "ipaddress", types.SimpleNamespace(ip_address=ip_address))
+    assert reduce_host("www.wlv.ac.uk", RULES).site.value == "wlv.ac.uk"
+    assert reduce_host("deep.intranet.localweb", RULES).flag is ReductionFlag.UNKNOWN_SUFFIX
+    assert calls == []
+    for literal in ("192.0.2.7", "2001:db8::1"):
+        r = reduce_host(literal, RULES)
+        assert r == Reduction(SiteKey(literal), ReductionFlag.IP_LITERAL)
+    assert reduce_host("host.example.com2", RULES).flag is ReductionFlag.UNKNOWN_SUFFIX
+    assert calls == ["192.0.2.7", "2001:db8::1", "host.example.com2"]
+
+
+def test_host_that_is_a_public_suffix_falls_back_flagged():
+    r = reduce_host("co.uk", RULES)
+    assert r == Reduction(SiteKey("co.uk"), ReductionFlag.UNKNOWN_SUFFIX)
+    r = reduce_host("x.sch.uk", RULES)
+    assert r == Reduction(SiteKey("sch.uk"), ReductionFlag.UNKNOWN_SUFFIX)
 
 
 @given(host=_hostnames)
