@@ -7,8 +7,9 @@ to it, which matches the behaviour of the desk-scale crawlers this kind
 of study relies on.
 
 Politeness contract: consecutive requests to one host are spaced by at
-least the configured delay, robots.txt is honoured (including a full-site
-exclusion), redirects are followed up to 5 hops with the final URL
+least the configured delay, robots.txt is honoured as RFC 9309 says
+(including a full-site exclusion, and complete disallow while robots.txt
+is unreachable), redirects are followed up to 5 hops with the final URL
 deciding the site key, and per-page failures never abort a crawl.
 
 A host map ("host -> address:port") lets fixtures and mirrors serve a
@@ -228,21 +229,28 @@ class Fetcher:
         return None
 
 
-def _load_robots(
-    site: SiteKey, entry: CanonicalUrl, fetcher: Fetcher
-) -> urllib.robotparser.RobotFileParser:
+def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.RobotFileParser:
+    """The entry host's robots.txt rules, per RFC 9309 §2.3.1.
+
+    A file that is unavailable (a 4xx, or redirects that lead nowhere)
+    allows everything. A file that is unreachable (a 5xx, or no answer
+    from the host) means complete disallow.
+    """
     parser = urllib.robotparser.RobotFileParser()
     robots_url = CanonicalUrl(scheme=entry.scheme, host=entry.host,
                               port=entry.port, path="/robots.txt")
     fetched = fetcher.fetch(robots_url)
-    if fetched is None:
-        # unreachable or missing robots: conventional allow-all
-        parser.parse([])
-        # the failed probe is bookkeeping, not a crawl failure
-        if fetcher.report.errors:
-            fetcher.report.errors.pop()
-    else:
+    if fetched is not None:
         parser.parse(fetched[2].splitlines())
+        return parser
+    # the failed probe is bookkeeping, not a crawl failure
+    fetcher.report.errors.pop()
+    # the probe's last request decides: its log status is the HTTP code, or "error"
+    status = fetcher.report.log[-1].status
+    if status == "error" or status.startswith("5"):
+        parser.disallow_all = True
+    else:
+        parser.parse([])
     return parser
 
 
@@ -272,7 +280,7 @@ def crawl_outlinks(
     entry = canonicalize(entry_url or f"http://{site.value}/")
     robots = None
     if policy.respect_robots:
-        robots = _load_robots(site, entry, fetcher)
+        robots = _load_robots(entry, fetcher)
         if not robots.can_fetch(policy.user_agent, str(entry)):
             report.robots_blocked = True
             report.log.append(

@@ -77,7 +77,11 @@ class LinkRecord:
 
 
 class LinkSet:
-    """Directed link records, at most one per (source, target) pair."""
+    """Directed link records, at most one per (source, target) pair.
+
+    Iteration yields the records in insertion order; ``records()`` returns
+    them sorted by (source, target), for output that must be deterministic.
+    """
 
     def __init__(self, direction: Direction, records: Iterable[LinkRecord] = ()):
         self.direction = direction
@@ -101,7 +105,7 @@ class LinkSet:
         return len(self._records)
 
     def __iter__(self) -> Iterator[LinkRecord]:
-        return iter(self.records())
+        return iter(self._records.values())
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._records
@@ -169,7 +173,12 @@ def provenance_report(links: LinkSet) -> ProvenanceReport:
 
 
 class LinkIndex:
-    """Interface to a link-evidence backend (inlink/outlink lookups)."""
+    """Interface to a link-evidence backend (inlink/outlink lookups).
+
+    A backend that cannot answer for a site raises ``OSError`` (which
+    covers ``requests`` errors), ``UnicodeError`` or ``IndexUnavailable``;
+    ``harvest_index`` records the site as failed and goes on.
+    """
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
         raise NotImplementedError
@@ -265,8 +274,9 @@ def harvest_index(
 ) -> HarvestResult:
     """Query the index for every site, reducing results to site-key records.
 
-    Per-site failures are isolated: the failing site is recorded and the
-    harvest continues. Self-pairs (source equals target after reduction)
+    Per-site transport and index failures are isolated: the failing site is
+    recorded and the harvest continues. Any other exception is a bug and
+    propagates. Self-pairs (source equals target after reduction)
     are retained here; the network builder removes them later.
     """
     if now is None:
@@ -279,7 +289,7 @@ def harvest_index(
                 urls = index.inlinks_of(site, limit)
             else:
                 urls = index.outlinks_of(site, limit)
-        except Exception as exc:
+        except (OSError, UnicodeError, IndexUnavailable) as exc:
             log.warning("index query failed for %s: %s", site.value, exc)
             result.failed_sites.append(site)
             continue

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .network import InterlinkNetwork, Stage, StageError, degree_counts
+from .network import InterlinkNetwork, Stage, StageError
+from .network import degree_counts  # noqa: F401  (re-exported beside the metrics)
 from .registry import CATEGORY_ORDER, Registry, TableCategory
 
 
@@ -67,11 +68,7 @@ def degree_table(
 ) -> list[DegreeRow]:
     """Per-actor degrees, ordered by total descending then actor id."""
     _check_stage(net, allow_dichotomized, "degree_table")
-    degrees = degree_counts(net.edges)
-    rows = [
-        DegreeRow(actor_id=node, in_degree=din, out_degree=dout)
-        for node, (din, dout) in ((n, degrees.get(n, (0, 0))) for n in net.nodes)
-    ]
+    rows = [DegreeRow(node, *net.degrees.get(node, (0, 0))) for node in net.nodes]
     rows.sort(key=lambda r: (-r.total, r.actor_id))
     return rows
 
@@ -109,21 +106,14 @@ class CategoryMatrix:
     def grand_total(self) -> int:
         return sum(self.row_totals)
 
-    @property
-    def categories(self) -> tuple[TableCategory, ...]:
-        return CATEGORY_ORDER
-
 
 def category_matrix(net: InterlinkNetwork, reg: Registry) -> CategoryMatrix:
     """Aggregate the pruned network's edges by actor category."""
     _check_stage(net, allow_dichotomized=False, op="category_matrix")
-    index = {category: i for i, category in enumerate(CATEGORY_ORDER)}
-    node_category: dict[str, int] = {}
     unknown = sorted(n for n in net.nodes if reg.get(n) is None)
     if unknown:
         raise UnclassifiedActor(f"nodes missing from registry: {unknown}")
-    for node in net.nodes:
-        node_category[node] = index[reg.get(node).category]
+    node_category = {node: reg.get(node).category.index for node in net.nodes}
 
     n = len(CATEGORY_ORDER)
     cells = [[0] * n for _ in range(n)]
@@ -198,15 +188,10 @@ def connectivity_share(
     The denominator is the full registry population of the category, so
     actors pruned away (or never linked) count against the share.
     """
-    population = reg.actors_in_category(category)
+    population = [actor for actor in reg if actor.category is category]
     if not population:
         raise EmptyCategory(category.value)
-    degrees = degree_counts(net.edges)
-    connected = sum(
-        1
-        for actor in population
-        if actor.id in net.nodes and sum(degrees.get(actor.id, (0, 0))) > 0
-    )
+    connected = sum(1 for actor in population if actor.id in net.degrees)
     percent = int(_half_up(connected * 100, len(population), "0"))
     return ConnectivityShare(
         category=category,
@@ -227,25 +212,21 @@ def ego_network(net: InterlinkNetwork, actor_id: str) -> EgoNetwork:
     """The actor's direct neighbourhood, regardless of edge direction."""
     if actor_id not in net.nodes:
         raise ActorNotInNetwork(actor_id)
-    neighbors = set()
-    for source, target in net.edges:
-        if source == actor_id and target != actor_id:
-            neighbors.add(target)
-        elif target == actor_id and source != actor_id:
-            neighbors.add(source)
+    neighbors = frozenset(net.neighbors[actor_id])
     members = neighbors | {actor_id}
     induced = {
         key: weight
         for key, weight in net.edges.items()
         if key[0] in members and key[1] in members
     }
-    return EgoNetwork(center=actor_id, neighbors=frozenset(neighbors),
-                      induced_edges=induced)
+    return EgoNetwork(center=actor_id, neighbors=neighbors, induced_edges=induced)
 
 
 def ego_coverage(net: InterlinkNetwork, actor_id: str) -> tuple[int, int, int]:
     """(direct neighbours, other interconnected actors, whole percent)."""
-    ego = ego_network(net, actor_id)
+    if actor_id not in net.nodes:
+        raise ActorNotInNetwork(actor_id)
+    count = len(net.neighbors[actor_id])
     others = net.node_count - 1
-    percent = int(_half_up(len(ego.neighbors) * 100, others, "0")) if others else 0
-    return len(ego.neighbors), others, percent
+    percent = int(_half_up(count * 100, others, "0")) if others else 0
+    return count, others, percent

@@ -16,12 +16,18 @@ The pipeline is a fixed sequence of pure transformations:
 
 Stages are explicit (Raw -> Dichotomized -> Pruned) and operations refuse
 out-of-order application.
+
+Each network computes its derived structure once, on first use: its
+``degrees`` and its undirected ``neighbors``. Every metric reads them from
+the network rather than recounting the edges, so a network's ``edges``
+must not be mutated after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 from .harvest import LinkSet
 from .registry import Registry, resolve
@@ -47,7 +53,11 @@ class SeedMissing(ValueError):
 
 @dataclass(frozen=True)
 class InterlinkNetwork:
-    """Directed network over actor ids; immutable once constructed."""
+    """Directed network over actor ids; immutable once constructed.
+
+    ``degrees`` and ``neighbors`` are computed once, from ``edges``, on
+    first use; ``edges`` must not be mutated after construction.
+    """
 
     nodes: frozenset[str]
     edges: dict[tuple[str, str], int]
@@ -65,13 +75,11 @@ class InterlinkNetwork:
             if self.stage is Stage.PRUNED and source == target:
                 raise ValueError("pruned network contains a self-link")
         if self.stage is Stage.PRUNED:
-            degrees = degree_counts(self.edges)
             if any(source == self.seed for source, _ in self.edges):
                 raise ValueError("pruned network has outgoing seed edges")
-            for node in self.nodes:
-                din, dout = degrees.get(node, (0, 0))
-                if din + dout == 0:
-                    raise ValueError(f"pruned network keeps isolated node {node!r}")
+            isolated = self.nodes - self.degrees.keys()
+            if isolated:
+                raise ValueError(f"pruned network keeps isolated node {min(isolated)!r}")
 
     @property
     def edge_count(self) -> int:
@@ -81,8 +89,20 @@ class InterlinkNetwork:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def sorted_edges(self) -> list[tuple[str, str, int]]:
-        return [(s, t, self.edges[(s, t)]) for s, t in sorted(self.edges)]
+    @cached_property
+    def degrees(self) -> dict[str, tuple[int, int]]:
+        """(in_degree, out_degree) of every node with at least one edge."""
+        return degree_counts(self.edges)
+
+    @cached_property
+    def neighbors(self) -> dict[str, set[str]]:
+        """Every node's set of other nodes it links to in either direction."""
+        adjacent: dict[str, set[str]] = {node: set() for node in self.nodes}
+        for source, target in self.edges:
+            if source != target:
+                adjacent[source].add(target)
+                adjacent[target].add(source)
+        return adjacent
 
 
 def degree_counts(edges: dict[tuple[str, str], int]) -> dict[str, tuple[int, int]]:
@@ -176,8 +196,7 @@ def prune_seed(net: InterlinkNetwork, seed: str | None = None) -> InterlinkNetwo
         raise SeedMissing(f"seed {seed!r} is not a node of the network")
 
     edges = {k: w for k, w in net.edges.items() if k[0] != seed}
-    degrees = degree_counts(edges)
-    nodes = frozenset(n for n in net.nodes if sum(degrees.get(n, (0, 0))) > 0)
+    nodes = frozenset(node for key in edges for node in key)
     return InterlinkNetwork(nodes=nodes, edges=edges, stage=Stage.PRUNED, seed=seed)
 
 

@@ -171,13 +171,6 @@ class Registry:
     def seed_actor(self) -> Actor:
         return self._actors[self.seed]
 
-    def category_of(self, actor_id: str) -> TableCategory | None:
-        actor = self._actors.get(actor_id)
-        return actor.category if actor else None
-
-    def actors_in_category(self, category: TableCategory) -> list[Actor]:
-        return [a for a in self.actors() if a.category is category]
-
     def category_counts(self) -> dict[TableCategory, int]:
         counts = {c: 0 for c in CATEGORY_ORDER}
         for actor in self._actors.values():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -26,11 +27,19 @@ PAGES = {
 }
 
 
+# site.com has no robots.txt (a 404); busy.com serves the same pages, but its
+# robots.txt answers 503
+ROBOTS_STATUS = {"busy.com": 503}
+
+
 class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         body = PAGES.get(self.path)
+        status = 200 if body is not None else 404
+        if self.path == "/robots.txt":
+            status = ROBOTS_STATUS.get(self.headers["Host"], 404)
         payload = (body or "").encode("utf-8")
-        self.send_response(200 if body is not None else 404)
+        self.send_response(status)
         self.send_header("Content-Type", "text/html")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -48,7 +57,8 @@ def host_map():
     )
     thread.start()
     try:
-        yield {"site.com": f"127.0.0.1:{server.server_address[1]}"}
+        address = f"127.0.0.1:{server.server_address[1]}"
+        yield {"site.com": address, "busy.com": address}
     finally:
         server.shutdown()
         server.server_close()
@@ -87,3 +97,28 @@ def test_crawl_is_breadth_first_and_honours_base(host_map):
     targets = {record.target.value for record in result.links.records()}
     assert targets == {"other.org", "other.com", "third.org"}
     assert result.report.errors == []
+
+
+def _closed_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def test_unreachable_robots_disallows_the_whole_site(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    # a 5xx robots.txt is unreachable (RFC 9309 section 2.3.1.4)
+    busy = crawl_outlinks(SiteKey("busy.com"), policy, RULES, host_map=host_map)
+    # so is a host that accepts no connection
+    gone = crawl_outlinks(SiteKey("gone.com"), policy, RULES,
+                          host_map={"gone.com": f"127.0.0.1:{_closed_port()}"})
+    for result, site, status in ((busy, "busy.com", "503"), (gone, "gone.com", "error")):
+        assert result.report.robots_blocked
+        assert result.report.pages_fetched == 0
+        assert len(result.links) == 0
+        assert result.report.errors == []  # the failed probe is not a page error
+        assert [(e.url, e.status) for e in result.report.log] == [
+            (f"http://{site}/robots.txt", status),
+            (f"http://{site}/", "robots"),
+        ]
+

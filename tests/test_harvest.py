@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import threading
 from decimal import Decimal
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +14,7 @@ from helixmap.harvest import (
     Direction,
     DirectionMismatch,
     HarvestResult,
+    HttpLinkIndex,
     IndexUnavailable,
     LinkIndex,
     LinkRecord,
@@ -217,7 +222,7 @@ def test_harvest_isolates_per_site_failures(snapshot_dir):
 
         def inlinks_of(self, site, limit):
             if site.value == "bad.co.uk":
-                raise RuntimeError("backend exploded")
+                raise IndexUnavailable("backend exploded")
             return self.inner.inlinks_of(site, limit)
 
     index = FlakyIndex(SnapshotLinkIndex(snapshot_dir))
@@ -228,6 +233,26 @@ def test_harvest_isolates_per_site_failures(snapshot_dir):
     assert result.partial
     assert [s.value for s in result.failed_sites] == ["bad.co.uk"]
     assert len(result.links) == 3
+
+
+class _RaisingIndex(LinkIndex):
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def inlinks_of(self, site, limit):
+        raise self.error
+
+
+def test_harvest_records_transport_errors_as_failed_sites():
+    index = _RaisingIndex(requests.ConnectionError("connection refused"))
+    result = harvest_index([SiteKey("a.co.uk")], index, Direction.INLINKS, RULES, now=1)
+    assert [s.value for s in result.failed_sites] == ["a.co.uk"]
+
+
+def test_harvest_lets_programming_errors_propagate():
+    index = _RaisingIndex(TypeError("unsupported operand"))
+    with pytest.raises(TypeError):
+        harvest_index([SiteKey("a.co.uk")], index, Direction.INLINKS, RULES, now=1)
 
 
 def test_missing_snapshot_dir_is_unavailable(tmp_path):
@@ -274,8 +299,89 @@ def test_link_set_csv_round_trip(tmp_path):
     assert read_link_set(path, Direction.OUTLINKS) == links
 
 
+def test_write_link_set_ignores_insertion_order(tmp_path):
+    records = [
+        _record("b.com", "a.com", {SourceTag.CRAWL}, 1),
+        _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 2),
+        _record("a.com", "c.com", {SourceTag.CRAWL}, 3),
+    ]
+    forward = LinkSet(Direction.OUTLINKS, records)
+    backward = LinkSet(Direction.OUTLINKS, reversed(records))
+    # iteration keeps insertion order; only the writer sorts
+    assert [r.key for r in backward] == [r.key for r in reversed(records)]
+    write_link_set(forward, tmp_path / "forward.csv")
+    write_link_set(backward, tmp_path / "backward.csv")
+    assert (tmp_path / "forward.csv").read_bytes() == (tmp_path / "backward.csv").read_bytes()
+
+
 def test_read_link_set_rejects_garbage(tmp_path):
     path = tmp_path / "links.csv"
     path.write_text("source,target,provenance,first_seen\na.com,b.com,NotATag,0\n")
     with pytest.raises(ValueError):
         read_link_set(path, Direction.OUTLINKS)
+
+
+# --- HTTP index adapter ---------------------------------------------------------
+
+# a backlink service on loopback: five links for any site, a 500 for broken.co.uk
+SERVED = [f"http://x{i}.com/" for i in range(5)]
+
+
+class _IndexHandler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        split = urlsplit(self.path)
+        query = parse_qs(split.query)
+        self.server.seen.append((split.path, query, self.headers.get("Authorization")))
+        broken = query.get("site") == ["broken.co.uk"]
+        payload = ("\n".join(SERVED) + "\n\n").encode("utf-8")
+        self.send_response(500 if broken else 200)
+        self.send_header("Content-Type", "text/plain")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def index_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _IndexHandler)
+    server.seen = []
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _endpoint(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}/api/"
+
+
+def test_http_index_queries_site_and_limit_with_bearer_token(index_server):
+    index = HttpLinkIndex(_endpoint(index_server), token="s3cret", timeout=5)
+    assert index.inlinks_of(SiteKey("sitea.co.uk"), 3) == SERVED[:3]
+    assert index.outlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
+    assert index_server.seen[-2:] == [
+        ("/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["3"]}, "Bearer s3cret"),
+        ("/api/outlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, "Bearer s3cret"),
+    ]
+    HttpLinkIndex(_endpoint(index_server), timeout=5).inlinks_of(SiteKey("b.co.uk"), 1)
+    assert index_server.seen[-1][2] is None  # no token, no Authorization header
+
+
+def test_http_index_server_error_makes_a_failed_site(index_server):
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    result = harvest_index([SiteKey("broken.co.uk"), SiteKey("sitea.co.uk")],
+                           index, Direction.INLINKS, RULES, now=1)
+    assert [s.value for s in result.failed_sites] == ["broken.co.uk"]
+    assert {r.key for r in result.links} == {
+        (f"x{i}.com", "sitea.co.uk") for i in range(5)
+    }

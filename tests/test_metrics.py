@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helixmap.metrics as metrics_module
+import helixmap.network as network_module
 import oracle
 from helixmap.metrics import (
     ActorNotInNetwork,
@@ -236,6 +238,42 @@ def test_ego_matches_bruteforce(seed):
         neighbors, induced = oracle.ego(net.nodes, net.edges, node)
         assert ego.neighbors == neighbors
         assert ego.induced_edges == induced
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_shared_degrees_and_ego_coverage_match_bruteforce_at_every_stage(seed):
+    reg, inlinks, outlinks, *_ = random_instance(random.Random(seed))
+    built = build_networks(inlinks, outlinks, reg)
+    for net in (built.raw, built.dichotomized, built.pruned):
+        expected = oracle.degrees(net.nodes, net.edges)
+        assert net.degrees == {n: d for n, d in expected.items() if d != (0, 0)}
+        for node in net.nodes:
+            neighbors, _ = oracle.ego(net.nodes, net.edges, node)
+            assert ego_coverage(net, node)[0] == len(neighbors)
+
+
+def test_report_metrics_count_degrees_at_most_once(monkeypatch):
+    calls = []
+    real = network_module.degree_counts
+
+    def counting(edges):
+        calls.append(len(edges))
+        return real(edges)
+
+    monkeypatch.setattr(network_module, "degree_counts", counting)
+    monkeypatch.setattr(metrics_module, "degree_counts", counting)
+    reg, inlinks, outlinks, *_ = random_instance(random.Random(6))
+    net = build_networks(inlinks, outlinks, reg).pruned
+    assert net.edge_count > 0
+    degree_table(net)
+    top_brokers(net, 3)
+    for category, count in reg.category_counts().items():
+        if count:
+            connectivity_share(category, reg, net)
+    for node in net.nodes:
+        ego_coverage(net, node)
+    assert len(calls) <= 1
 
 
 def test_relabeling_invariance():
