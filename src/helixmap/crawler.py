@@ -19,13 +19,11 @@ logical hostname from a local address, exactly like a hosts-file entry.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 import urllib.robotparser
 from collections import deque
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
-from pathlib import Path
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 import requests
@@ -52,7 +50,6 @@ class CrawlPolicy:
     max_pages_per_site: int = 500
     max_depth: int = 3
     delay_per_host: float = 1.0
-    respect_robots: bool = True
     timeout: float = 10.0
     user_agent: str = f"helixmap/{__version__}"
 
@@ -95,23 +92,21 @@ class CrawlResult:
 
 
 class HostThrottle:
-    """Serializes requests per host with a minimum spacing. Thread-safe."""
+    """Spaces consecutive requests to one host by at least ``delay`` seconds.
+
+    Crawls run one at a time; a throttle is not shared between threads.
+    """
 
     def __init__(self, delay: float):
         self.delay = delay
-        self._lock = threading.Lock()
         self._next_allowed: dict[str, float] = {}
 
     def wait(self, host: str) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                allowed = self._next_allowed.get(host, now)
-                if now >= allowed:
-                    self._next_allowed[host] = now + self.delay
-                    return
-                pause = allowed - now
+        """Sleep until the host's next slot, then book the one after it."""
+        pause = self._next_allowed.get(host, 0.0) - time.monotonic()
+        if pause > 0:
             time.sleep(pause)
+        self._next_allowed[host] = time.monotonic() + self.delay
 
 
 class _LinkCollector(HTMLParser):
@@ -178,20 +173,19 @@ class Fetcher:
         headers["Host"] = url.host
         return urlunsplit((split.scheme, address, split.path, split.query, "")), headers
 
-    def _log(self, host: str, url: str, status: str) -> None:
-        self.report.log.append(
-            CrawlLogEntry(timestamp=time.time(), host=host, url=url, status=status)
-        )
+    def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
+        self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
 
-    def fetch(self, url: CanonicalUrl) -> tuple[CanonicalUrl, str, str] | None:
-        """GET one page; returns (final_url, content_type, body) or None on error.
+    def fetch(self, url: CanonicalUrl) -> tuple[CanonicalUrl, str, str] | FetchError:
+        """GET one page: (final_url, content_type, body), or why it failed.
 
         Follows up to MAX_REDIRECT_HOPS redirects; every hop is throttled
-        and logged against its own host.
+        and logged against its own host, stamped with the time it was sent.
         """
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
             self.throttle.wait(current.host)
+            sent = time.time()
             transport, headers = self._transport_url(current)
             try:
                 response = self.session.get(
@@ -201,32 +195,23 @@ class Fetcher:
                     allow_redirects=False,
                 )
             except requests.RequestException as exc:
-                self._log(current.host, str(current), "error")
-                self.report.errors.append(FetchError(str(current), str(exc)))
-                return None
-            self._log(current.host, str(current), str(response.status_code))
+                self._log(sent, current, "error")
+                return FetchError(str(current), str(exc))
+            self._log(sent, current, str(response.status_code))
             if response.status_code in (301, 302, 303, 307, 308):
                 location = response.headers.get("Location")
                 if not location:
-                    self.report.errors.append(
-                        FetchError(str(current), "redirect without Location")
-                    )
-                    return None
+                    return FetchError(str(current), "redirect without Location")
                 try:
                     current = canonicalize(location, base=current)
                 except (MalformedUrl, UnsupportedScheme) as exc:
-                    self.report.errors.append(FetchError(str(current), str(exc)))
-                    return None
+                    return FetchError(str(current), str(exc))
                 continue
             if response.status_code != 200:
-                self.report.errors.append(
-                    FetchError(str(current), f"HTTP {response.status_code}")
-                )
-                return None
+                return FetchError(str(current), f"HTTP {response.status_code}")
             content_type = response.headers.get("Content-Type", "")
             return current, content_type, response.text
-        self.report.errors.append(FetchError(str(url), "too many redirects"))
-        return None
+        return FetchError(str(url), "too many redirects")
 
 
 def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.RobotFileParser:
@@ -240,11 +225,9 @@ def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.Ro
     robots_url = CanonicalUrl(scheme=entry.scheme, host=entry.host,
                               port=entry.port, path="/robots.txt")
     fetched = fetcher.fetch(robots_url)
-    if fetched is not None:
+    if not isinstance(fetched, FetchError):
         parser.parse(fetched[2].splitlines())
         return parser
-    # the failed probe is bookkeeping, not a crawl failure
-    fetcher.report.errors.pop()
     # the probe's last request decides: its log status is the HTTP code, or "error"
     status = fetcher.report.log[-1].status
     if status == "error" or status.startswith("5"):
@@ -278,27 +261,24 @@ def crawl_outlinks(
     fetcher = Fetcher(policy, throttle, report, host_map)
 
     entry = canonicalize(entry_url or f"http://{site.value}/")
-    robots = None
-    if policy.respect_robots:
-        robots = _load_robots(entry, fetcher)
-        if not robots.can_fetch(policy.user_agent, str(entry)):
-            report.robots_blocked = True
-            report.log.append(
-                CrawlLogEntry(time.time(), entry.host, str(entry), "robots")
-            )
-            return CrawlResult(links=links, report=report)
+    robots = _load_robots(entry, fetcher)
+    if not robots.can_fetch(policy.user_agent, str(entry)):
+        report.robots_blocked = True
+        report.log.append(CrawlLogEntry(time.time(), entry.host, str(entry), "robots"))
+        return CrawlResult(links=links, report=report)
 
     queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
     seen: set[str] = {str(entry)}
 
     while queue and report.pages_fetched < policy.max_pages_per_site:
         url, depth = queue.popleft()
-        if robots is not None and not robots.can_fetch(policy.user_agent, str(url)):
+        if not robots.can_fetch(policy.user_agent, str(url)):
             report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
             continue
         report.pages_fetched += 1
         fetched = fetcher.fetch(url)
-        if fetched is None:
+        if isinstance(fetched, FetchError):
+            report.errors.append(fetched)
             continue
         final_url, content_type, body = fetched
 
@@ -329,9 +309,3 @@ def crawl_outlinks(
                                      first_seen=now))
     return CrawlResult(links=links, report=report)
 
-
-def write_crawl_log(entries: list[CrawlLogEntry], path: str | Path) -> None:
-    """Line-oriented audit log: ``timestamp host url status``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(f"{entry.timestamp:.6f} {entry.host} {entry.url} {entry.status}\n")

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import requests
+import urllib3
 
 from .urls import (
     GenericFilterList,
@@ -35,7 +36,6 @@ from .urls import (
     canonicalize,
     is_generic,
     reduce_host,
-    reduce_to_site,
 )
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ class DirectionMismatch(ValueError):
 
 
 class IndexUnavailable(RuntimeError):
-    """The configured link index cannot be reached at all."""
+    """The configured link index cannot be reached, or its answer is unusable."""
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,12 @@ class SnapshotLinkIndex(LinkIndex):
         return self._read(site, "out", limit)
 
 
+# the most an HTTP index answer may hold: 16 MiB is over 100k URLs, and a
+# service that sends more is broken or hostile
+MAX_INDEX_RESPONSE_BYTES = 16 * 2**20
+_READ_CHUNK = 2**16
+
+
 class HttpLinkIndex(LinkIndex):
     """Generic HTTP backlink-service adapter.
 
@@ -230,15 +236,45 @@ class HttpLinkIndex(LinkIndex):
         self._headers = {"Authorization": f"Bearer {token}"} if token else {}
 
     def _query(self, kind: str, site: SiteKey, limit: int) -> list[str]:
+        """The first ``limit`` non-empty lines of the answer. The body is
+        streamed and read no further than those lines, so a service that
+        sends more than it was asked for is not waited for."""
         url = f"{self.endpoint}/{kind}"
-        response = requests.get(
+        with requests.get(
             url,
             params={"site": site.value, "limit": str(limit)},
             headers=self._headers,
             timeout=self.timeout,
-        )
-        response.raise_for_status()
-        return [line.strip() for line in response.text.splitlines() if line.strip()][:limit]
+            stream=True,
+        ) as response:
+            response.raise_for_status()
+            encoding = response.encoding or "utf-8"
+            links: list[str] = []
+            pending = bytearray()  # what follows the last line break read
+            received = 0
+            while len(links) < limit:
+                try:
+                    chunk = response.raw.read1(_READ_CHUNK, decode_content=True)
+                except urllib3.exceptions.HTTPError as exc:
+                    # read straight from urllib3, whose stalls, resets and
+                    # decoding faults are not OSErrors as requests' would be
+                    raise IndexUnavailable(f"{url}: {exc}") from exc
+                received += len(chunk)
+                if received > MAX_INDEX_RESPONSE_BYTES:
+                    raise IndexUnavailable(
+                        f"{url}: answer exceeds {MAX_INDEX_RESPONSE_BYTES} bytes"
+                    )
+                pending += chunk
+                # complete lines only, until the body ends
+                cut = len(pending)
+                if chunk:
+                    cut = pending.rfind(b"\n", cut - len(chunk)) + 1
+                text = pending[:cut].decode(encoding, "replace")
+                del pending[:cut]
+                links += [line.strip() for line in text.splitlines() if line.strip()]
+                if not chunk:
+                    break
+        return links[:limit]
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
         return self._query("inlinks", site, limit)

@@ -2,10 +2,11 @@
 
 Covers the quantities a science-park link study reports: per-actor degree
 tables, broker rankings, the 9x9 category cross-link matrix with totals
-and per-actor means, category connectivity shares, and radius-1 ego
-networks. All computations are exact integer counting; means and
-percentages round half-up (one decimal for means, whole numbers for
-percentages).
+and per-actor means, category connectivity shares, and the coverage of
+each actor's radius-1 ego network. The degree tables and the matrix
+refuse any network but a Pruned one. All computations are exact integer
+counting; means and percentages round half-up (one decimal for means,
+whole numbers for percentages).
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ def _half_up(numerator: int, denominator: int, places: str) -> Decimal:
     )
 
 
-def _check_stage(net: InterlinkNetwork, allow_dichotomized: bool, op: str) -> None:
-    if net.stage is Stage.PRUNED:
-        return
-    if net.stage is Stage.DICHOTOMIZED and allow_dichotomized:
-        return
-    raise StageError(f"{op} expects a Pruned network, got {net.stage.label}")
+def _check_stage(net: InterlinkNetwork, op: str) -> None:
+    if net.stage is not Stage.PRUNED:
+        raise StageError(f"{op} expects a Pruned network, got {net.stage.label}")
 
 
 # --- degrees and brokers ----------------------------------------------------
@@ -63,23 +61,19 @@ class DegreeRow:
         return self.in_degree + self.out_degree
 
 
-def degree_table(
-    net: InterlinkNetwork, allow_dichotomized: bool = False
-) -> list[DegreeRow]:
+def degree_table(net: InterlinkNetwork) -> list[DegreeRow]:
     """Per-actor degrees, ordered by total descending then actor id."""
-    _check_stage(net, allow_dichotomized, "degree_table")
+    _check_stage(net, "degree_table")
     rows = [DegreeRow(node, *net.degrees.get(node, (0, 0))) for node in net.nodes]
     rows.sort(key=lambda r: (-r.total, r.actor_id))
     return rows
 
 
-def top_brokers(
-    net: InterlinkNetwork, k: int, allow_dichotomized: bool = False
-) -> list[DegreeRow]:
+def top_brokers(net: InterlinkNetwork, k: int) -> list[DegreeRow]:
     """The k best-connected actors (a stable prefix of the degree table)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return degree_table(net, allow_dichotomized)[:k]
+    return degree_table(net)[:k]
 
 
 # --- category matrix --------------------------------------------------------
@@ -109,7 +103,7 @@ class CategoryMatrix:
 
 def category_matrix(net: InterlinkNetwork, reg: Registry) -> CategoryMatrix:
     """Aggregate the pruned network's edges by actor category."""
-    _check_stage(net, allow_dichotomized=False, op="category_matrix")
+    _check_stage(net, "category_matrix")
     unknown = sorted(n for n in net.nodes if reg.get(n) is None)
     if unknown:
         raise UnclassifiedActor(f"nodes missing from registry: {unknown}")
@@ -199,27 +193,6 @@ def connectivity_share(
         population=len(population),
         percent=percent,
     )
-
-
-@dataclass
-class EgoNetwork:
-    center: str
-    neighbors: frozenset[str]
-    induced_edges: dict[tuple[str, str], int]
-
-
-def ego_network(net: InterlinkNetwork, actor_id: str) -> EgoNetwork:
-    """The actor's direct neighbourhood, regardless of edge direction."""
-    if actor_id not in net.nodes:
-        raise ActorNotInNetwork(actor_id)
-    neighbors = frozenset(net.neighbors[actor_id])
-    members = neighbors | {actor_id}
-    induced = {
-        key: weight
-        for key, weight in net.edges.items()
-        if key[0] in members and key[1] in members
-    }
-    return EgoNetwork(center=actor_id, neighbors=neighbors, induced_edges=induced)
 
 
 def ego_coverage(net: InterlinkNetwork, actor_id: str) -> tuple[int, int, int]:

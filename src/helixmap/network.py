@@ -184,20 +184,19 @@ def remove_self_links(net: InterlinkNetwork) -> InterlinkNetwork:
     )
 
 
-def prune_seed(net: InterlinkNetwork, seed: str | None = None) -> InterlinkNetwork:
+def prune_seed(net: InterlinkNetwork) -> InterlinkNetwork:
     """Remove the seed's outgoing edges, then every actor left link-less.
 
     The seed itself survives only if something still links to it.
     """
     if net.stage is not Stage.DICHOTOMIZED:
         raise StageError(f"prune_seed expects a Dichotomized network, got {net.stage.label}")
-    seed = seed if seed is not None else net.seed
-    if seed not in net.nodes:
-        raise SeedMissing(f"seed {seed!r} is not a node of the network")
+    if net.seed not in net.nodes:
+        raise SeedMissing(f"seed {net.seed!r} is not a node of the network")
 
-    edges = {k: w for k, w in net.edges.items() if k[0] != seed}
+    edges = {k: w for k, w in net.edges.items() if k[0] != net.seed}
     nodes = frozenset(node for key in edges for node in key)
-    return InterlinkNetwork(nodes=nodes, edges=edges, stage=Stage.PRUNED, seed=seed)
+    return InterlinkNetwork(nodes=nodes, edges=edges, stage=Stage.PRUNED, seed=net.seed)
 
 
 @dataclass

@@ -128,7 +128,10 @@ class ActorStub:
 
 
 class Registry:
-    """Immutable set of classified actors with a unique science-park seed."""
+    """Immutable set of classified actors with a unique science-park seed.
+
+    Iteration and ``actors()`` yield the actors ordered by id.
+    """
 
     def __init__(self, actors: Iterable[Actor]):
         self._actors: dict[str, Actor] = {}
@@ -152,6 +155,7 @@ class Registry:
                 f"registry has {len(seeds)} science-park actors; expected exactly one"
             )
         self.seed: str = seeds[0].id
+        self._actors = {key: self._actors[key] for key in sorted(self._actors)}
 
     def __len__(self) -> int:
         return len(self._actors)
@@ -160,10 +164,10 @@ class Registry:
         return actor_id in self._actors
 
     def __iter__(self):
-        return iter(self.actors())
+        return iter(self._actors.values())
 
     def actors(self) -> list[Actor]:
-        return [self._actors[k] for k in sorted(self._actors)]
+        return list(self._actors.values())
 
     def get(self, actor_id: str) -> Actor | None:
         return self._actors.get(actor_id)

@@ -15,6 +15,9 @@ Canonicalization rules:
   rejected; non-ASCII hosts are converted to punycode by UTS #46
   non-transitional processing, so ``faß.de`` becomes ``xn--fa-hia.de``,
 - default ports are dropped, fragments are removed,
+- percent-encodings in the path and query are normalized (RFC 3986
+  §6.2.2.2): hex digits are uppercased and encoded unreserved characters
+  are decoded, so ``%7e`` becomes ``~`` and ``%2f`` becomes ``%2F``,
 - dot segments (``./``, ``../``) are resolved out of the path,
 - ``www.`` is never special-cased: it disappears only through registrable
   domain reduction.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import ipaddress
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -52,6 +56,8 @@ _ALLOWED_SCHEMES = ("http", "https")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 # the forbidden domain code points of the WHATWG URL standard
 _FORBIDDEN_HOST_CHARS = re.compile(r"[\x00-\x20#%/:<>?@\[\\\]^|\x7f]")
+_PERCENT_ENCODED = re.compile(r"%[0-9A-Fa-f]{2}")
+_UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
 
 
 @dataclass(frozen=True)
@@ -238,11 +244,11 @@ def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
     if port == _DEFAULT_PORTS[scheme]:
         port = None
 
-    path = _remove_dot_segments(split.path or "/")
+    path = _remove_dot_segments(_normalize_percent(split.path) or "/")
     if not path.startswith("/"):
         path = "/" + path
 
-    query = split.query if split.query else None
+    query = _normalize_percent(split.query) if split.query else None
     return CanonicalUrl(scheme=scheme, host=host, port=port, path=path, query=query)
 
 
@@ -267,6 +273,18 @@ def _normalize_host(host: str, raw: str) -> str:
         except UnicodeError as exc:
             raise MalformedUrl(f"cannot encode IDN host in {raw!r}") from exc
     return host
+
+
+def _normalize_percent(text: str) -> str:
+    # RFC 3986 section 6.2.2.2
+    if "%" not in text:
+        return text
+
+    def normalize(match: re.Match) -> str:
+        char = chr(int(match.group()[1:], 16))
+        return char if char in _UNRESERVED else match.group().upper()
+
+    return _PERCENT_ENCODED.sub(normalize, text)
 
 
 def _remove_dot_segments(path: str) -> str:
@@ -324,11 +342,6 @@ def reduce_host(host: str, rules: ReductionRules) -> Reduction:
     if registrable in rules.subdomain_exceptions and len(labels) > keep:
         return Reduction(SiteKey(".".join(labels[-keep - 1:]), SiteLevel.SUBDOMAIN))
     return Reduction(SiteKey(registrable))
-
-
-def reduce_to_site(url: CanonicalUrl, rules: ReductionRules) -> SiteKey:
-    """Reduce a canonical URL to the site key of the actor that owns it."""
-    return reduce_host(url.host, rules).site
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from helixmap.crawler import CrawlPolicy, crawl_outlinks, extract_hrefs
+from helixmap import crawler
+from helixmap.crawler import MAX_REDIRECT_HOPS, CrawlPolicy, crawl_outlinks, extract_hrefs
+from helixmap.harvest import SourceTag
 from helixmap.urls import ReductionRules, SiteKey
 
 RULES = ReductionRules.bundled()
@@ -27,20 +31,45 @@ PAGES = {
 }
 
 
-# site.com has no robots.txt (a 404); busy.com serves the same pages, but its
-# robots.txt answers 503
+# redirects served for every host: path -> (status, Location or None)
+REDIRECTS = {
+    "/old.html": (301, "/new.html"),
+    "/away.html": (302, "http://elsewhere.org/"),
+    "/nowhere.html": (302, None),
+    "/loop.html": (301, "/loop.html"),
+}
+
+# host -> its pages; site.com has no robots.txt (a 404), busy.com serves the
+# same pages but its robots.txt answers 503
+SITES = {
+    "site.com": PAGES,
+    "busy.com": PAGES,
+    "hops.com": {
+        "/": "".join(f'<a href="{path}">r</a>' for path in REDIRECTS),
+        "/new.html": "",
+    },
+    "elsewhere.org": {"/": ""},
+    # a chain of pages, each one level deeper: / -> /1.html -> /2.html ...
+    "chain.com": {
+        ("/" if i == 0 else f"/{i}.html"): f'<a href="/{i + 1}.html">next</a>'
+        for i in range(10)
+    },
+}
 ROBOTS_STATUS = {"busy.com": 503}
 
 
 class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
-        body = PAGES.get(self.path)
-        status = 200 if body is not None else 404
+        host = self.headers["Host"]
+        body = SITES[host].get(self.path)
+        status, location = REDIRECTS.get(self.path, (200 if body is not None else 404, None))
         if self.path == "/robots.txt":
-            status = ROBOTS_STATUS.get(self.headers["Host"], 404)
+            status = ROBOTS_STATUS.get(host, 404)
         payload = (body or "").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "text/html")
+        if location:
+            self.send_header("Location", location)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
@@ -58,7 +87,7 @@ def host_map():
     thread.start()
     try:
         address = f"127.0.0.1:{server.server_address[1]}"
-        yield {"site.com": address, "busy.com": address}
+        yield {host: address for host in SITES}
     finally:
         server.shutdown()
         server.server_close()
@@ -122,3 +151,58 @@ def test_unreachable_robots_disallows_the_whole_site(host_map):
             (f"http://{site}/", "robots"),
         ]
 
+
+
+def _requests(result) -> list[tuple[str, str]]:
+    return [(e.url, e.status) for e in result.report.log if e.status != "robots"]
+
+
+def test_redirects_are_logged_followed_and_recorded(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("hops.com"), policy, RULES, host_map=host_map)
+    log = _requests(result)
+    # a same-site hop is logged, then its target
+    hop = log.index(("http://hops.com/old.html", "301"))
+    assert log[hop + 1] == ("http://hops.com/new.html", "200")
+    # an off-site redirect is itself an external link
+    assert ("http://elsewhere.org/", "200") in log
+    assert {record.key for record in result.links} == {("hops.com", "elsewhere.org")}
+    assert next(iter(result.links)).provenance == frozenset({SourceTag.CRAWL})
+    # a redirect without a Location, and a loop, are page errors with a cause
+    assert [(e.url, e.cause) for e in result.report.errors] == [
+        ("http://hops.com/nowhere.html", "redirect without Location"),
+        ("http://hops.com/loop.html", "too many redirects"),
+    ]
+    assert log.count(("http://hops.com/loop.html", "301")) == MAX_REDIRECT_HOPS + 1
+    assert result.report.pages_fetched == 5
+
+
+def test_depth_and_page_caps(host_map):
+    deep = CrawlPolicy(delay_per_host=0, timeout=5, max_depth=2)
+    result = crawl_outlinks(SiteKey("chain.com"), deep, RULES, host_map=host_map)
+    assert [url for url, _ in _requests(result)] == [
+        "http://chain.com/robots.txt",
+        "http://chain.com/",
+        "http://chain.com/1.html",
+        "http://chain.com/2.html",
+    ]
+    few = CrawlPolicy(delay_per_host=0, timeout=5, max_depth=9, max_pages_per_site=2)
+    result = crawl_outlinks(SiteKey("chain.com"), few, RULES, host_map=host_map)
+    assert result.report.pages_fetched == 2
+    assert [url for url, _ in _requests(result)][1:] == [
+        "http://chain.com/",
+        "http://chain.com/1.html",
+    ]
+
+
+def test_requests_to_one_host_are_spaced_by_the_delay(host_map, monkeypatch):
+    # stamp the log on the throttle's clock, so that a wall-clock step cannot
+    # make correctly spaced requests look too close
+    monkeypatch.setattr(crawler, "time", SimpleNamespace(
+        time=time.monotonic, monotonic=time.monotonic, sleep=time.sleep))
+    policy = CrawlPolicy(delay_per_host=0.05, timeout=5, max_depth=4)
+    result = crawl_outlinks(SiteKey("chain.com"), policy, RULES, host_map=host_map)
+    stamps = [e.timestamp for e in result.report.log
+              if e.host == "chain.com" and e.status != "robots"]
+    assert len(stamps) == 6  # robots.txt and five pages
+    assert all(b - a >= 0.05 for a, b in zip(stamps, stamps[1:]))

@@ -19,6 +19,7 @@ from helixmap.harvest import (
     LinkIndex,
     LinkRecord,
     LinkSet,
+    MAX_INDEX_RESPONSE_BYTES,
     SnapshotLinkIndex,
     SourceTag,
     filter_generic,
@@ -323,7 +324,9 @@ def test_read_link_set_rejects_garbage(tmp_path):
 
 # --- HTTP index adapter ---------------------------------------------------------
 
-# a backlink service on loopback: five links for any site, a 500 for broken.co.uk
+# a backlink service on loopback: five links for any site, a 500 for
+# broken.co.uk; stall.co.uk gets ``limit`` links and then nothing until the
+# server is released, huge.co.uk one line longer than the read bound
 SERVED = [f"http://x{i}.com/" for i in range(5)]
 
 
@@ -332,13 +335,27 @@ class _IndexHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         query = parse_qs(split.query)
         self.server.seen.append((split.path, query, self.headers.get("Authorization")))
-        broken = query.get("site") == ["broken.co.uk"]
-        payload = ("\n".join(SERVED) + "\n\n").encode("utf-8")
-        self.send_response(500 if broken else 200)
+        site = query.get("site", [""])[0]
+        self.send_response(500 if site == "broken.co.uk" else 200)
         self.send_header("Content-Type", "text/plain")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if site == "stall.co.uk":
+            self.end_headers()
+            limit = int(query["limit"][0])
+            self.wfile.write("".join(f"{url}\n" for url in SERVED[:limit]).encode("utf-8"))
+            self.server.release.wait(10)
+            payload = b"http://late.com/\n"
+        elif site == "huge.co.uk":
+            payload = b"http://x" + b"a" * MAX_INDEX_RESPONSE_BYTES + b".com/\n"
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+        else:
+            payload = ("\n".join(SERVED) + "\n\n").encode("utf-8")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+        try:
+            self.wfile.write(payload)
+        except OSError:
+            pass  # the client stopped reading and hung up
 
     def log_message(self, format, *args):
         pass
@@ -348,6 +365,7 @@ class _IndexHandler(BaseHTTPRequestHandler):
 def index_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _IndexHandler)
     server.seen = []
+    server.release = threading.Event()
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -355,6 +373,7 @@ def index_server():
     try:
         yield server
     finally:
+        server.release.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -385,3 +404,33 @@ def test_http_index_server_error_makes_a_failed_site(index_server):
     assert {r.key for r in result.links} == {
         (f"x{i}.com", "sitea.co.uk") for i in range(5)
     }
+
+
+def test_http_index_stops_reading_at_the_limit(index_server):
+    # the service stalls after the links asked for; the read must not wait for it
+    index = HttpLinkIndex(_endpoint(index_server), timeout=0.5)
+    result = harvest_index([SiteKey("stall.co.uk")], index, Direction.INLINKS, RULES,
+                           limit=3, now=1)
+    assert result.failed_sites == []
+    assert {r.key for r in result.links} == {(f"x{i}.com", "stall.co.uk") for i in range(3)}
+
+
+def test_http_index_stall_before_the_limit_makes_a_failed_site(index_server):
+    # five links of the ten asked for, then a stall past the timeout
+    index = HttpLinkIndex(_endpoint(index_server), timeout=0.5)
+    result = harvest_index([SiteKey("stall.co.uk"), SiteKey("sitea.co.uk")],
+                           index, Direction.INLINKS, RULES, limit=10, now=1)
+    assert [s.value for s in result.failed_sites] == ["stall.co.uk"]
+    assert {r.key for r in result.links} == {
+        (f"x{i}.com", "sitea.co.uk") for i in range(5)
+    }
+
+
+def test_http_index_response_past_the_byte_bound_makes_a_failed_site(index_server):
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    with pytest.raises(IndexUnavailable):
+        index.inlinks_of(SiteKey("huge.co.uk"), 10)
+    result = harvest_index([SiteKey("huge.co.uk"), SiteKey("sitea.co.uk")],
+                           index, Direction.INLINKS, RULES, now=1)
+    assert [s.value for s in result.failed_sites] == ["huge.co.uk"]
+    assert len(result.links) == len(SERVED)

@@ -19,7 +19,6 @@ from helixmap.metrics import (
     connectivity_share,
     degree_table,
     ego_coverage,
-    ego_network,
     top_brokers,
 )
 from helixmap.network import InterlinkNetwork, Stage, StageError, build_networks
@@ -64,7 +63,8 @@ def test_degree_table_stage_flag():
     net = _net({"a", "b"}, [("a", "b")], stage=Stage.DICHOTOMIZED, seed="a")
     with pytest.raises(StageError):
         degree_table(net)
-    assert degree_table(net, allow_dichotomized=True)
+    with pytest.raises(StageError):
+        top_brokers(net, 1)
 
 
 def test_top_brokers_prefix_and_bounds():
@@ -209,22 +209,21 @@ def test_connectivity_share_empty_category():
 def test_ego_network_direct_neighbors_both_directions():
     net = _net({"a", "b", "c", "d", "seed"},
                [("a", "b"), ("c", "a"), ("c", "d"), ("d", "seed")], seed="seed")
-    ego = ego_network(net, "a")
-    assert ego.neighbors == {"b", "c"}
-    assert set(ego.induced_edges) == {("a", "b"), ("c", "a")}
+    assert net.neighbors["a"] == {"b", "c"}
     count, others, pct = ego_coverage(net, "a")
     assert (count, others, pct) == (2, 4, 50)
 
 
 def test_ego_isolated_node_pre_pruning():
     net = _net({"a", "b", "c"}, [("b", "c")], stage=Stage.DICHOTOMIZED, seed="a")
-    assert ego_network(net, "a").neighbors == frozenset()
+    assert net.neighbors["a"] == set()
+    assert ego_coverage(net, "a") == (0, 2, 0)
 
 
 def test_ego_unknown_actor():
     net = _net({"a", "b"}, [("a", "b")], seed="b")
     with pytest.raises(ActorNotInNetwork):
-        ego_network(net, "zz")
+        ego_coverage(net, "zz")
 
 
 @given(seed=st.integers(0, 10_000))
@@ -234,10 +233,9 @@ def test_ego_matches_bruteforce(seed):
     reg, inlinks, outlinks, *_ = random_instance(rng)
     net = build_networks(inlinks, outlinks, reg).pruned
     for node in sorted(net.nodes):
-        ego = ego_network(net, node)
-        neighbors, induced = oracle.ego(net.nodes, net.edges, node)
-        assert ego.neighbors == neighbors
-        assert ego.induced_edges == induced
+        neighbors, _ = oracle.ego(net.nodes, net.edges, node)
+        assert net.neighbors[node] == neighbors
+        assert ego_coverage(net, node)[0] == len(neighbors)
 
 
 @given(seed=st.integers(0, 10_000))

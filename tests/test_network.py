@@ -191,8 +191,9 @@ def test_prune_requires_dichotomized_stage_and_known_seed():
     with pytest.raises(StageError):
         prune_seed(raw)
     net = dichotomize(raw)
+    ghost = InterlinkNetwork(net.nodes, net.edges, Stage.DICHOTOMIZED, seed="ghost")
     with pytest.raises(SeedMissing):
-        prune_seed(net, seed="ghost")
+        prune_seed(ghost)
 
 
 # --- full pipeline vs oracle -------------------------------------------------

@@ -201,3 +201,13 @@ def test_load_registry_inconsistent_actor_rows(tmp_path):
     with pytest.raises(ParseError) as err:
         load_registry(p)
     assert err.value.line == 4
+
+
+def test_registry_orders_actors_by_id_whatever_the_input_order(tmp_path):
+    actors = [SEED] + [_actor(f"a{i}.com", [f"a{i}.com"]) for i in (3, 1, 2)]
+    ids = sorted(actor.id for actor in actors)
+    for n, reg in enumerate((Registry(actors), Registry(actors[::-1]))):
+        assert [actor.id for actor in reg] == ids
+        assert [actor.id for actor in reg.actors()] == ids
+        write_registry(reg, tmp_path / f"{n}.csv")
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()

@@ -28,7 +28,6 @@ from helixmap.urls import (
     canonicalize,
     is_generic,
     reduce_host,
-    reduce_to_site,
 )
 
 RULES = ReductionRules.bundled()
@@ -103,6 +102,18 @@ def test_dot_segments_removed_from_absolute_url():
     assert canonicalize("http://a.com/x/./y/../z").path == "/x/z"
 
 
+def test_percent_encoded_unreserved_characters_are_decoded():
+    assert canonicalize("http://a.com/%7euser/") == canonicalize("http://a.com/~user/")
+    assert str(canonicalize("http://a.com/%41%2d%5F?q=%7E")) == "http://a.com/A-_?q=~"
+    # decoded before dot segments are removed
+    assert canonicalize("http://a.com/x/%2E%2E/y").path == "/y"
+
+
+def test_other_percent_encodings_are_uppercased_not_decoded():
+    c = canonicalize("http://a.com/a%2fb%c3%a9?x=%2f%25")
+    assert str(c) == "http://a.com/a%2Fb%C3%A9?x=%2F%25"
+
+
 def test_idn_host_punycoded():
     assert canonicalize("http://münchen.de/").host == "xn--mnchen-3ya.de"
 
@@ -132,7 +143,8 @@ _hostnames = st.lists(
 ).map(".".join)
 
 _paths = st.lists(
-    st.sampled_from(["a", "b", "Page", "x1", ".", "..", "idx.html"]),
+    st.sampled_from(["a", "b", "Page", "x1", ".", "..", "idx.html",
+                     "%7euser", "%2f", "%2E%2e", "%c3%A9", "%25"]),
     min_size=0,
     max_size=5,
 ).map(lambda segs: "/" + "/".join(segs))
@@ -143,7 +155,7 @@ _paths = st.lists(
     host=_hostnames,
     port=st.one_of(st.none(), st.integers(min_value=1, max_value=65535)),
     path=_paths,
-    query=st.one_of(st.none(), st.sampled_from(["a=1", "q=x&y=2", "z"])),
+    query=st.one_of(st.none(), st.sampled_from(["a=1", "q=x&y=2", "z", "q=%7e&r=%2f"])),
     fragment=st.one_of(st.none(), st.sampled_from(["top", "sec-2"])),
 )
 @settings(max_examples=300)
@@ -161,7 +173,7 @@ def test_canonicalize_idempotent(scheme, host, port, path, query, fragment):
     assert again == first
 
 
-# --- reduce_to_site ---------------------------------------------------------
+# --- reduce_host ------------------------------------------------------------
 
 
 def test_reduce_to_registrable_domain():
@@ -209,11 +221,6 @@ def test_wildcard_and_exception_rules():
     assert reduce_host("deep.a.b.ck", RULES).site.value == "a.b.ck"
     assert reduce_host("www.ck", RULES).site.value == "www.ck"
     assert reduce_host("sub.www.ck", RULES).site.value == "www.ck"
-
-
-def test_reduce_to_site_uses_host_only():
-    url = canonicalize("https://www.york.ac.uk/about/?q=1")
-    assert reduce_to_site(url, RULES) == SiteKey("york.ac.uk")
 
 
 def test_subdomain_exception_must_be_registrable():
@@ -378,7 +385,7 @@ def test_generic_filter_defaults():
 def test_filter_depends_only_on_site_key():
     filt = GenericFilterList.bundled()
     for raw in ("http://google.com/search?q=x", "https://www.google.com/maps"):
-        site = reduce_to_site(canonicalize(raw), RULES)
+        site = reduce_host(canonicalize(raw).host, RULES).site
         assert is_generic(site, filt)
 
 
