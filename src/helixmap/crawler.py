@@ -270,16 +270,18 @@ def crawl_outlinks(
     queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
     seen: set[str] = {str(entry)}
 
-    while queue and report.pages_fetched < policy.max_pages_per_site:
+    attempts = 0  # the page cap bounds requests, failed ones included
+    while queue and attempts < policy.max_pages_per_site:
         url, depth = queue.popleft()
         if not robots.can_fetch(policy.user_agent, str(url)):
             report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
             continue
-        report.pages_fetched += 1
+        attempts += 1
         fetched = fetcher.fetch(url)
         if isinstance(fetched, FetchError):
             report.errors.append(fetched)
             continue
+        report.pages_fetched += 1
         final_url, content_type, body = fetched
 
         final_site = reduce_host(final_url.host, rules).site

@@ -14,11 +14,12 @@ backlink service a study has access to.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import email.message
 import logging
 import time
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -139,36 +140,6 @@ def provenance_label(tags: frozenset[SourceTag]) -> str:
     return "+".join(sorted(tag.value for tag in tags))
 
 
-@dataclass
-class ProvenanceReport:
-    """Counts and half-up one-decimal percentages per provenance combination."""
-
-    total: int
-    rows: list[tuple[str, int, Decimal]]
-
-    def as_dict(self) -> dict[str, tuple[int, Decimal]]:
-        return {label: (count, pct) for label, count, pct in self.rows}
-
-
-def provenance_report(links: LinkSet) -> ProvenanceReport:
-    counts: dict[str, int] = {tag.value: 0 for tag in SourceTag}
-    for record in links:
-        counts.setdefault(provenance_label(record.provenance), 0)
-        counts[provenance_label(record.provenance)] += 1
-    total = len(links)
-    rows = []
-    for label in sorted(counts):
-        count = counts[label]
-        if total == 0:
-            pct = Decimal("0.0")
-        else:
-            pct = (Decimal(count) * 100 / Decimal(total)).quantize(
-                Decimal("0.1"), rounding=ROUND_HALF_UP
-            )
-        rows.append((label, count, pct))
-    return ProvenanceReport(total=total, rows=rows)
-
-
 # --- index adapters ---------------------------------------------------------
 
 
@@ -224,8 +195,9 @@ class HttpLinkIndex(LinkIndex):
     """Generic HTTP backlink-service adapter.
 
     Expects ``GET <endpoint>/inlinks?site=<key>&limit=<n>`` (and
-    ``/outlinks``) to return ``text/plain``, one URL per line. An optional
-    bearer token covers the common auth case.
+    ``/outlinks``) to return ``text/plain``, one URL per line, in UTF-8
+    unless the answer declares a charset. An optional bearer token covers
+    the common auth case.
     """
 
     def __init__(self, endpoint: str, token: str | None = None, timeout: float = 30.0):
@@ -248,7 +220,15 @@ class HttpLinkIndex(LinkIndex):
             stream=True,
         ) as response:
             response.raise_for_status()
-            encoding = response.encoding or "utf-8"
+            # the declared charset, else UTF-8: requests' ISO-8859-1 default
+            # for text/* would garble every non-ASCII link
+            header = email.message.Message()
+            header["Content-Type"] = response.headers.get("Content-Type", "")
+            encoding = header.get_content_charset("utf-8")
+            try:
+                codecs.lookup(encoding)
+            except LookupError:
+                raise IndexUnavailable(f"{url}: unknown charset {encoding!r}") from None
             links: list[str] = []
             pending = bytearray()  # what follows the last line break read
             received = 0
@@ -294,10 +274,6 @@ class HarvestResult:
     failed_sites: list[SiteKey] = field(default_factory=list)
     skipped_urls: int = 0
     flags: dict[ReductionFlag, int] = field(default_factory=dict)
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.failed_sites)
 
 
 def harvest_index(

@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .network import InterlinkNetwork, Stage, StageError
-from .network import degree_counts  # noqa: F401  (re-exported beside the metrics)
+from .network import degree_counts  # noqa: F401  (perfbench/layers.py wraps it under this name)
 from .registry import CATEGORY_ORDER, Registry, TableCategory
 
 

@@ -2,13 +2,14 @@
 
 The pipeline is a fixed sequence of pure transformations:
 
-1. ``restrict_to_actors``: keep only link records whose source and target
-   both resolve to registry actors; weight = distinct site pairs behind
-   the actor pair.
-2. ``combine``: union the inlink-derived and outlink-derived edge sets.
-   A pair observed by both sources keeps the larger weight: the two
-   sources corroborate the same underlying links, they do not add up.
-3. ``dichotomize``: intensity becomes presence/absence (all weights 1).
+1. ``restrict_to_actors``: map each link record onto the actor pair its
+   source and target sites resolve to, dropping records with a stranger
+   endpoint. Many site pairs may map onto one actor pair.
+2. ``combine``: union the inlink-derived and outlink-derived actor pairs.
+   The two sources corroborate the same underlying links; a pair either
+   is observed or is not.
+3. ``dichotomize``: mark the network as the presence/absence one the
+   study reports; its edge set is unchanged.
 4. ``remove_self_links``: drop edges whose endpoints are one actor.
 5. ``prune_seed``: drop the seed's outgoing edges (they exist implicitly:
    the actor population was discovered from the seed site), then drop
@@ -17,15 +18,15 @@ The pipeline is a fixed sequence of pure transformations:
 Stages are explicit (Raw -> Dichotomized -> Pruned) and operations refuse
 out-of-order application.
 
+Edges are a frozenset of directed actor pairs, so a network is immutable.
 Each network computes its derived structure once, on first use: its
 ``degrees`` and its undirected ``neighbors``. Every metric reads them from
-the network rather than recounting the edges, so a network's ``edges``
-must not be mutated after construction.
+the network rather than recounting the edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
@@ -56,22 +57,20 @@ class InterlinkNetwork:
     """Directed network over actor ids; immutable once constructed.
 
     ``degrees`` and ``neighbors`` are computed once, from ``edges``, on
-    first use; ``edges`` must not be mutated after construction.
+    first use.
     """
 
     nodes: frozenset[str]
-    edges: dict[tuple[str, str], int]
+    edges: frozenset[tuple[str, str]]
     stage: Stage
     seed: str
 
     def __post_init__(self):
-        for (source, target), weight in self.edges.items():
+        if not isinstance(self.edges, frozenset):
+            raise TypeError(f"edges must be a frozenset, got {type(self.edges).__name__}")
+        for source, target in self.edges:
             if source not in self.nodes or target not in self.nodes:
                 raise ValueError(f"edge ({source},{target}) endpoint not in nodes")
-            if not isinstance(weight, int) or weight < 1:
-                raise ValueError(f"edge ({source},{target}) has bad weight {weight!r}")
-            if self.stage >= Stage.DICHOTOMIZED and weight != 1:
-                raise ValueError(f"stage {self.stage.label} requires unit weights")
             if self.stage is Stage.PRUNED and source == target:
                 raise ValueError("pruned network contains a self-link")
         if self.stage is Stage.PRUNED:
@@ -105,8 +104,8 @@ class InterlinkNetwork:
         return adjacent
 
 
-def degree_counts(edges: dict[tuple[str, str], int]) -> dict[str, tuple[int, int]]:
-    """Per-node (in_degree, out_degree) over the directed edge key set."""
+def degree_counts(edges: frozenset[tuple[str, str]]) -> dict[str, tuple[int, int]]:
+    """Per-node (in_degree, out_degree) over the directed edges."""
     degrees: dict[str, tuple[int, int]] = {}
     for source, target in edges:
         din, dout = degrees.get(source, (0, 0))
@@ -116,59 +115,41 @@ def degree_counts(edges: dict[tuple[str, str], int]) -> dict[str, tuple[int, int
     return degrees
 
 
-@dataclass
-class RestrictedEdges:
-    """Actor-level edge weights plus the count of dropped link records."""
+def restrict_to_actors(links: LinkSet, reg: Registry) -> tuple[frozenset[tuple[str, str]], int]:
+    """Map site-level records onto registry actor pairs, dropping strangers.
 
-    weights: dict[tuple[str, str], int] = field(default_factory=dict)
-    dropped: int = 0
-
-
-def restrict_to_actors(links: LinkSet, reg: Registry) -> RestrictedEdges:
-    """Map site-level records onto registry actors, dropping strangers.
-
-    A record survives only if both endpoints resolve; the weight of an
-    actor pair is the number of distinct site pairs observed for it.
+    A record survives only if both endpoints resolve. Returns the actor
+    pairs and the count of dropped records.
     """
-    result = RestrictedEdges()
+    edges: set[tuple[str, str]] = set()
+    dropped = 0
     for record in links:
         source_actor = resolve(record.source, reg)
         target_actor = resolve(record.target, reg)
         if source_actor is None or target_actor is None:
-            result.dropped += 1
-            continue
-        key = (source_actor.id, target_actor.id)
-        result.weights[key] = result.weights.get(key, 0) + 1
-    return result
+            dropped += 1
+        else:
+            edges.add((source_actor.id, target_actor.id))
+    return frozenset(edges), dropped
 
 
 def combine(
-    inlink_edges: dict[tuple[str, str], int],
-    outlink_edges: dict[tuple[str, str], int],
+    inlink_edges: frozenset[tuple[str, str]],
+    outlink_edges: frozenset[tuple[str, str]],
     reg: Registry,
 ) -> InterlinkNetwork:
-    """Union of the two evidence networks over all registry actors (Raw stage).
-
-    Shared directed pairs take the max of the two weights: corroboration,
-    not addition.
-    """
-    edges: dict[tuple[str, str], int] = dict(inlink_edges)
-    for key, weight in outlink_edges.items():
-        edges[key] = max(edges.get(key, 0), weight)
+    """Union of the two evidence networks over all registry actors (Raw stage)."""
     nodes = frozenset(actor.id for actor in reg.actors())
-    return InterlinkNetwork(nodes=nodes, edges=edges, stage=Stage.RAW, seed=reg.seed)
+    return InterlinkNetwork(nodes=nodes, edges=inlink_edges | outlink_edges,
+                            stage=Stage.RAW, seed=reg.seed)
 
 
 def dichotomize(net: InterlinkNetwork) -> InterlinkNetwork:
-    """Replace every weight with 1; the edge key set is unchanged."""
+    """Relabel a Raw network as Dichotomized; the edge set is unchanged."""
     if net.stage is not Stage.RAW:
         raise StageError(f"dichotomize expects a Raw network, got {net.stage.label}")
-    return InterlinkNetwork(
-        nodes=net.nodes,
-        edges={key: 1 for key in net.edges},
-        stage=Stage.DICHOTOMIZED,
-        seed=net.seed,
-    )
+    return InterlinkNetwork(nodes=net.nodes, edges=net.edges,
+                            stage=Stage.DICHOTOMIZED, seed=net.seed)
 
 
 def remove_self_links(net: InterlinkNetwork) -> InterlinkNetwork:
@@ -178,7 +159,7 @@ def remove_self_links(net: InterlinkNetwork) -> InterlinkNetwork:
         return net
     return InterlinkNetwork(
         nodes=net.nodes,
-        edges={k: w for k, w in net.edges.items() if k[0] != k[1]},
+        edges=net.edges - {edge for edge in net.edges if edge[0] == edge[1]},
         stage=net.stage,
         seed=net.seed,
     )
@@ -194,8 +175,8 @@ def prune_seed(net: InterlinkNetwork) -> InterlinkNetwork:
     if net.seed not in net.nodes:
         raise SeedMissing(f"seed {net.seed!r} is not a node of the network")
 
-    edges = {k: w for k, w in net.edges.items() if k[0] != net.seed}
-    nodes = frozenset(node for key in edges for node in key)
+    edges = net.edges - {edge for edge in net.edges if edge[0] == net.seed}
+    nodes = frozenset(node for edge in edges for node in edge)
     return InterlinkNetwork(nodes=nodes, edges=edges, stage=Stage.PRUNED, seed=net.seed)
 
 
@@ -219,14 +200,14 @@ def build_networks(inlinks: LinkSet, outlinks: LinkSet, reg: Registry) -> BuiltN
     """Run the full restrict -> combine -> dichotomize -> remove self-links
     -> prune pipeline. The Dichotomized stage reported here is self-link
     free (the form in which node/edge counts are quoted)."""
-    restricted_in = restrict_to_actors(inlinks, reg)
-    restricted_out = restrict_to_actors(outlinks, reg)
-    raw = combine(restricted_in.weights, restricted_out.weights, reg)
+    in_edges, in_dropped = restrict_to_actors(inlinks, reg)
+    out_edges, out_dropped = restrict_to_actors(outlinks, reg)
+    raw = combine(in_edges, out_edges, reg)
     dichotomized = remove_self_links(dichotomize(raw))
     pruned = prune_seed(dichotomized)
     return BuiltNetworks(
         raw=raw,
         dichotomized=dichotomized,
         pruned=pruned,
-        dropped_records=restricted_in.dropped + restricted_out.dropped,
+        dropped_records=in_dropped + out_dropped,
     )

@@ -14,10 +14,10 @@ one actor.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .urls import SiteKey
 
@@ -101,10 +101,6 @@ class MissingSeed(RegistryError):
     """No science-park actor present: the registry has no seed."""
 
 
-class ConflictingGrouping(RegistryError):
-    """A site was assigned to more than one actor grouping."""
-
-
 @dataclass(frozen=True)
 class Actor:
     id: str
@@ -117,14 +113,6 @@ class Actor:
     def __post_init__(self):
         if not self.sites:
             raise RegistryError(f"actor {self.id!r} has no sites")
-
-
-@dataclass(frozen=True)
-class ActorStub:
-    """A site grouping before classification: just an id and its sites."""
-
-    id: str
-    sites: frozenset[SiteKey]
 
 
 class Registry:
@@ -172,9 +160,6 @@ class Registry:
     def get(self, actor_id: str) -> Actor | None:
         return self._actors.get(actor_id)
 
-    def seed_actor(self) -> Actor:
-        return self._actors[self.seed]
-
     def category_counts(self) -> dict[TableCategory, int]:
         counts = {c: 0 for c in CATEGORY_ORDER}
         for actor in self._actors.values():
@@ -185,36 +170,6 @@ class Registry:
 def resolve(site: SiteKey, reg: Registry) -> Actor | None:
     """The unique actor owning a site key, or None."""
     return reg._by_site.get(site.value)
-
-
-def merge_sites(
-    sites: list[SiteKey],
-    groupings: Mapping[SiteKey, str] | Iterable[tuple[SiteKey, str]],
-) -> list[ActorStub]:
-    """Collapse sites into actor stubs following an explicit grouping map.
-
-    Ungrouped sites become singleton stubs whose id is the site itself;
-    grouped sites share one stub per actor id. Raises ConflictingGrouping
-    when a site is assigned to two different actor ids.
-    """
-    pairs = groupings.items() if isinstance(groupings, Mapping) else groupings
-    assignment: dict[SiteKey, str] = {}
-    for site, actor_id in pairs:
-        if site in assignment and assignment[site] != actor_id:
-            raise ConflictingGrouping(
-                f"site {site.value!r} grouped to both {assignment[site]!r}"
-                f" and {actor_id!r}"
-            )
-        assignment[site] = actor_id
-
-    grouped: dict[str, set[SiteKey]] = {}
-    for site in sites:
-        stub_id = assignment.get(site, site.value)
-        grouped.setdefault(stub_id, set()).add(site)
-    return [
-        ActorStub(id=stub_id, sites=frozenset(members))
-        for stub_id, members in sorted(grouped.items())
-    ]
 
 
 REGISTRY_HEADER = ["site", "actor_id", "label", "sector", "category", "role"]

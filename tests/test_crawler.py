@@ -49,6 +49,12 @@ SITES = {
         "/new.html": "",
     },
     "elsewhere.org": {"/": ""},
+    # its second link is a 404
+    "broken.com": {
+        "/": '<a href="/ok.html">o</a> <a href="/missing.html">m</a> <a href="/more.html">x</a>',
+        "/ok.html": "",
+        "/more.html": "",
+    },
     # a chain of pages, each one level deeper: / -> /1.html -> /2.html ...
     "chain.com": {
         ("/" if i == 0 else f"/{i}.html"): f'<a href="/{i + 1}.html">next</a>'
@@ -174,7 +180,8 @@ def test_redirects_are_logged_followed_and_recorded(host_map):
         ("http://hops.com/loop.html", "too many redirects"),
     ]
     assert log.count(("http://hops.com/loop.html", "301")) == MAX_REDIRECT_HOPS + 1
-    assert result.report.pages_fetched == 5
+    # "/", old.html and away.html were fetched; nowhere.html and loop.html failed
+    assert result.report.pages_fetched == 3
 
 
 def test_depth_and_page_caps(host_map):
@@ -193,6 +200,21 @@ def test_depth_and_page_caps(host_map):
         "http://chain.com/",
         "http://chain.com/1.html",
     ]
+
+
+def test_failed_fetches_count_against_the_page_cap_but_not_as_fetched(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5, max_pages_per_site=3)
+    result = crawl_outlinks(SiteKey("broken.com"), policy, RULES, host_map=host_map)
+    assert _requests(result) == [
+        ("http://broken.com/robots.txt", "404"),
+        ("http://broken.com/", "200"),
+        ("http://broken.com/ok.html", "200"),
+        ("http://broken.com/missing.html", "404"),
+    ]
+    assert [(e.url, e.cause) for e in result.report.errors] == [
+        ("http://broken.com/missing.html", "HTTP 404"),
+    ]
+    assert result.report.pages_fetched == 2
 
 
 def test_requests_to_one_host_are_spaced_by_the_delay(host_map, monkeypatch):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import threading
-from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -26,7 +25,6 @@ from helixmap.harvest import (
     harvest_index,
     merge_link_sets,
     provenance_label,
-    provenance_report,
     read_link_set,
     write_link_set,
 )
@@ -127,34 +125,7 @@ def test_merge_cardinality_identity():
     assert len(both) == len(shared)
 
 
-# --- provenance report ------------------------------------------------------
-
-
-def test_provenance_report_small():
-    links = _set(
-        Direction.OUTLINKS,
-        _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}),
-        _record("a.com", "c.com", {SourceTag.OUTLINK_INDEX}),
-        _record("a.com", "d.com", {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}),
-        _record("a.com", "e.com", {SourceTag.CRAWL}),
-    )
-    report = provenance_report(links)
-    as_dict = report.as_dict()
-    assert report.total == 4
-    assert as_dict["OutlinkIndex"] == (2, Decimal("50.0"))
-    assert as_dict["Crawl+OutlinkIndex"] == (1, Decimal("25.0"))
-    assert sum(count for _, count, _ in report.rows) == 4
-
-
-def test_provenance_report_empty_and_single():
-    empty = provenance_report(LinkSet(Direction.INLINKS))
-    assert empty.total == 0
-    assert all(count == 0 and pct == Decimal("0.0") for _, count, pct in empty.rows)
-
-    single = provenance_report(
-        _set(Direction.INLINKS, _record("a.com", "b.com", {SourceTag.INLINK_INDEX}))
-    )
-    assert single.as_dict()["InlinkIndex"] == (1, Decimal("100.0"))
+# --- provenance label -------------------------------------------------------
 
 
 def test_provenance_label_order():
@@ -231,7 +202,6 @@ def test_harvest_isolates_per_site_failures(snapshot_dir):
         [SiteKey("bad.co.uk"), SiteKey("sitea.co.uk")],
         index, Direction.INLINKS, RULES, now=1,
     )
-    assert result.partial
     assert [s.value for s in result.failed_sites] == ["bad.co.uk"]
     assert len(result.links) == 3
 
@@ -265,7 +235,7 @@ def test_missing_site_file_means_no_links(snapshot_dir):
     index = SnapshotLinkIndex(snapshot_dir)
     result = harvest_index([SiteKey("unlisted.co.uk")], index, Direction.INLINKS, RULES, now=1)
     assert len(result.links) == 0
-    assert not result.partial
+    assert result.failed_sites == []
 
 
 # --- generic filtering and CSV round-trip -------------------------------------
@@ -326,8 +296,14 @@ def test_read_link_set_rejects_garbage(tmp_path):
 
 # a backlink service on loopback: five links for any site, a 500 for
 # broken.co.uk; stall.co.uk gets ``limit`` links and then nothing until the
-# server is released, huge.co.uk one line longer than the read bound
+# server is released, huge.co.uk one line longer than the read bound; the
+# sites in ENCODED get one link under their own Content-Type
 SERVED = [f"http://x{i}.com/" for i in range(5)]
+ENCODED = {
+    "idn.co.uk": ("text/plain", "http://münchen.de/\n".encode("utf-8")),
+    "latin.co.uk": ("text/plain; charset=ISO-8859-1", "http://münchen.de/\n".encode("latin-1")),
+    "bogus.co.uk": ("text/plain; charset=x-no-such-codec", b"http://x0.com/\n"),
+}
 
 
 class _IndexHandler(BaseHTTPRequestHandler):
@@ -337,8 +313,12 @@ class _IndexHandler(BaseHTTPRequestHandler):
         self.server.seen.append((split.path, query, self.headers.get("Authorization")))
         site = query.get("site", [""])[0]
         self.send_response(500 if site == "broken.co.uk" else 200)
-        self.send_header("Content-Type", "text/plain")
-        if site == "stall.co.uk":
+        content_type, payload = ENCODED.get(site, ("text/plain", None))
+        self.send_header("Content-Type", content_type)
+        if payload is not None:
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+        elif site == "stall.co.uk":
             self.end_headers()
             limit = int(query["limit"][0])
             self.wfile.write("".join(f"{url}\n" for url in SERVED[:limit]).encode("utf-8"))
@@ -433,4 +413,21 @@ def test_http_index_response_past_the_byte_bound_makes_a_failed_site(index_serve
     result = harvest_index([SiteKey("huge.co.uk"), SiteKey("sitea.co.uk")],
                            index, Direction.INLINKS, RULES, now=1)
     assert [s.value for s in result.failed_sites] == ["huge.co.uk"]
+    assert len(result.links) == len(SERVED)
+
+
+def test_http_index_decodes_utf8_unless_a_charset_is_declared(index_server):
+    # bare text/plain is read as UTF-8, not as the ISO-8859-1 requests assumes for text/*
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    for site in ("idn.co.uk", "latin.co.uk"):
+        result = harvest_index([SiteKey(site)], index, Direction.INLINKS, RULES, now=1)
+        assert result.skipped_urls == 0
+        assert {r.key for r in result.links} == {("xn--mnchen-3ya.de", site)}
+
+
+def test_http_index_unknown_charset_makes_a_failed_site(index_server):
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    result = harvest_index([SiteKey("bogus.co.uk"), SiteKey("sitea.co.uk")],
+                           index, Direction.INLINKS, RULES, now=1)
+    assert [s.value for s in result.failed_sites] == ["bogus.co.uk"]
     assert len(result.links) == len(SERVED)

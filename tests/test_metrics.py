@@ -34,7 +34,7 @@ from instances import random_instance
 
 
 def _net(nodes, edges, stage=Stage.PRUNED, seed="seed"):
-    return InterlinkNetwork(frozenset(nodes), {k: 1 for k in edges}, stage, seed)
+    return InterlinkNetwork(frozenset(nodes), frozenset(edges), stage, seed)
 
 
 def _actor(aid, category, sites=None):
@@ -233,7 +233,7 @@ def test_ego_matches_bruteforce(seed):
     reg, inlinks, outlinks, *_ = random_instance(rng)
     net = build_networks(inlinks, outlinks, reg).pruned
     for node in sorted(net.nodes):
-        neighbors, _ = oracle.ego(net.nodes, net.edges, node)
+        neighbors, _ = oracle.ego(net.nodes, dict.fromkeys(net.edges, 1), node)
         assert net.neighbors[node] == neighbors
         assert ego_coverage(net, node)[0] == len(neighbors)
 
@@ -247,7 +247,7 @@ def test_shared_degrees_and_ego_coverage_match_bruteforce_at_every_stage(seed):
         expected = oracle.degrees(net.nodes, net.edges)
         assert net.degrees == {n: d for n, d in expected.items() if d != (0, 0)}
         for node in net.nodes:
-            neighbors, _ = oracle.ego(net.nodes, net.edges, node)
+            neighbors, _ = oracle.ego(net.nodes, dict.fromkeys(net.edges, 1), node)
             assert ego_coverage(net, node)[0] == len(neighbors)
 
 
@@ -280,7 +280,7 @@ def test_relabeling_invariance():
     mapping = {n: f"z{i:02d}" for i, n in enumerate(sorted(net.nodes, reverse=True))}
     relabeled = InterlinkNetwork(
         frozenset(mapping[n] for n in net.nodes),
-        {(mapping[s], mapping[t]): w for (s, t), w in net.edges.items()},
+        frozenset((mapping[s], mapping[t]) for s, t in net.edges),
         net.stage,
         mapping.get(net.seed, net.seed),
     )

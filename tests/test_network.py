@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -66,16 +67,12 @@ REG = _reg(
 
 
 def test_restrict_drops_unknown_sites():
-    links = _links([("unknown.com", "uni.ac.uk"), ("firm.com", "uni.ac.uk")])
-    result = restrict_to_actors(links, REG)
-    assert result.weights == {("firm", "uni"): 1}
-    assert result.dropped == 1
-
-
-def test_restrict_counts_distinct_site_pairs_as_weight():
-    links = _links([("uni.ac.uk", "firm.com"), ("www.uni.ac.uk", "firm.com")])
-    result = restrict_to_actors(links, REG)
-    assert result.weights == {("uni", "firm"): 2}
+    links = _links([("unknown.com", "uni.ac.uk"), ("firm.com", "uni.ac.uk"),
+                    ("uni.ac.uk", "firm.com"), ("www.uni.ac.uk", "firm.com")])
+    edges, dropped = restrict_to_actors(links, REG)
+    # two site pairs behind one actor pair make one edge
+    assert edges == {("firm", "uni"), ("uni", "firm")}
+    assert dropped == 1
 
 
 @given(seed=st.integers(0, 10_000))
@@ -84,74 +81,72 @@ def test_restrict_matches_bruteforce(seed):
     reg, inlinks, outlinks, actor_sites, in_dedup, out_dedup = random_instance(
         random.Random(seed)
     )
-    got = restrict_to_actors(inlinks, reg)
+    edges, dropped = restrict_to_actors(inlinks, reg)
     expected_weights, expected_dropped = oracle.restrict(in_dedup, actor_sites)
-    assert got.weights == expected_weights
-    assert got.dropped == expected_dropped
+    assert edges == set(expected_weights)
+    assert dropped == expected_dropped
 
 
 # --- combine ----------------------------------------------------------------
 
 
-def test_combine_takes_max_of_shared_pairs():
-    net = combine({("uni", "firm"): 2}, {("uni", "firm"): 3}, REG)
-    assert net.edges == {("uni", "firm"): 3}
+def test_combine_union_of_disjoint_sets():
+    net = combine(frozenset({("uni", "firm")}), frozenset({("firm", "park")}), REG)
+    assert net.edges == {("uni", "firm"), ("firm", "park")}
     assert net.stage is Stage.RAW
     assert net.nodes == {"park", "uni", "firm"}
+    # a pair both sources observe is one edge
+    shared = combine(frozenset({("uni", "firm")}), frozenset({("uni", "firm")}), REG)
+    assert shared.edges == {("uni", "firm")}
 
 
-def test_combine_union_of_disjoint_sets():
-    net = combine({("uni", "firm"): 1}, {("firm", "park"): 4}, REG)
-    assert net.edges == {("uni", "firm"): 1, ("firm", "park"): 4}
-
-
-_edge_maps = st.dictionaries(
+_edge_sets = st.frozensets(
     st.tuples(st.sampled_from(["park", "uni", "firm"]),
               st.sampled_from(["park", "uni", "firm"])),
-    st.integers(min_value=1, max_value=5),
     max_size=9,
 )
 
 
-@given(a=_edge_maps, b=_edge_maps)
+@given(a=_edge_sets, b=_edge_sets)
 @settings(max_examples=100)
 def test_combine_matches_keywise_max_oracle(a, b):
     net = combine(a, b, REG)
-    _, expected = oracle.combine(a, b, ["park", "uni", "firm"])
-    assert net.edges == expected
+    _, expected = oracle.combine(dict.fromkeys(a, 1), dict.fromkeys(b, 1),
+                                 ["park", "uni", "firm"])
+    assert net.edges == set(expected)
 
 
 # --- dichotomize / self-links -----------------------------------------------
 
 
 def test_dichotomize_flattens_weights():
-    net = combine({("uni", "firm"): 7}, {}, REG)
+    net = combine(frozenset({("uni", "firm")}), frozenset(), REG)
     flat = dichotomize(net)
-    assert flat.edges == {("uni", "firm"): 1}
+    # a stage relabel: the edge set is the same object
+    assert flat.edges is net.edges
     assert flat.stage is Stage.DICHOTOMIZED
-    # edge key set unchanged
-    assert set(flat.edges) == set(net.edges)
+    assert (flat.nodes, flat.seed) == (net.nodes, net.seed)
 
 
 def test_dichotomize_requires_raw_stage():
-    net = dichotomize(combine({("uni", "firm"): 7}, {}, REG))
+    net = dichotomize(combine(frozenset({("uni", "firm")}), frozenset(), REG))
     with pytest.raises(StageError):
         dichotomize(net)
 
 
 def test_remove_self_links_keeps_other_edges():
-    net = combine({("uni", "uni"): 2, ("uni", "firm"): 1}, {}, REG)
+    net = combine(frozenset({("uni", "uni"), ("uni", "firm")}), frozenset(), REG)
     cleaned = remove_self_links(net)
-    assert cleaned.edges == {("uni", "firm"): 1}
+    assert cleaned.edges == {("uni", "firm")}
     assert cleaned.stage is Stage.RAW
     assert remove_self_links(cleaned).edges == cleaned.edges
 
 
-@given(a=_edge_maps)
+@given(a=_edge_sets)
 @settings(max_examples=100)
 def test_dichotomize_preserves_edge_count(a):
-    net = combine(a, {}, REG)
-    assert dichotomize(net).edge_count == net.edge_count
+    net = combine(a, frozenset(), REG)
+    assert dichotomize(net).edge_count == net.edge_count == len(a)
 
 
 # --- prune_seed -------------------------------------------------------------
@@ -160,34 +155,34 @@ def test_dichotomize_preserves_edge_count(a):
 def test_prune_removes_seed_out_edges_and_orphans():
     reg = _reg({f"a{i}": [f"a{i}.com"] for i in range(3)} | {"park": ["park.co.uk"]},
                seed="park")
-    edges = {("park", "a0"): 1, ("park", "a1"): 1, ("a1", "a2"): 1, ("a2", "park"): 1}
-    net = remove_self_links(dichotomize(combine(edges, {}, reg)))
+    edges = frozenset({("park", "a0"), ("park", "a1"), ("a1", "a2"), ("a2", "park")})
+    net = remove_self_links(dichotomize(combine(edges, frozenset(), reg)))
     pruned = prune_seed(net)
     # a0 was linked only by the seed; a1/a2/park survive through real links
     assert pruned.nodes == {"a1", "a2", "park"}
-    assert pruned.edges == {("a1", "a2"): 1, ("a2", "park"): 1}
+    assert pruned.edges == {("a1", "a2"), ("a2", "park")}
     assert pruned.stage is Stage.PRUNED
 
 
 def test_prune_star_network_collapses_to_nothing():
     reg = _reg({"park": ["park.co.uk"], "a": ["a.com"], "b": ["b.com"], "c": ["c.com"]},
                seed="park")
-    edges = {("park", "a"): 1, ("park", "b"): 1, ("park", "c"): 1}
-    net = dichotomize(combine(edges, {}, reg))
+    edges = frozenset({("park", "a"), ("park", "b"), ("park", "c")})
+    net = dichotomize(combine(edges, frozenset(), reg))
     pruned = prune_seed(net)
     assert pruned.nodes == frozenset()
-    assert pruned.edges == {}
+    assert pruned.edges == frozenset()
 
 
 def test_prune_noop_when_seed_has_no_out_edges():
-    net = dichotomize(combine({("uni", "park"): 1, ("uni", "firm"): 1}, {}, REG))
+    net = dichotomize(combine(frozenset({("uni", "park"), ("uni", "firm")}), frozenset(), REG))
     pruned = prune_seed(net)
     assert pruned.edges == net.edges
     assert pruned.nodes == {"uni", "park", "firm"}
 
 
 def test_prune_requires_dichotomized_stage_and_known_seed():
-    raw = combine({("uni", "firm"): 2}, {}, REG)
+    raw = combine(frozenset({("uni", "firm")}), frozenset(), REG)
     with pytest.raises(StageError):
         prune_seed(raw)
     net = dichotomize(raw)
@@ -211,15 +206,17 @@ def test_pipeline_matches_bruteforce(seed):
     out_w, out_dropped = oracle.restrict(out_dedup, actor_sites)
     all_ids = [a for a, _ in actor_sites]
     nodes, raw_edges = oracle.combine(in_w, out_w, all_ids)
-    assert built.raw.edges == raw_edges
+    assert built.raw.edges == set(raw_edges)
     assert built.dropped_records == in_dropped + out_dropped
 
     flat = oracle.remove_self(oracle.dichotomize(raw_edges))
-    assert built.dichotomized.edges == flat
+    assert built.dichotomized.edges == set(flat)
 
     pruned_nodes, pruned_edges = oracle.prune(nodes, flat, reg.seed)
     assert built.pruned.nodes == pruned_nodes
-    assert built.pruned.edges == pruned_edges
+    assert built.pruned.edges == set(pruned_edges)
+    for net in (built.raw, built.dichotomized, built.pruned):
+        assert isinstance(net.edges, frozenset)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -245,17 +242,31 @@ def test_order_insensitivity_of_inputs():
 
 
 def test_network_validates_construction():
-    with pytest.raises(ValueError):
-        InterlinkNetwork(frozenset({"a"}), {("a", "b"): 1}, Stage.RAW, "a")
-    with pytest.raises(ValueError):
-        InterlinkNetwork(frozenset({"a", "b"}), {("a", "b"): 2}, Stage.DICHOTOMIZED, "a")
-    with pytest.raises(ValueError):
-        InterlinkNetwork(frozenset({"a", "b"}), {("a", "a"): 1, ("a", "b"): 1},
-                         Stage.PRUNED, "b")
+    ab = frozenset({"a", "b"})
+    invalid = [
+        (frozenset({"a"}), {("a", "b")}, Stage.RAW, "a", "endpoint not in nodes"),
+        (ab, {("a", "a"), ("a", "b")}, Stage.PRUNED, "b", "self-link"),
+        (ab, {("a", "b")}, Stage.PRUNED, "a", "outgoing seed edges"),
+        (ab | {"c"}, {("a", "b")}, Stage.PRUNED, "b", "isolated node 'c'"),
+    ]
+    for nodes, edges, stage, seed, reason in invalid:
+        with pytest.raises(ValueError, match=reason):
+            InterlinkNetwork(nodes, frozenset(edges), stage, seed)
+    with pytest.raises(TypeError):
+        InterlinkNetwork(ab, {("a", "b")}, Stage.RAW, "a")
+
+
+def test_network_edges_cannot_be_mutated():
+    net = combine(frozenset({("uni", "firm")}), frozenset(), REG)
+    with pytest.raises(AttributeError):
+        net.edges.add(("firm", "uni"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.edges = frozenset()
+    assert net.edges == {("uni", "firm")}
 
 
 def test_degree_counts_handshake():
-    edges = {("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1, ("a", "c"): 1}
+    edges = frozenset({("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")})
     degrees = degree_counts(edges)
     assert sum(d for d, _ in degrees.values()) == len(edges)
     assert sum(d for _, d in degrees.values()) == len(edges)

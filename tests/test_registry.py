@@ -4,9 +4,7 @@ import pytest
 
 from helixmap.registry import (
     Actor,
-    ActorStub,
     CATEGORY_ORDER,
-    ConflictingGrouping,
     DuplicateSite,
     FrameworkRole,
     MissingSeed,
@@ -16,7 +14,6 @@ from helixmap.registry import (
     Sector,
     TableCategory,
     load_registry,
-    merge_sites,
     resolve,
     write_registry,
 )
@@ -88,45 +85,6 @@ def test_partition_property():
             assert resolve(site, reg).id == actor.id
 
 
-# --- merge_sites ------------------------------------------------------------
-
-
-def test_merge_reduces_107_sites_to_103_actors():
-    sites = [SiteKey(f"s{i:03d}.com") for i in range(107)]
-    groupings = {
-        sites[0]: "m1", sites[1]: "m1", sites[2]: "m1",   # triple saves 2
-        sites[3]: "m2", sites[4]: "m2",                   # pair saves 1
-        sites[5]: "m3", sites[6]: "m3",                   # pair saves 1
-    }
-    stubs = merge_sites(sites, groupings)
-    assert len(stubs) == 103
-    merged = {s.id: s for s in stubs}
-    assert len(merged["m1"].sites) == 3
-    assert len(merged["m2"].sites) == 2
-
-
-def test_merge_with_empty_grouping_is_identity():
-    sites = [SiteKey("a.com"), SiteKey("b.com")]
-    stubs = merge_sites(sites, {})
-    assert stubs == [
-        ActorStub("a.com", frozenset({SiteKey("a.com")})),
-        ActorStub("b.com", frozenset({SiteKey("b.com")})),
-    ]
-
-
-def test_merge_two_sites_into_one_actor():
-    sites = [SiteKey("a.com"), SiteKey("b.com")]
-    stubs = merge_sites(sites, {sites[0]: "x", sites[1]: "x"})
-    assert len(stubs) == 1
-    assert stubs[0].sites == frozenset(sites)
-
-
-def test_merge_conflicting_grouping_raises():
-    site = SiteKey("a.com")
-    with pytest.raises(ConflictingGrouping):
-        merge_sites([site], [(site, "x"), (site, "y")])
-
-
 # --- classification file ----------------------------------------------------
 
 
@@ -146,7 +104,7 @@ def test_load_registry_roundtrip(tmp_path):
     uni = reg.get("uni.ac.uk")
     assert uni.sites == frozenset({SiteKey("uni.ac.uk"), SiteKey("www.uni.ac.uk")})
     assert uni.role is FrameworkRole.UNIVERSITY
-    assert reg.seed_actor().label == "The Park"
+    assert reg.get(reg.seed).label == "The Park"
 
     out = tmp_path / "out.csv"
     write_registry(reg, out)
