@@ -353,23 +353,40 @@ LINKSET_HEADER = ["source", "target", "provenance", "first_seen"]
 
 def write_link_set(links: LinkSet, path: str | Path) -> None:
     """CSV form: source,target,provenance,first_seen with "+"-joined tags,
-    rows sorted by (source, target)."""
+    rows sorted by (source, target). Each distinct tag set is labelled once."""
+    labels = {tags: provenance_label(tags) for tags in {record.provenance for record in links}}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LINKSET_HEADER)
-        for record in links.records():
-            writer.writerow(
-                [
-                    record.source.value,
-                    record.target.value,
-                    provenance_label(record.provenance),
-                    record.first_seen,
-                ]
-            )
+        writer.writerows(
+            (record.source.value, record.target.value, labels[record.provenance],
+             record.first_seen)
+            for record in links.records()
+        )
 
 
 def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
+    """Read the CSV form ``write_link_set`` writes.
+
+    The first row must be the header; blank rows are skipped. Every other
+    row has four fields:
+
+    - ``source`` and ``target``: non-empty, lower-case and free of
+      whitespace, as every site key the harvest makes is;
+    - ``provenance``: one or more "+"-joined ``SourceTag`` values;
+    - ``first_seen``: ASCII digits.
+
+    A row that breaks a rule raises ``ValueError("<path>:<line>: ...")``.
+    Rows repeating a (source, target) pair merge as ``LinkSet.add`` merges
+    them.
+
+    Each distinct site text becomes one ``SiteKey`` and each distinct
+    provenance text one tag set, checked and built the first time it is
+    read and shared by every later row that repeats it.
+    """
     links = LinkSet(direction)
+    sites: dict[str, SiteKey] = {}
+    tag_sets: dict[str, frozenset[SourceTag]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -380,17 +397,34 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
                 continue
             if len(row) != 4:
                 raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(row)}")
-            source, target, tags_text, first_seen = row
+            source_text, target_text, tags_text, first_seen = row
             try:
-                tags = frozenset(SourceTag(t) for t in tags_text.split("+"))
+                try:
+                    source = sites[source_text]
+                except KeyError:
+                    source = sites[source_text] = _parse_site(source_text)
+                try:
+                    target = sites[target_text]
+                except KeyError:
+                    target = sites[target_text] = _parse_site(target_text)
+                try:
+                    tags = tag_sets[tags_text]
+                except KeyError:
+                    tags = frozenset(SourceTag(t) for t in tags_text.split("+"))
+                    tag_sets[tags_text] = tags
+                if not (first_seen.isascii() and first_seen.isdigit()):
+                    raise ValueError(f"first_seen {first_seen!r} is not ASCII digits")
                 links.add(
-                    LinkRecord(
-                        source=SiteKey(source),
-                        target=SiteKey(target),
-                        provenance=tags,
-                        first_seen=int(first_seen),
-                    )
+                    LinkRecord(source=source, target=target, provenance=tags,
+                               first_seen=int(first_seen))
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return links
+
+
+def _parse_site(text: str) -> SiteKey:
+    # split() is [text] only for non-empty text without whitespace
+    if text.split() != [text] or text != text.lower():
+        raise ValueError(f"bad site key {text!r}")
+    return SiteKey(text)

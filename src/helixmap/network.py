@@ -118,18 +118,29 @@ def degree_counts(edges: frozenset[tuple[str, str]]) -> dict[str, tuple[int, int
 def restrict_to_actors(links: LinkSet, reg: Registry) -> tuple[frozenset[tuple[str, str]], int]:
     """Map site-level records onto registry actor pairs, dropping strangers.
 
-    A record survives only if both endpoints resolve. Returns the actor
-    pairs and the count of dropped records.
+    A record survives only if both endpoints resolve. Each distinct site is
+    resolved once, however many records name it. Returns the actor pairs
+    and the count of dropped records.
     """
+    owners: dict[str, str | None] = {}  # site value -> actor id, None for a stranger
     edges: set[tuple[str, str]] = set()
     dropped = 0
     for record in links:
-        source_actor = resolve(record.source, reg)
-        target_actor = resolve(record.target, reg)
-        if source_actor is None or target_actor is None:
+        source, target = record.source, record.target
+        try:
+            source_id = owners[source.value]
+        except KeyError:
+            actor = resolve(source, reg)
+            source_id = owners[source.value] = None if actor is None else actor.id
+        try:
+            target_id = owners[target.value]
+        except KeyError:
+            actor = resolve(target, reg)
+            target_id = owners[target.value] = None if actor is None else actor.id
+        if source_id is None or target_id is None:
             dropped += 1
         else:
-            edges.add((source_actor.id, target_actor.id))
+            edges.add((source_id, target_id))
     return frozenset(edges), dropped
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -290,6 +291,74 @@ def test_read_link_set_rejects_garbage(tmp_path):
     path.write_text("source,target,provenance,first_seen\na.com,b.com,NotATag,0\n")
     with pytest.raises(ValueError):
         read_link_set(path, Direction.OUTLINKS)
+
+
+_GOOD_ROWS = "source,target,provenance,first_seen\na.com,b.com,Crawl,1\nb.com,a.com,Crawl,2\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(",b.com,Crawl,3", id="empty-source"),
+        pytest.param("a.com,,Crawl,3", id="empty-target"),
+        pytest.param(" a.com,b.com,Crawl,3", id="leading-space"),
+        pytest.param("a.com,b .com,Crawl,3", id="inner-space"),
+        pytest.param("a.com,b.com\t,Crawl,3", id="trailing-tab"),
+        pytest.param("A.com,b.com,Crawl,3", id="upper-source"),
+        pytest.param("a.com,b.COM,Crawl,3", id="upper-target"),
+        pytest.param("a.com,b.com,Crawl, 1_0", id="seen-space-underscore"),
+        pytest.param("a.com,b.com,Crawl,1_0", id="seen-underscore"),
+        pytest.param("a.com,b.com,Crawl,-5", id="seen-negative"),
+        pytest.param("a.com,b.com,Crawl,\u0663", id="seen-arabic-indic-digit"),
+        pytest.param("a.com,b.com,Crawl,", id="seen-empty"),
+        pytest.param("a.com,b.com,Bogus,3", id="unknown-tag"),
+        pytest.param("a.com,b.com,Crawl+Bogus,3", id="known-and-unknown-tag"),
+        pytest.param("a.com,b.com,,3", id="empty-provenance"),
+        pytest.param("a.com,b.com,Crawl,3,extra", id="five-fields"),
+    ],
+)
+def test_read_link_set_rejects_malformed_row_after_valid_ones(tmp_path, row):
+    # rows 2 and 3 put both sites and the tag text in the read caches first
+    path = tmp_path / "links.csv"
+    path.write_text(_GOOD_ROWS + row + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "):
+        read_link_set(path, Direction.OUTLINKS)
+
+
+def test_read_link_set_builds_one_site_key_per_site_text(tmp_path):
+    path = tmp_path / "links.csv"
+    rows = [f"s{i % 3}.com,s{(i + 1) % 4}.com,{'Crawl' if i % 2 else 'InlinkIndex'},{i}"
+            for i in range(12)]
+    path.write_text("source,target,provenance,first_seen\n" + "\n".join(rows) + "\n")
+    links = read_link_set(path, Direction.INLINKS)
+    assert len(links) == 12
+    sites = {id(site): site.value for r in links for site in (r.source, r.target)}
+    assert sorted(sites.values()) == ["s0.com", "s1.com", "s2.com", "s3.com"]
+    assert len({id(r.provenance) for r in links}) == 2
+
+
+_records = st.lists(
+    st.tuples(
+        st.sampled_from(["a.com", "b.org", "c.co.uk", "www.d.ac.uk"]),
+        st.sampled_from(["a.com", "b.org", "e.net"]),
+        st.sets(st.sampled_from(SourceTag), min_size=1),
+        st.integers(0, 2**40),
+    ),
+    max_size=30,
+)
+
+
+@given(records=_records)
+@settings(max_examples=100, deadline=None)
+def test_link_set_csv_round_trip_is_exact(tmp_path_factory, records):
+    links = LinkSet(Direction.OUTLINKS, [_record(*r) for r in records])
+    directory = tmp_path_factory.mktemp("round")
+    first, second = directory / "first.csv", directory / "second.csv"
+    write_link_set(links, first)
+    read = read_link_set(first, Direction.OUTLINKS)
+    assert read == links
+    write_link_set(read, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 # --- HTTP index adapter ---------------------------------------------------------

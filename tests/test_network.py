@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helixmap.network as network_module
 import oracle
 from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag
 from helixmap.network import (
@@ -73,6 +74,22 @@ def test_restrict_drops_unknown_sites():
     # two site pairs behind one actor pair make one edge
     assert edges == {("firm", "uni"), ("uni", "firm")}
     assert dropped == 1
+
+
+def test_restrict_resolves_each_site_once(monkeypatch):
+    calls = []
+    real = network_module.resolve
+
+    def counting(site, reg):
+        calls.append(site.value)
+        return real(site, reg)
+
+    monkeypatch.setattr(network_module, "resolve", counting)
+    reg, inlinks, *_ = random_instance(random.Random(3))
+    expected = {site.value for record in inlinks for site in (record.source, record.target)}
+    assert len(inlinks) > len(expected)  # sites repeat across records
+    restrict_to_actors(inlinks, reg)
+    assert sorted(calls) == sorted(expected)
 
 
 @given(seed=st.integers(0, 10_000))
