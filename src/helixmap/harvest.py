@@ -35,7 +35,6 @@ from .urls import (
     SiteKey,
     UnsupportedScheme,
     canonicalize,
-    is_generic,
     reduce_host,
 )
 
@@ -61,7 +60,7 @@ class IndexUnavailable(RuntimeError):
     """The configured link index cannot be reached, or its answer is unusable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRecord:
     source: SiteKey
     target: SiteKey
@@ -91,11 +90,12 @@ class LinkSet:
             self.add(record)
 
     def add(self, record: LinkRecord) -> None:
-        existing = self._records.get(record.key)
+        key = record.key
+        existing = self._records.get(key)
         if existing is None:
-            self._records[record.key] = record
+            self._records[key] = record
         else:
-            self._records[record.key] = LinkRecord(
+            self._records[key] = LinkRecord(
                 source=existing.source,
                 target=existing.target,
                 provenance=existing.provenance | record.provenance,
@@ -335,15 +335,20 @@ def _reduce_url(raw: str, rules: ReductionRules):
 
 
 def filter_generic(links: LinkSet, filter_list: GenericFilterList) -> tuple[LinkSet, int]:
-    """Drop records whose source or target site is on the generic denylist."""
+    """Drop records whose source or target site key exactly matches a
+    generic denylist entry; return the kept set and the dropped count.
+
+    The kept records are the input's own record objects, in the input's
+    iteration order: records are immutable, so the two sets share them.
+    """
+    generic = filter_list.entries
     kept = LinkSet(links.direction)
-    dropped = 0
-    for record in links:
-        if is_generic(record.source, filter_list) or is_generic(record.target, filter_list):
-            dropped += 1
-        else:
-            kept.add(record)
-    return kept, dropped
+    kept._records = {
+        key: record
+        for key, record in links._records.items()
+        if key[0] not in generic and key[1] not in generic
+    }
+    return kept, len(links) - len(kept)
 
 
 # --- link-set CSV form ------------------------------------------------------
@@ -373,8 +378,9 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
 
     - ``source`` and ``target``: non-empty, lower-case and free of
       whitespace, as every site key the harvest makes is;
-    - ``provenance``: one or more "+"-joined ``SourceTag`` values;
-    - ``first_seen``: ASCII digits.
+    - ``provenance``: one or more "+"-joined ``SourceTag`` values, sorted
+      and without repeats, as ``provenance_label`` writes them;
+    - ``first_seen``: ASCII digits without a leading zero.
 
     A row that breaks a rule raises ``ValueError("<path>:<line>: ...")``.
     Rows repeating a (source, target) pair merge as ``LinkSet.add`` merges
@@ -411,9 +417,16 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
                     tags = tag_sets[tags_text]
                 except KeyError:
                     tags = frozenset(SourceTag(t) for t in tags_text.split("+"))
+                    label = provenance_label(tags)
+                    if label != tags_text:
+                        raise ValueError(
+                            f"provenance {tags_text!r} is not in canonical form {label!r}"
+                        )
                     tag_sets[tags_text] = tags
                 if not (first_seen.isascii() and first_seen.isdigit()):
                     raise ValueError(f"first_seen {first_seen!r} is not ASCII digits")
+                if first_seen[0] == "0" and len(first_seen) > 1:
+                    raise ValueError(f"first_seen {first_seen!r} has a leading zero")
                 links.add(
                     LinkRecord(source=source, target=target, provenance=tags,
                                first_seen=int(first_seen))

@@ -16,7 +16,9 @@ The pipeline is a fixed sequence of pure transformations:
    actors left without any link. Only incoming links to the seed remain.
 
 Stages are explicit (Raw -> Dichotomized -> Pruned) and operations refuse
-out-of-order application.
+out-of-order application. Every network checks its stage's invariants when
+it is constructed: every edge endpoint is a node, and a Pruned network has
+no self-link, no seed out-edge and no isolated node.
 
 Edges are a frozenset of directed actor pairs, so a network is immutable.
 Each network computes its derived structure once, on first use: its
@@ -29,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain, starmap
+from operator import eq, itemgetter
 
 from .harvest import LinkSet
 from .registry import Registry, resolve
@@ -68,13 +72,17 @@ class InterlinkNetwork:
     def __post_init__(self):
         if not isinstance(self.edges, frozenset):
             raise TypeError(f"edges must be a frozenset, got {type(self.edges).__name__}")
-        for source, target in self.edges:
-            if source not in self.nodes or target not in self.nodes:
-                raise ValueError(f"edge ({source},{target}) endpoint not in nodes")
-            if self.stage is Stage.PRUNED and source == target:
-                raise ValueError("pruned network contains a self-link")
+        # the checks iterate in C; only a failure looks for its culprit
+        if not self.nodes.issuperset(chain.from_iterable(self.edges)):
+            source, target = next(
+                edge for edge in self.edges
+                if edge[0] not in self.nodes or edge[1] not in self.nodes
+            )
+            raise ValueError(f"edge ({source},{target}) endpoint not in nodes")
         if self.stage is Stage.PRUNED:
-            if any(source == self.seed for source, _ in self.edges):
+            if any(starmap(eq, self.edges)):
+                raise ValueError("pruned network contains a self-link")
+            if self.seed in map(itemgetter(0), self.edges):
                 raise ValueError("pruned network has outgoing seed edges")
             isolated = self.nodes - self.degrees.keys()
             if isolated:
@@ -187,7 +195,7 @@ def prune_seed(net: InterlinkNetwork) -> InterlinkNetwork:
         raise SeedMissing(f"seed {net.seed!r} is not a node of the network")
 
     edges = net.edges - {edge for edge in net.edges if edge[0] == net.seed}
-    nodes = frozenset(node for edge in edges for node in edge)
+    nodes = frozenset(chain.from_iterable(edges))
     return InterlinkNetwork(nodes=nodes, edges=edges, stage=Stage.PRUNED, seed=net.seed)
 
 

@@ -347,7 +347,9 @@ def reduce_host(host: str, rules: ReductionRules) -> Reduction:
 @dataclass(frozen=True)
 class GenericFilterList:
     """Denylist of generic sites (search engines, portals, social networks,
-    tourist information, public transport) excluded from actor networks."""
+    tourist information, public transport) excluded from actor networks.
+    ``harvest.filter_generic`` drops a record when its source or target
+    site key exactly matches an entry."""
 
     entries: frozenset[str]
     version: str = "unversioned"
@@ -385,8 +387,3 @@ class GenericFilterList:
             .read_text(encoding="utf-8")
         )
         return cls.from_text(text)
-
-
-def is_generic(site: SiteKey, filter_list: GenericFilterList) -> bool:
-    """True iff the site key exactly matches a denylist entry."""
-    return site.value in filter_list.entries

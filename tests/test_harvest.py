@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -30,6 +31,7 @@ from helixmap.harvest import (
     write_link_set,
 )
 from helixmap.urls import GenericFilterList, ReductionFlag, ReductionRules, SiteKey
+from instances import random_instance
 
 RULES = ReductionRules.bundled()
 
@@ -255,6 +257,28 @@ def test_filter_generic_drops_either_endpoint():
     assert {r.key for r in kept} == {("a.com", "b.com")}
 
 
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_filter_generic_matches_bruteforce(seed):
+    rng = random.Random(seed)
+    _, inlinks, outlinks, _, _, _ = random_instance(rng)
+    sites = sorted({site.value for links in (inlinks, outlinks)
+                    for r in links for site in (r.source, r.target)})
+    denied = set(rng.sample(sites, rng.randint(0, len(sites)))) | {"unnamed.org"}
+    filt = GenericFilterList(frozenset(denied))
+    for links in (inlinks, outlinks):
+        kept, dropped = filter_generic(links, filt)
+        expected = [r for r in links
+                    if r.source.value not in denied and r.target.value not in denied]
+        # the input's own record objects, in the input's order
+        assert len(kept) == len(expected)
+        assert all(got is want for got, want in zip(kept, expected))
+        assert all(kept.get(r.key) is r for r in expected)
+        assert kept.direction is links.direction
+        assert dropped == sum(1 for r in links
+                              if r.source.value in denied or r.target.value in denied)
+
+
 def test_link_set_csv_round_trip(tmp_path):
     links = _set(
         Direction.OUTLINKS,
@@ -293,7 +317,7 @@ def test_read_link_set_rejects_garbage(tmp_path):
         read_link_set(path, Direction.OUTLINKS)
 
 
-_GOOD_ROWS = "source,target,provenance,first_seen\na.com,b.com,Crawl,1\nb.com,a.com,Crawl,2\n"
+_GOOD_ROWS = "source,target,provenance,first_seen\na.com,b.com,Crawl,1\nb.com,a.com,Crawl,0\n"
 
 
 @pytest.mark.parametrize(
@@ -311,9 +335,13 @@ _GOOD_ROWS = "source,target,provenance,first_seen\na.com,b.com,Crawl,1\nb.com,a.
         pytest.param("a.com,b.com,Crawl,-5", id="seen-negative"),
         pytest.param("a.com,b.com,Crawl,\u0663", id="seen-arabic-indic-digit"),
         pytest.param("a.com,b.com,Crawl,", id="seen-empty"),
+        pytest.param("a.com,b.com,Crawl,007", id="seen-leading-zero"),
+        pytest.param("a.com,b.com,Crawl,00", id="seen-zero-zero"),
         pytest.param("a.com,b.com,Bogus,3", id="unknown-tag"),
         pytest.param("a.com,b.com,Crawl+Bogus,3", id="known-and-unknown-tag"),
         pytest.param("a.com,b.com,,3", id="empty-provenance"),
+        pytest.param("a.com,b.com,OutlinkIndex+Crawl,3", id="tags-out-of-order"),
+        pytest.param("a.com,b.com,Crawl+Crawl,3", id="tag-repeated"),
         pytest.param("a.com,b.com,Crawl,3,extra", id="five-fields"),
     ],
 )

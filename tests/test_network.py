@@ -260,9 +260,14 @@ def test_order_insensitivity_of_inputs():
 
 def test_network_validates_construction():
     ab = frozenset({"a", "b"})
+    path = {(f"n{i}", f"n{i + 1}") for i in range(50)}
+    path_nodes = frozenset(f"n{i}" for i in range(51))
     invalid = [
         (frozenset({"a"}), {("a", "b")}, Stage.RAW, "a", "endpoint not in nodes"),
+        (path_nodes | {"a"}, path | {("a", "z")}, Stage.RAW, "a",
+         r"^edge \(a,z\) endpoint not in nodes$"),
         (ab, {("a", "a"), ("a", "b")}, Stage.PRUNED, "b", "self-link"),
+        (path_nodes, path | {("n25", "n25")}, Stage.PRUNED, "n50", "self-link"),
         (ab, {("a", "b")}, Stage.PRUNED, "a", "outgoing seed edges"),
         (ab | {"c"}, {("a", "b")}, Stage.PRUNED, "b", "isolated node 'c'"),
     ]
@@ -271,6 +276,9 @@ def test_network_validates_construction():
             InterlinkNetwork(nodes, frozenset(edges), stage, seed)
     with pytest.raises(TypeError):
         InterlinkNetwork(ab, {("a", "b")}, Stage.RAW, "a")
+    # only a Pruned network must be free of self-links
+    kept = InterlinkNetwork(ab, frozenset({("a", "a"), ("a", "b")}), Stage.DICHOTOMIZED, "a")
+    assert kept.edge_count == 2
 
 
 def test_network_edges_cannot_be_mutated():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helixmap import urls
+from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag, filter_generic
 from helixmap.urls import (
     CanonicalUrl,
     GenericFilterList,
@@ -26,7 +27,6 @@ from helixmap.urls import (
     SiteLevel,
     UnsupportedScheme,
     canonicalize,
-    is_generic,
     reduce_host,
 )
 
@@ -372,21 +372,33 @@ def test_reduction_deterministic_and_never_lengthens(host):
     assert reduce_host(first.site.value, RULES).site == first.site
 
 
-# --- is_generic -------------------------------------------------------------
+# --- the generic filter -----------------------------------------------------
+
+
+def _filtered(site: SiteKey, filt: GenericFilterList) -> bool:
+    """Whether ``filter_generic`` drops the records that name ``site`` as
+    source and as target; the other endpoint is on no denylist."""
+    other = SiteKey("actor1.co.uk")
+    tags = frozenset({SourceTag.CRAWL})
+    links = LinkSet(Direction.OUTLINKS, [LinkRecord(site, other, tags, 0),
+                                         LinkRecord(other, site, tags, 0)])
+    kept, dropped = filter_generic(links, filt)
+    assert dropped in (0, 2) and len(kept) + dropped == 2
+    return dropped == 2
 
 
 def test_generic_filter_defaults():
     filt = GenericFilterList.bundled()
-    assert is_generic(SiteKey("google.com"), filt)
-    assert is_generic(SiteKey("facebook.com"), filt)
-    assert not is_generic(SiteKey("york.ac.uk"), filt)
+    assert _filtered(SiteKey("google.com"), filt)
+    assert _filtered(SiteKey("facebook.com"), filt)
+    assert not _filtered(SiteKey("york.ac.uk"), filt)
 
 
 def test_filter_depends_only_on_site_key():
     filt = GenericFilterList.bundled()
     for raw in ("http://google.com/search?q=x", "https://www.google.com/maps"):
         site = reduce_host(canonicalize(raw).host, RULES).site
-        assert is_generic(site, filt)
+        assert _filtered(site, filt)
 
 
 def test_filter_file_parsing(tmp_path):
