@@ -29,7 +29,7 @@ from urllib.parse import urljoin, urlsplit, urlunsplit
 import requests
 
 from . import __version__
-from .harvest import Direction, LinkRecord, LinkSet, SourceTag
+from .harvest import Direction, LinkRecord, LinkSet, SourceTag, body_charset
 from .urls import (
     CanonicalUrl,
     MalformedUrl,
@@ -74,6 +74,7 @@ class CrawlLogEntry:
 class FetchError:
     url: str
     cause: str
+    status: int | None  # of the last answer; None when none came
 
 
 @dataclass
@@ -181,6 +182,7 @@ class Fetcher:
 
         Follows up to MAX_REDIRECT_HOPS redirects; every hop is throttled
         and logged against its own host, stamped with the time it was sent.
+        The body is decoded in the charset ``body_charset`` picks.
         """
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
@@ -196,22 +198,27 @@ class Fetcher:
                 )
             except requests.RequestException as exc:
                 self._log(sent, current, "error")
-                return FetchError(str(current), str(exc))
-            self._log(sent, current, str(response.status_code))
-            if response.status_code in (301, 302, 303, 307, 308):
+                return FetchError(str(current), str(exc), None)
+            status = response.status_code
+            self._log(sent, current, str(status))
+            if status in (301, 302, 303, 307, 308):
                 location = response.headers.get("Location")
                 if not location:
-                    return FetchError(str(current), "redirect without Location")
+                    return FetchError(str(current), "redirect without Location", status)
                 try:
                     current = canonicalize(location, base=current)
                 except (MalformedUrl, UnsupportedScheme) as exc:
-                    return FetchError(str(current), str(exc))
+                    return FetchError(str(current), str(exc), status)
                 continue
-            if response.status_code != 200:
-                return FetchError(str(current), f"HTTP {response.status_code}")
+            if status != 200:
+                return FetchError(str(current), f"HTTP {status}", status)
             content_type = response.headers.get("Content-Type", "")
-            return current, content_type, response.text
-        return FetchError(str(url), "too many redirects")
+            try:
+                charset = body_charset(content_type)
+            except LookupError as exc:
+                return FetchError(str(current), str(exc), status)
+            return current, content_type, response.content.decode(charset, "replace")
+        return FetchError(str(url), "too many redirects", status)
 
 
 def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.RobotFileParser:
@@ -219,7 +226,7 @@ def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.Ro
 
     A file that is unavailable (a 4xx, or redirects that lead nowhere)
     allows everything. A file that is unreachable (a 5xx, or no answer
-    from the host) means complete disallow.
+    from the host), or one in an unknown charset, means complete disallow.
     """
     parser = urllib.robotparser.RobotFileParser()
     robots_url = CanonicalUrl(scheme=entry.scheme, host=entry.host,
@@ -227,13 +234,10 @@ def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.Ro
     fetched = fetcher.fetch(robots_url)
     if not isinstance(fetched, FetchError):
         parser.parse(fetched[2].splitlines())
-        return parser
-    # the probe's last request decides: its log status is the HTTP code, or "error"
-    status = fetcher.report.log[-1].status
-    if status == "error" or status.startswith("5"):
-        parser.disallow_all = True
-    else:
+    elif fetched.status is not None and 300 <= fetched.status < 500:
         parser.parse([])
+    else:
+        parser.disallow_all = True
     return parser
 
 
@@ -241,7 +245,6 @@ def crawl_outlinks(
     site: SiteKey,
     policy: CrawlPolicy,
     rules: ReductionRules,
-    entry_url: str | None = None,
     host_map: dict[str, str] | None = None,
     throttle: HostThrottle | None = None,
     now: int | None = None,
@@ -260,13 +263,8 @@ def crawl_outlinks(
     throttle = throttle or HostThrottle(policy.delay_per_host)
     fetcher = Fetcher(policy, throttle, report, host_map)
 
-    entry = canonicalize(entry_url or f"http://{site.value}/")
+    entry = canonicalize(f"http://{site.value}/")
     robots = _load_robots(entry, fetcher)
-    if not robots.can_fetch(policy.user_agent, str(entry)):
-        report.robots_blocked = True
-        report.log.append(CrawlLogEntry(time.time(), entry.host, str(entry), "robots"))
-        return CrawlResult(links=links, report=report)
-
     queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
     seen: set[str] = {str(entry)}
 
@@ -275,6 +273,8 @@ def crawl_outlinks(
         url, depth = queue.popleft()
         if not robots.can_fetch(policy.user_agent, str(url)):
             report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
+            if url == entry:
+                report.robots_blocked = True
             continue
         attempts += 1
         fetched = fetcher.fetch(url)

@@ -185,6 +185,19 @@ class SnapshotLinkIndex(LinkIndex):
         return self._read(site, "out", limit)
 
 
+def body_charset(content_type: str) -> str:
+    """The charset a ``Content-Type`` declares, else UTF-8 (not requests'
+    ISO-8859-1 for text/*); ``LookupError`` when it names no text codec."""
+    header = email.message.Message()
+    header["Content-Type"] = content_type
+    charset = header.get_content_charset("utf-8")
+    try:
+        b"\n".decode(charset, "replace")  # bytes-to-bytes codecs raise LookupError
+    except (LookupError, UnicodeError):
+        raise LookupError(f"unknown charset {charset!r}") from None
+    return charset
+
+
 # the most an HTTP index answer may hold: 16 MiB is over 100k URLs, and a
 # service that sends more is broken or hostile
 MAX_INDEX_RESPONSE_BYTES = 16 * 2**20
@@ -220,17 +233,13 @@ class HttpLinkIndex(LinkIndex):
             stream=True,
         ) as response:
             response.raise_for_status()
-            # the declared charset, else UTF-8: requests' ISO-8859-1 default
-            # for text/* would garble every non-ASCII link
-            header = email.message.Message()
-            header["Content-Type"] = response.headers.get("Content-Type", "")
-            encoding = header.get_content_charset("utf-8")
             try:
-                codecs.lookup(encoding)
-            except LookupError:
-                raise IndexUnavailable(f"{url}: unknown charset {encoding!r}") from None
+                charset = body_charset(response.headers.get("Content-Type", ""))
+            except LookupError as exc:
+                raise IndexUnavailable(f"{url}: {exc}") from None
+            decoder = codecs.getincrementaldecoder(charset)("replace")
             links: list[str] = []
-            pending = bytearray()  # what follows the last line break read
+            pending: list[str] = []  # the text of a line whose break has not come
             received = 0
             while len(links) < limit:
                 try:
@@ -244,14 +253,16 @@ class HttpLinkIndex(LinkIndex):
                     raise IndexUnavailable(
                         f"{url}: answer exceeds {MAX_INDEX_RESPONSE_BYTES} bytes"
                     )
-                pending += chunk
-                # complete lines only, until the body ends
-                cut = len(pending)
-                if chunk:
-                    cut = pending.rfind(b"\n", cut - len(chunk)) + 1
-                text = pending[:cut].decode(encoding, "replace")
-                del pending[:cut]
-                links += [line.strip() for line in text.splitlines() if line.strip()]
+                # with a sentinel appended, the last item is what follows the
+                # last line break: it waits for the rest of its line, unless
+                # the body has ended, which ends the line too
+                text = decoder.decode(chunk, final=not chunk)
+                *ended, rest = (text + ("x" if chunk else "\nx")).splitlines()
+                if ended:
+                    ended[0] = "".join(pending) + ended[0]
+                    pending.clear()
+                pending.append(rest[:-1])
+                links += [line.strip() for line in ended if line.strip()]
                 if not chunk:
                     break
         return links[:limit]
@@ -376,8 +387,8 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
     The first row must be the header; blank rows are skipped. Every other
     row has four fields:
 
-    - ``source`` and ``target``: non-empty, lower-case and free of
-      whitespace, as every site key the harvest makes is;
+    - ``source`` and ``target``: ``SiteKey`` values, so non-empty,
+      lower-case and free of whitespace;
     - ``provenance``: one or more "+"-joined ``SourceTag`` values, sorted
       and without repeats, as ``provenance_label`` writes them;
     - ``first_seen``: ASCII digits without a leading zero.
@@ -408,11 +419,11 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
                 try:
                     source = sites[source_text]
                 except KeyError:
-                    source = sites[source_text] = _parse_site(source_text)
+                    source = sites[source_text] = SiteKey(source_text)
                 try:
                     target = sites[target_text]
                 except KeyError:
-                    target = sites[target_text] = _parse_site(target_text)
+                    target = sites[target_text] = SiteKey(target_text)
                 try:
                     tags = tag_sets[tags_text]
                 except KeyError:
@@ -434,10 +445,3 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return links
-
-
-def _parse_site(text: str) -> SiteKey:
-    # split() is [text] only for non-empty text without whitespace
-    if text.split() != [text] or text != text.lower():
-        raise ValueError(f"bad site key {text!r}")
-    return SiteKey(text)

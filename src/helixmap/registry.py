@@ -180,45 +180,34 @@ def load_registry(path: str | Path) -> Registry:
 
     Expected header: ``site,actor_id,label,sector,category,role``. One row
     per site; rows sharing an actor_id must agree on label, sector,
-    category and role. Role may be empty.
+    category and role. Role may be empty. A site, stripped and lower-cased,
+    must be a ``SiteKey``.
     """
     rows = _read_rows(path)
     pending: dict[str, dict] = {}
     for line_no, row in rows:
-        site = row["site"].strip().lower()
-        actor_id = row["actor_id"].strip()
-        if not site:
-            raise ParseError(line_no, "empty site")
-        if not actor_id:
-            raise ParseError(line_no, "empty actor_id")
+        # each value's own type refuses a bad cell
         try:
-            sector = Sector(row["sector"].strip())
-        except ValueError:
-            raise ParseError(line_no, f"unknown sector {row['sector']!r}") from None
-        try:
-            category = TableCategory(row["category"].strip())
-        except ValueError:
-            raise ParseError(line_no, f"unknown category {row['category']!r}") from None
-        role_text = row["role"].strip()
-        role = None
-        if role_text:
-            try:
-                role = FrameworkRole(role_text)
-            except ValueError:
-                raise ParseError(line_no, f"unknown role {role_text!r}") from None
-        fields = {
-            "label": row["label"].strip(),
-            "sector": sector,
-            "category": category,
-            "role": role,
-        }
+            site = SiteKey(row["site"].strip().lower())
+            actor_id = row["actor_id"].strip()
+            if not actor_id:
+                raise ValueError("empty actor_id")
+            role = row["role"].strip()
+            fields = {
+                "label": row["label"].strip(),
+                "sector": Sector(row["sector"].strip()),
+                "category": TableCategory(row["category"].strip()),
+                "role": FrameworkRole(role) if role else None,
+            }
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
         entry = pending.setdefault(actor_id, {"sites": [], **fields})
         for key, value in fields.items():
             if entry[key] != value:
                 raise ParseError(
                     line_no, f"actor {actor_id!r} redefines {key} ({entry[key]} != {value})"
                 )
-        entry["sites"].append(SiteKey(site))
+        entry["sites"].append(site)
 
     actors = [
         Actor(

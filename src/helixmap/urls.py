@@ -6,6 +6,10 @@ then reduced to a *site key*: the registrable domain of the host (e.g.
 ``wlv.ac.uk``), or a configured sub-domain when a study keeps the
 sub-sites of one registrable domain apart (e.g. ``cybermetrics.wlv.ac.uk``).
 
+A site key is non-empty, lower-case text without whitespace, as every
+reduced host is. ``SiteKey`` alone holds that rule, and every site read from
+a file is built as one, so a site that no host can reduce to is refused.
+
 Canonicalization rules:
 
 - only ``http``/``https`` URLs are accepted; everything else (``mailto:``,
@@ -35,7 +39,7 @@ from __future__ import annotations
 import ipaddress
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -77,17 +81,17 @@ class CanonicalUrl:
         return f"{self.scheme}://{host}{port}{self.path}{query}"
 
 
-class SiteLevel(Enum):
-    REGISTRABLE_DOMAIN = "RegistrableDomain"
-    SUBDOMAIN = "Subdomain"
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SiteKey:
-    """An actor-level web identity: a registrable domain or a kept sub-domain."""
+    """An actor-level web identity: a registrable domain, a kept sub-domain
+    or an IP literal, as non-empty, lower-case text without whitespace."""
 
     value: str
-    level: SiteLevel = field(default=SiteLevel.REGISTRABLE_DOMAIN, compare=False)
+
+    def __post_init__(self):
+        # split() is [value] only for non-empty text without whitespace
+        if self.value.split() != [self.value] or self.value != self.value.lower():
+            raise ValueError(f"bad site key {self.value!r}")
 
 
 class ReductionFlag(Enum):
@@ -340,7 +344,7 @@ def reduce_host(host: str, rules: ReductionRules) -> Reduction:
         return Reduction(SiteKey(".".join(labels[-2:])), ReductionFlag.UNKNOWN_SUFFIX)
     registrable = ".".join(labels[-keep:])
     if registrable in rules.subdomain_exceptions and len(labels) > keep:
-        return Reduction(SiteKey(".".join(labels[-keep - 1:]), SiteLevel.SUBDOMAIN))
+        return Reduction(SiteKey(".".join(labels[-keep - 1:])))
     return Reduction(SiteKey(registrable))
 
 
@@ -349,15 +353,14 @@ class GenericFilterList:
     """Denylist of generic sites (search engines, portals, social networks,
     tourist information, public transport) excluded from actor networks.
     ``harvest.filter_generic`` drops a record when its source or target
-    site key exactly matches an entry."""
+    site key exactly matches an entry, so each entry must be a site key."""
 
     entries: frozenset[str]
     version: str = "unversioned"
 
     def __post_init__(self):
-        bad = [e for e in self.entries if e != e.lower() or not e]
-        if bad:
-            raise ValueError(f"filter entries must be lowercase: {sorted(bad)}")
+        for entry in sorted(self.entries):
+            SiteKey(entry)
 
     @classmethod
     def from_text(cls, text: str) -> "GenericFilterList":

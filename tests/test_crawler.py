@@ -60,8 +60,24 @@ SITES = {
         ("/" if i == 0 else f"/{i}.html"): f'<a href="/{i + 1}.html">next</a>'
         for i in range(10)
     },
+    # "/" is UTF-8 that says so only in a <meta>: its Content-Type is bare
+    "intl.com": {
+        "/": ('<meta charset="utf-8"><a href="http://bücher.de/">b</a>'
+              '<a href="/latin.html">l</a> <a href="/bogus.html">x</a>'),
+        "/latin.html": '<a href="http://münchen.de/">m</a>',
+        "/bogus.html": '<a href="http://lost.org/">l</a>',
+    },
+    # its robots.txt allows everything, in a charset with no codec
+    "shy.com": {"/": "", "/robots.txt": "User-agent: *\nAllow: /\n"},
 }
-ROBOTS_STATUS = {"busy.com": 503}
+ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200}
+# (host, path) -> (Content-Type, the codec of its body); other pages are
+# UTF-8 as bare text/html
+ENCODINGS = {
+    ("intl.com", "/latin.html"): ("text/html; charset=ISO-8859-1", "latin-1"),
+    ("intl.com", "/bogus.html"): ("text/html; charset=x-no-such-codec", "utf-8"),
+    ("shy.com", "/robots.txt"): ("text/plain; charset=x-no-such-codec", "utf-8"),
+}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -71,9 +87,10 @@ class _Handler(BaseHTTPRequestHandler):
         status, location = REDIRECTS.get(self.path, (200 if body is not None else 404, None))
         if self.path == "/robots.txt":
             status = ROBOTS_STATUS.get(host, 404)
-        payload = (body or "").encode("utf-8")
+        content_type, codec = ENCODINGS.get((host, self.path), ("text/html", "utf-8"))
+        payload = (body or "").encode(codec)
         self.send_response(status)
-        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Type", content_type)
         if location:
             self.send_header("Location", location)
         self.send_header("Content-Length", str(len(payload)))
@@ -147,7 +164,10 @@ def test_unreachable_robots_disallows_the_whole_site(host_map):
     # so is a host that accepts no connection
     gone = crawl_outlinks(SiteKey("gone.com"), policy, RULES,
                           host_map={"gone.com": f"127.0.0.1:{_closed_port()}"})
-    for result, site, status in ((busy, "busy.com", "503"), (gone, "gone.com", "error")):
+    # a robots.txt that cannot be read has rules all the same
+    shy = crawl_outlinks(SiteKey("shy.com"), policy, RULES, host_map=host_map)
+    for result, site, status in ((busy, "busy.com", "503"), (gone, "gone.com", "error"),
+                                 (shy, "shy.com", "200")):
         assert result.report.robots_blocked
         assert result.report.pages_fetched == 0
         assert len(result.links) == 0
@@ -157,6 +177,20 @@ def test_unreachable_robots_disallows_the_whole_site(host_map):
             (f"http://{site}/", "robots"),
         ]
 
+
+
+def test_pages_are_read_in_their_declared_charset_else_utf8(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("intl.com"), policy, RULES, host_map=host_map)
+    assert result.report.skipped_links == 0
+    assert {record.target.value for record in result.links} == {
+        "xn--bcher-kva.de", "xn--mnchen-3ya.de",
+    }
+    # a page in a charset with no codec is a page error, not a guess
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://intl.com/bogus.html", "unknown charset 'x-no-such-codec'", 200),
+    ]
+    assert result.report.pages_fetched == 2
 
 
 def _requests(result) -> list[tuple[str, str]]:
@@ -175,9 +209,10 @@ def test_redirects_are_logged_followed_and_recorded(host_map):
     assert {record.key for record in result.links} == {("hops.com", "elsewhere.org")}
     assert next(iter(result.links)).provenance == frozenset({SourceTag.CRAWL})
     # a redirect without a Location, and a loop, are page errors with a cause
-    assert [(e.url, e.cause) for e in result.report.errors] == [
-        ("http://hops.com/nowhere.html", "redirect without Location"),
-        ("http://hops.com/loop.html", "too many redirects"),
+    # each carries the status of the last answer
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://hops.com/nowhere.html", "redirect without Location", 302),
+        ("http://hops.com/loop.html", "too many redirects", 301),
     ]
     assert log.count(("http://hops.com/loop.html", "301")) == MAX_REDIRECT_HOPS + 1
     # "/", old.html and away.html were fetched; nowhere.html and loop.html failed
@@ -211,8 +246,8 @@ def test_failed_fetches_count_against_the_page_cap_but_not_as_fetched(host_map):
         ("http://broken.com/ok.html", "200"),
         ("http://broken.com/missing.html", "404"),
     ]
-    assert [(e.url, e.cause) for e in result.report.errors] == [
-        ("http://broken.com/missing.html", "HTTP 404"),
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://broken.com/missing.html", "HTTP 404", 404),
     ]
     assert result.report.pages_fetched == 2
 

@@ -11,6 +11,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helixmap import harvest
 from helixmap.harvest import (
     Direction,
     DirectionMismatch,
@@ -399,7 +400,10 @@ SERVED = [f"http://x{i}.com/" for i in range(5)]
 ENCODED = {
     "idn.co.uk": ("text/plain", "http://münchen.de/\n".encode("utf-8")),
     "latin.co.uk": ("text/plain; charset=ISO-8859-1", "http://münchen.de/\n".encode("latin-1")),
+    "utf16.co.uk": ("text/plain; charset=utf-16", "http://münchen.de/\n".encode("utf-16")),
     "bogus.co.uk": ("text/plain; charset=x-no-such-codec", b"http://x0.com/\n"),
+    # a codec that turns bytes into bytes, not into text
+    "base64.co.uk": ("text/plain; charset=base64", b"aHR0cDovL3gwLmNvbS8K\n"),
 }
 
 
@@ -516,15 +520,27 @@ def test_http_index_response_past_the_byte_bound_makes_a_failed_site(index_serve
 def test_http_index_decodes_utf8_unless_a_charset_is_declared(index_server):
     # bare text/plain is read as UTF-8, not as the ISO-8859-1 requests assumes for text/*
     index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    for site in ("idn.co.uk", "latin.co.uk"):
+    for site in ("idn.co.uk", "latin.co.uk", "utf16.co.uk"):
+        assert index.inlinks_of(SiteKey(site), 10) == ["http://münchen.de/"]
         result = harvest_index([SiteKey(site)], index, Direction.INLINKS, RULES, now=1)
         assert result.skipped_urls == 0
         assert {r.key for r in result.links} == {("xn--mnchen-3ya.de", site)}
 
 
+def test_http_index_joins_lines_and_characters_cut_between_reads(index_server, monkeypatch):
+    # 3-byte reads cut UTF-8 and UTF-16 characters and line breaks apart
+    monkeypatch.setattr(harvest, "_READ_CHUNK", 3)
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    for site in ("idn.co.uk", "latin.co.uk", "utf16.co.uk"):
+        assert index.inlinks_of(SiteKey(site), 10) == ["http://münchen.de/"]
+    assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
+    assert index.inlinks_of(SiteKey("sitea.co.uk"), 2) == SERVED[:2]
+
+
 def test_http_index_unknown_charset_makes_a_failed_site(index_server):
     index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    result = harvest_index([SiteKey("bogus.co.uk"), SiteKey("sitea.co.uk")],
+    result = harvest_index([SiteKey("bogus.co.uk"), SiteKey("base64.co.uk"),
+                            SiteKey("sitea.co.uk")],
                            index, Direction.INLINKS, RULES, now=1)
-    assert [s.value for s in result.failed_sites] == ["bogus.co.uk"]
+    assert [s.value for s in result.failed_sites] == ["bogus.co.uk", "base64.co.uk"]
     assert len(result.links) == len(SERVED)

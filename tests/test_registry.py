@@ -147,6 +147,27 @@ def test_load_registry_parse_errors(tmp_path):
         load_registry(p)
     assert err.value.line == 2
 
+    # a site cell holds one site key: two sites, or none, stop the load on its line
+    for cell in ("uni.ac.uk; york.ac.uk", "  "):
+        p.write_text(
+            "site,actor_id,label,sector,category,role\n"
+            "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+            f"{cell},uni,U,Academia,Academia,University\n"
+        )
+        with pytest.raises(ParseError, match="^line 3: bad site key ") as err:
+            load_registry(p)
+        assert err.value.line == 3
+
+
+def test_load_registry_tolerates_case_and_padding_in_site_cells(tmp_path):
+    p = tmp_path / "reg.csv"
+    p.write_text(
+        "site,actor_id,label,sector,category,role\n"
+        " Park.CO.uk ,park.co.uk,P,Government,SciencePark,\n"
+    )
+    reg = load_registry(p)
+    assert resolve(SiteKey("park.co.uk"), reg).id == "park.co.uk"
+
 
 def test_load_registry_inconsistent_actor_rows(tmp_path):
     p = tmp_path / "reg.csv"

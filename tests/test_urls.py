@@ -24,7 +24,6 @@ from helixmap.urls import (
     ReductionFlag,
     ReductionRules,
     SiteKey,
-    SiteLevel,
     UnsupportedScheme,
     canonicalize,
     reduce_host,
@@ -173,25 +172,52 @@ def test_canonicalize_idempotent(scheme, host, port, path, query, fragment):
     assert again == first
 
 
+# --- SiteKey ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("", id="empty"),
+        pytest.param("Wlv.ac.uk", id="upper-case"),
+        pytest.param("XN--MNCHEN-3YA.DE", id="upper-case-punycode"),
+        pytest.param(" wlv.ac.uk", id="leading-space"),
+        pytest.param("wlv.ac.uk\n", id="trailing-newline"),
+        pytest.param("uni.ac.uk; york.ac.uk", id="two-sites"),
+        pytest.param("wlv.ac\u00a0uk", id="no-break-space"),
+    ],
+)
+def test_site_key_refuses_text_no_reduced_host_can_be(text):
+    with pytest.raises(ValueError, match="^bad site key "):
+        SiteKey(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["wlv.ac.uk", "cybermetrics.wlv.ac.uk", "192.0.2.7", "2001:db8::1",
+             "xn--mnchen-3ya.de", "intranet.localweb"],
+)
+def test_site_key_accepts_every_kind_of_reduced_host(text):
+    assert SiteKey(text).value == text
+    assert reduce_host(text, RULES_WLV).site == SiteKey(text)
+
+
 # --- reduce_host ------------------------------------------------------------
 
 
 def test_reduce_to_registrable_domain():
     r = reduce_host("www.wlv.ac.uk", RULES)
-    assert r == Reduction(SiteKey("wlv.ac.uk", SiteLevel.REGISTRABLE_DOMAIN))
+    assert r == Reduction(SiteKey("wlv.ac.uk"))
 
 
 def test_reduce_keeps_configured_subdomain():
     r = reduce_host("cybermetrics.wlv.ac.uk", RULES_WLV)
     assert r.site == SiteKey("cybermetrics.wlv.ac.uk")
-    assert r.site.level is SiteLevel.SUBDOMAIN
     assert r.flag is None
 
 
 def test_excepted_registrable_domain_itself_stays_registrable():
     r = reduce_host("wlv.ac.uk", RULES_WLV)
     assert r.site.value == "wlv.ac.uk"
-    assert r.site.level is SiteLevel.REGISTRABLE_DOMAIN
 
 
 def test_deep_subdomain_truncated_to_one_label_below_registrable():
@@ -206,7 +232,6 @@ def test_reduce_multi_level_suffix():
 def test_ip_literal_passed_through_flagged():
     r = reduce_host("192.0.2.7", RULES)
     assert r.site.value == "192.0.2.7"
-    assert r.site.level is SiteLevel.REGISTRABLE_DOMAIN
     assert r.flag is ReductionFlag.IP_LITERAL
 
 
@@ -412,3 +437,10 @@ def test_filter_file_parsing(tmp_path):
 def test_filter_rejects_uppercase_entries():
     with pytest.raises(ValueError):
         GenericFilterList(entries=frozenset({"Upper.Com"}))
+
+
+@pytest.mark.parametrize("text", ["foo bar.com\n", "ok.com\nfoo\tbar.com\n"])
+def test_filter_rejects_entries_holding_whitespace(text):
+    # no site key holds whitespace, so such an entry could never match
+    with pytest.raises(ValueError, match="^bad site key "):
+        GenericFilterList.from_text(text)
