@@ -6,6 +6,12 @@ commercial search engines used to play). Each observation is reduced to a
 directed ``source site -> target site`` record carrying provenance tags,
 and records are deduplicated per (source, target) pair.
 
+A ``LinkSet`` stores each record in its CSV form: the (source, target)
+pair of site-key texts maps to a (provenance label, ``first_seen``) tuple,
+beside one ``SiteKey`` per distinct site. Reading, filtering, merging and
+writing a set work on those values alone; ``LinkRecord`` objects are made
+only while a caller iterates a set or asks it for records.
+
 Index backends implement the small LinkIndex interface. Two adapters
 ship: a local snapshot index (a directory of per-site link lists, the
 only thing tests rely on) and a generic HTTP adapter for whatever
@@ -21,8 +27,9 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations, starmap
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 import requests
 import urllib3
@@ -76,47 +83,88 @@ class LinkRecord:
         return (self.source.value, self.target.value)
 
 
+def provenance_label(tags: frozenset[SourceTag]) -> str:
+    return "+".join(sorted(tag.value for tag in tags))
+
+
+# every non-empty tag set under its label, and back: the one frozenset a
+# label stands for, and the one string that labels a tag set
+_TAG_SETS: dict[str, frozenset[SourceTag]] = {
+    provenance_label(frozenset(tags)): frozenset(tags)
+    for n in range(1, len(SourceTag) + 1)
+    for tags in combinations(SourceTag, n)
+}
+_LABELS: dict[frozenset[SourceTag], str] = {tags: label for label, tags in _TAG_SETS.items()}
+
+
+def _merged(old: tuple[str, int], new: tuple[str, int]) -> tuple[str, int]:
+    """The stored values of two records of one pair as one record's: the
+    union of their tags and the earlier ``first_seen``."""
+    return (_LABELS[_TAG_SETS[old[0]] | _TAG_SETS[new[0]]], min(old[1], new[1]))
+
+
 class LinkSet:
     """Directed link records, at most one per (source, target) pair.
 
-    Iteration yields the records in insertion order; ``records()`` returns
-    them sorted by (source, target), for output that must be deterministic.
+    A set stores each record as the atomic values of its CSV row:
+    ``_records`` maps the (source, target) pair of site-key texts to the
+    record's (provenance label, ``first_seen``), and ``_sites`` maps each
+    site text to its one ``SiteKey``. Tuples of strings and ints drop out
+    of the cyclic garbage collector, however many records a set holds. The
+    site table may name sites no record names: a filtered set shares its
+    input's table.
+
+    ``LinkRecord``s are made on demand, by iteration, ``get`` and
+    ``records()``, and share the set's ``SiteKey``s and one provenance
+    frozenset per label. Iteration yields them in insertion order;
+    ``records()`` returns them sorted by (source, target), for output that
+    must be deterministic.
     """
 
     def __init__(self, direction: Direction, records: Iterable[LinkRecord] = ()):
         self.direction = direction
-        self._records: dict[tuple[str, str], LinkRecord] = {}
+        self._records: dict[tuple[str, str], tuple[str, int]] = {}
+        self._sites: dict[str, SiteKey] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: LinkRecord) -> None:
-        key = record.key
-        existing = self._records.get(key)
-        if existing is None:
-            self._records[key] = record
-        else:
-            self._records[key] = LinkRecord(
-                source=existing.source,
-                target=existing.target,
-                provenance=existing.provenance | record.provenance,
-                first_seen=min(existing.first_seen, record.first_seen),
-            )
+        sites = self._sites
+        key = (sites.setdefault(record.source.value, record.source).value,
+               sites.setdefault(record.target.value, record.target).value)
+        value = (_LABELS[record.provenance], record.first_seen)
+        old = self._records.setdefault(key, value)
+        if old is not value:
+            self._records[key] = _merged(old, value)
+
+    def _record(self, key: tuple[str, str], value: tuple[str, int]) -> LinkRecord:
+        return LinkRecord(self._sites[key[0]], self._sites[key[1]], _TAG_SETS[value[0]],
+                          value[1])
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[LinkRecord]:
-        return iter(self._records.values())
+        return starmap(self._record, self._records.items())
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._records
 
     def get(self, key: tuple[str, str]) -> LinkRecord | None:
-        return self._records.get(key)
+        value = self._records.get(key)
+        return None if value is None else self._record(key, value)
 
     def records(self) -> list[LinkRecord]:
         """Records sorted by (source, target) for deterministic output."""
-        return [self._records[k] for k in sorted(self._records)]
+        return [self._record(key, self._records[key]) for key in sorted(self._records)]
+
+    def pairs(self) -> KeysView[tuple[str, str]]:
+        """The (source, target) site-key texts of the records, in insertion order."""
+        return self._records.keys()
+
+    def site(self, value: str) -> SiteKey:
+        """The ``SiteKey`` of a site text that a record names."""
+        return self._sites[value]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinkSet):
@@ -129,15 +177,13 @@ def merge_link_sets(a: LinkSet, b: LinkSet) -> LinkSet:
     if a.direction != b.direction:
         raise DirectionMismatch(f"{a.direction.value} vs {b.direction.value}")
     merged = LinkSet(a.direction)
-    for record in a:
-        merged.add(record)
-    for record in b:
-        merged.add(record)
+    merged._sites = a._sites | b._sites
+    merged._records = records = dict(a._records)
+    for key, value in b._records.items():
+        old = records.setdefault(key, value)
+        if old is not value:
+            records[key] = _merged(old, value)
     return merged
-
-
-def provenance_label(tags: frozenset[SourceTag]) -> str:
-    return "+".join(sorted(tag.value for tag in tags))
 
 
 # --- index adapters ---------------------------------------------------------
@@ -305,6 +351,7 @@ def harvest_index(
     if now is None:
         now = int(time.time())
     tag = SourceTag.INLINK_INDEX if direction is Direction.INLINKS else SourceTag.OUTLINK_INDEX
+    tags = frozenset({tag})
     result = HarvestResult(links=LinkSet(direction))
     for site in sites:
         try:
@@ -328,8 +375,7 @@ def harvest_index(
             else:
                 source, target = site, reduced.site
             result.links.add(
-                LinkRecord(source=source, target=target,
-                           provenance=frozenset({tag}), first_seen=now)
+                LinkRecord(source=source, target=target, provenance=tags, first_seen=now)
             )
     return result
 
@@ -349,14 +395,15 @@ def filter_generic(links: LinkSet, filter_list: GenericFilterList) -> tuple[Link
     """Drop records whose source or target site key exactly matches a
     generic denylist entry; return the kept set and the dropped count.
 
-    The kept records are the input's own record objects, in the input's
-    iteration order: records are immutable, so the two sets share them.
+    The kept set holds the input's own stored values, in the input's
+    iteration order, and shares its site table.
     """
     generic = filter_list.entries
     kept = LinkSet(links.direction)
+    kept._sites = links._sites
     kept._records = {
-        key: record
-        for key, record in links._records.items()
+        key: value
+        for key, value in links._records.items()
         if key[0] not in generic and key[1] not in generic
     }
     return kept, len(links) - len(kept)
@@ -369,16 +416,24 @@ LINKSET_HEADER = ["source", "target", "provenance", "first_seen"]
 
 def write_link_set(links: LinkSet, path: str | Path) -> None:
     """CSV form: source,target,provenance,first_seen with "+"-joined tags,
-    rows sorted by (source, target). Each distinct tag set is labelled once."""
-    labels = {tags: provenance_label(tags) for tags in {record.provenance for record in links}}
+    rows sorted by (source, target), written from the stored values."""
+    records = links._records
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LINKSET_HEADER)
-        writer.writerows(
-            (record.source.value, record.target.value, labels[record.provenance],
-             record.first_seen)
-            for record in links.records()
+        writer.writerows(key + records[key] for key in sorted(records))
+
+
+def _canonical_label(text: str) -> str:
+    """The shared label string of a provenance text, which must be a
+    canonical label: "+"-joined ``SourceTag`` values, sorted, no repeats."""
+    tags = _TAG_SETS.get(text)
+    if tags is None:
+        tags = frozenset(SourceTag(t) for t in text.split("+"))
+        raise ValueError(
+            f"provenance {text!r} is not in canonical form {provenance_label(tags)!r}"
         )
+    return _LABELS[tags]
 
 
 def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
@@ -397,13 +452,14 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
     Rows repeating a (source, target) pair merge as ``LinkSet.add`` merges
     them.
 
-    Each distinct site text becomes one ``SiteKey`` and each distinct
-    provenance text one tag set, checked and built the first time it is
-    read and shared by every later row that repeats it.
+    Rows go straight into the set's storage; no ``LinkRecord`` is built.
+    Each distinct site text becomes one ``SiteKey``, whose text every key
+    naming the site shares, and each distinct provenance text is checked
+    once and stored as the one shared label string.
     """
     links = LinkSet(direction)
-    sites: dict[str, SiteKey] = {}
-    tag_sets: dict[str, frozenset[SourceTag]] = {}
+    records, sites = links._records, links._sites
+    labels: dict[str, str] = {}  # provenance text -> its shared label
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -414,34 +470,31 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
                 continue
             if len(row) != 4:
                 raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(row)}")
-            source_text, target_text, tags_text, first_seen = row
+            source, target, tags_text, first_seen = row
             try:
+                # a site read before gives its SiteKey's text; a new one's
+                # text becomes its SiteKey's
                 try:
-                    source = sites[source_text]
+                    source = sites[source].value
                 except KeyError:
-                    source = sites[source_text] = SiteKey(source_text)
+                    sites[source] = SiteKey(source)
                 try:
-                    target = sites[target_text]
+                    target = sites[target].value
                 except KeyError:
-                    target = sites[target_text] = SiteKey(target_text)
+                    sites[target] = SiteKey(target)
                 try:
-                    tags = tag_sets[tags_text]
+                    label = labels[tags_text]
                 except KeyError:
-                    tags = frozenset(SourceTag(t) for t in tags_text.split("+"))
-                    label = provenance_label(tags)
-                    if label != tags_text:
-                        raise ValueError(
-                            f"provenance {tags_text!r} is not in canonical form {label!r}"
-                        )
-                    tag_sets[tags_text] = tags
+                    label = labels[tags_text] = _canonical_label(tags_text)
                 if not (first_seen.isascii() and first_seen.isdigit()):
                     raise ValueError(f"first_seen {first_seen!r} is not ASCII digits")
                 if first_seen[0] == "0" and len(first_seen) > 1:
                     raise ValueError(f"first_seen {first_seen!r} has a leading zero")
-                links.add(
-                    LinkRecord(source=source, target=target, provenance=tags,
-                               first_seen=int(first_seen))
-                )
+                key = (source, target)
+                value = (label, int(first_seen))
+                old = records.setdefault(key, value)
+                if old is not value:
+                    records[key] = _merged(old, value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return links

@@ -133,18 +133,17 @@ def restrict_to_actors(links: LinkSet, reg: Registry) -> tuple[frozenset[tuple[s
     owners: dict[str, str | None] = {}  # site value -> actor id, None for a stranger
     edges: set[tuple[str, str]] = set()
     dropped = 0
-    for record in links:
-        source, target = record.source, record.target
+    for source, target in links.pairs():
         try:
-            source_id = owners[source.value]
+            source_id = owners[source]
         except KeyError:
-            actor = resolve(source, reg)
-            source_id = owners[source.value] = None if actor is None else actor.id
+            actor = resolve(links.site(source), reg)
+            source_id = owners[source] = None if actor is None else actor.id
         try:
-            target_id = owners[target.value]
+            target_id = owners[target]
         except KeyError:
-            actor = resolve(target, reg)
-            target_id = owners[target.value] = None if actor is None else actor.id
+            actor = resolve(links.site(target), reg)
+            target_id = owners[target] = None if actor is None else actor.id
         if source_id is None or target_id is None:
             dropped += 1
         else:

@@ -122,7 +122,9 @@ class ReductionRules:
     shorter suffix is a wildcard base, is the public suffix.
 
     The sub-domain exception file lists one registrable domain per line whose
-    sub-domains are to be kept as distinct site keys.
+    sub-domains are to be kept as distinct site keys. Each exception must be
+    a site key (lower-case, no whitespace) and a registrable domain, or the
+    rules raise ``ValueError``.
     """
 
     def __init__(self, suffix_text: str, subdomain_exceptions: set[str] | None = None):
@@ -149,7 +151,10 @@ class ReductionRules:
         if not (self._exact or self._wildcards):
             raise ValueError("suffix snapshot contains no rules")
 
-        self.subdomain_exceptions = frozenset(subdomain_exceptions or ())
+        # each exception is a site key, so that a host can match it
+        self.subdomain_exceptions = frozenset(
+            SiteKey(domain).value for domain in sorted(subdomain_exceptions or ())
+        )
         for domain in self.subdomain_exceptions:
             labels = domain.split(".")
             if self.registrable_length(labels) != len(labels):

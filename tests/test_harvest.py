@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 import threading
@@ -271,10 +272,9 @@ def test_filter_generic_matches_bruteforce(seed):
         kept, dropped = filter_generic(links, filt)
         expected = [r for r in links
                     if r.source.value not in denied and r.target.value not in denied]
-        # the input's own record objects, in the input's order
-        assert len(kept) == len(expected)
-        assert all(got is want for got, want in zip(kept, expected))
-        assert all(kept.get(r.key) is r for r in expected)
+        # the expected records, in the input's order, and the input's own storage
+        assert list(kept) == expected
+        assert all(kept._records[r.key] is links._records[r.key] for r in expected)
         assert kept.direction is links.direction
         assert dropped == sum(1 for r in links
                               if r.source.value in denied or r.target.value in denied)
@@ -388,6 +388,71 @@ def test_link_set_csv_round_trip_is_exact(tmp_path_factory, records):
     assert read == links
     write_link_set(read, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a.com", "b.org", "c.co.uk"]),
+        st.sampled_from(["a.com", "b.org", "e.net"]),
+        st.sets(st.sampled_from(SourceTag), min_size=1),
+        st.integers(0, 2**40),
+    ),
+    max_size=40,
+)
+
+
+def _write_rows(path, rows):
+    path.write_text(
+        "source,target,provenance,first_seen\n"
+        + "".join(f"{s},{t},{provenance_label(frozenset(tags))},{seen}\n"
+                  for s, t, tags, seen in rows),
+        encoding="utf-8",
+    )
+
+
+@given(rows=_rows)
+@settings(max_examples=100, deadline=None)
+def test_read_link_set_matches_adding_each_row(tmp_path_factory, rows):
+    # unsorted rows, pairs repeated under other labels and dates
+    directory = tmp_path_factory.mktemp("rows")
+    half = len(rows) // 2
+    for name, part in (("all", rows), ("first", rows[:half]), ("second", rows[half:])):
+        _write_rows(directory / f"{name}.csv", part)
+    read = read_link_set(directory / "all.csv", Direction.INLINKS)
+    added = LinkSet(Direction.INLINKS, [_record(*row) for row in rows])
+    assert read == added
+    assert list(read) == list(added)  # the same records in the same order
+    halves = merge_link_sets(read_link_set(directory / "first.csv", Direction.INLINKS),
+                             read_link_set(directory / "second.csv", Direction.INLINKS))
+    assert halves == added
+    assert list(halves) == list(added)
+
+
+def test_read_link_set_merges_a_repeated_pair(tmp_path):
+    path = tmp_path / "links.csv"
+    path.write_text("source,target,provenance,first_seen\n"
+                    "a.com,b.com,Crawl,9\nb.com,a.com,Crawl,1\na.com,b.com,InlinkIndex,3\n")
+    links = read_link_set(path, Direction.INLINKS)
+    assert links.records() == [
+        _record("a.com", "b.com", {SourceTag.CRAWL, SourceTag.INLINK_INDEX}, 3),
+        _record("b.com", "a.com", {SourceTag.CRAWL}, 1),
+    ]
+    write_link_set(links, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text().splitlines()[1] == "a.com,b.com,Crawl+InlinkIndex,3"
+
+
+def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):
+    path = tmp_path / "links.csv"
+    rows = [(f"s{i % 7}.com", f"t{i % 11}.org", {SourceTag.CRAWL}, 10**12 + i)
+            for i in range(200)]
+    _write_rows(path, rows + [(s, t, {SourceTag.INLINK_INDEX}, 5) for s, t, _, _ in rows[:9]])
+    links = read_link_set(path, Direction.INLINKS)
+    gc.collect()
+    stored = list(links._records.items())
+    assert len(stored) == 77
+    # (source, target) -> (label, first_seen): no LinkRecord, nothing the GC walks
+    assert all(type(label) is str and type(seen) is int for _, (label, seen) in stored)
+    assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in stored)
 
 
 # --- HTTP index adapter ---------------------------------------------------------

@@ -253,6 +253,25 @@ def test_subdomain_exception_must_be_registrable():
         ReductionRules.bundled({"www.wlv.ac.uk"})
 
 
+@pytest.mark.parametrize("domain", ["wlv .ac.uk", "wlv.ac.uk ", "WLV.ac.uk", ""])
+def test_subdomain_exception_must_be_a_site_key(domain):
+    # no host could match such an exception: its sub-domains would merge silently
+    with pytest.raises(ValueError, match="bad site key"):
+        ReductionRules.bundled({domain})
+
+
+def test_subdomain_exception_file_line_must_be_a_site_key(tmp_path):
+    suffixes = tmp_path / "suffixes.dat"
+    suffixes.write_text("uk\nac.uk\n", encoding="utf-8")
+    exceptions = tmp_path / "exceptions.txt"
+    exceptions.write_text("# kept sub-domains\nWLV.ac.uk\n", encoding="utf-8")
+    rules = ReductionRules.from_files(suffixes, exceptions)
+    assert reduce_host("cybermetrics.wlv.ac.uk", rules).site.value == "cybermetrics.wlv.ac.uk"
+    exceptions.write_text("wlv .ac.uk\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad site key"):
+        ReductionRules.from_files(suffixes, exceptions)
+
+
 # Independent oracle: a second, hand-rolled matcher that enumerates suffix
 # candidates from the host side instead of iterating rules.
 
