@@ -14,6 +14,10 @@ deciding the site key, and per-page failures never abort a crawl.
 
 A host map ("host -> address:port") lets fixtures and mirrors serve a
 logical hostname from a local address, exactly like a hosts-file entry.
+It is the one supported way to redirect a crawl: pages are fetched over
+one urllib3 connection pool per crawl, which reads no proxy variable and
+no ``~/.netrc``, and every transport failure (``urllib3``'s
+``HTTPError``s) is a recorded page error.
 """
 
 from __future__ import annotations
@@ -26,10 +30,20 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
-import requests
+import urllib3
 
 from . import __version__
-from .harvest import Direction, LinkRecord, LinkSet, SourceTag, body_charset
+from .harvest import (
+    HTTP_HEADERS,
+    BodyTooLarge,
+    Direction,
+    LinkRecord,
+    LinkSet,
+    SourceTag,
+    body_charset,
+    http_get,
+    read_chunks,
+)
 from .urls import (
     CanonicalUrl,
     MalformedUrl,
@@ -43,6 +57,8 @@ from .urls import (
 log = logging.getLogger(__name__)
 
 MAX_REDIRECT_HOPS = 5
+# the most a page body may hold once decoded; a larger page is a page error
+MAX_PAGE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,8 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
 
 
 class Fetcher:
-    """HTTP fetcher with manual redirect handling and host-map support."""
+    """HTTP fetcher with manual redirect handling and host-map support,
+    over one connection pool that never retries."""
 
     def __init__(
         self,
@@ -163,10 +180,10 @@ class Fetcher:
         self.throttle = throttle
         self.report = report
         self.host_map = host_map or {}
-        self.session = requests.Session()
+        self.pool = urllib3.PoolManager(retries=False)
 
     def _transport_url(self, url: CanonicalUrl) -> tuple[str, dict[str, str]]:
-        headers = {"User-Agent": self.policy.user_agent}
+        headers = {"User-Agent": self.policy.user_agent, **HTTP_HEADERS}
         address = self.host_map.get(url.host)
         if address is None:
             return str(url), headers
@@ -182,7 +199,8 @@ class Fetcher:
 
         Follows up to MAX_REDIRECT_HOPS redirects; every hop is throttled
         and logged against its own host, stamped with the time it was sent.
-        The body is decoded in the charset ``body_charset`` picks.
+        Every answer's body is read, up to MAX_PAGE_BYTES; the page's is
+        decoded in the charset ``body_charset`` picks.
         """
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
@@ -190,16 +208,16 @@ class Fetcher:
             sent = time.time()
             transport, headers = self._transport_url(current)
             try:
-                response = self.session.get(
-                    transport,
-                    headers=headers,
-                    timeout=self.policy.timeout,
-                    allow_redirects=False,
-                )
-            except requests.RequestException as exc:
+                with http_get(self.pool, transport, headers=headers,
+                              timeout=self.policy.timeout, redirect=False) as response:
+                    body = b"".join(read_chunks(response, MAX_PAGE_BYTES))
+            except BodyTooLarge as exc:
+                self._log(sent, current, str(response.status))
+                return FetchError(str(current), str(exc), response.status)
+            except urllib3.exceptions.HTTPError as exc:
                 self._log(sent, current, "error")
                 return FetchError(str(current), str(exc), None)
-            status = response.status_code
+            status = response.status
             self._log(sent, current, str(status))
             if status in (301, 302, 303, 307, 308):
                 location = response.headers.get("Location")
@@ -217,7 +235,7 @@ class Fetcher:
                 charset = body_charset(content_type)
             except LookupError as exc:
                 return FetchError(str(current), str(exc), status)
-            return current, content_type, response.content.decode(charset, "replace")
+            return current, content_type, body.decode(charset, "replace")
         return FetchError(str(url), "too many redirects", status)
 
 
@@ -254,7 +272,9 @@ def crawl_outlinks(
     External means the target reduces to a different site key than the
     crawled site; same-site links only feed the frontier. The returned
     report carries per-page errors, the robots verdict, and the request
-    log used for politeness auditing.
+    log used for politeness auditing. Each distinct host is reduced to its
+    site key once per crawl, and the crawl's connections are closed when
+    it returns.
     """
     if now is None:
         now = int(time.time())
@@ -262,52 +282,60 @@ def crawl_outlinks(
     links = LinkSet(Direction.OUTLINKS)
     throttle = throttle or HostThrottle(policy.delay_per_host)
     fetcher = Fetcher(policy, throttle, report, host_map)
+    tags = frozenset({SourceTag.CRAWL})
+    site_of: dict[str, SiteKey] = {}  # host -> its site key: each host is reduced once
 
-    entry = canonicalize(f"http://{site.value}/")
-    robots = _load_robots(entry, fetcher)
-    queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
-    seen: set[str] = {str(entry)}
+    def reduced(host: str) -> SiteKey:
+        key = site_of.get(host)
+        if key is None:
+            key = site_of[host] = reduce_host(host, rules).site
+        return key
 
-    attempts = 0  # the page cap bounds requests, failed ones included
-    while queue and attempts < policy.max_pages_per_site:
-        url, depth = queue.popleft()
-        if not robots.can_fetch(policy.user_agent, str(url)):
-            report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
-            if url == entry:
-                report.robots_blocked = True
-            continue
-        attempts += 1
-        fetched = fetcher.fetch(url)
-        if isinstance(fetched, FetchError):
-            report.errors.append(fetched)
-            continue
-        report.pages_fetched += 1
-        final_url, content_type, body = fetched
+    try:
+        entry = canonicalize(f"http://{site.value}/")
+        robots = _load_robots(entry, fetcher)
+        queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
+        seen: set[str] = {str(entry)}
 
-        final_site = reduce_host(final_url.host, rules).site
-        if final_site != site:
-            # a redirector leaving the site is itself an external link
-            links.add(LinkRecord(source=site, target=final_site,
-                                 provenance=frozenset({SourceTag.CRAWL}),
-                                 first_seen=now))
-            continue
-        if "html" not in content_type.lower():
-            continue
-
-        for href in extract_hrefs(body, str(final_url)):
-            try:
-                resolved = canonicalize(href, base=final_url)
-            except (MalformedUrl, UnsupportedScheme):
-                report.skipped_links += 1
+        attempts = 0  # the page cap bounds requests, failed ones included
+        while queue and attempts < policy.max_pages_per_site:
+            url, depth = queue.popleft()
+            if not robots.can_fetch(policy.user_agent, str(url)):
+                report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
+                if url == entry:
+                    report.robots_blocked = True
                 continue
-            target_site = reduce_host(resolved.host, rules).site
-            if target_site == site:
-                if depth + 1 <= policy.max_depth and str(resolved) not in seen:
-                    seen.add(str(resolved))
-                    queue.append((resolved, depth + 1))
-            else:
-                links.add(LinkRecord(source=site, target=target_site,
-                                     provenance=frozenset({SourceTag.CRAWL}),
-                                     first_seen=now))
-    return CrawlResult(links=links, report=report)
+            attempts += 1
+            fetched = fetcher.fetch(url)
+            if isinstance(fetched, FetchError):
+                report.errors.append(fetched)
+                continue
+            report.pages_fetched += 1
+            final_url, content_type, body = fetched
 
+            final_site = reduced(final_url.host)
+            if final_site != site:
+                # a redirector leaving the site is itself an external link
+                links.add(LinkRecord(source=site, target=final_site, provenance=tags,
+                                     first_seen=now))
+                continue
+            if "html" not in content_type.lower():
+                continue
+
+            for href in extract_hrefs(body, str(final_url)):
+                try:
+                    resolved = canonicalize(href, base=final_url)
+                except (MalformedUrl, UnsupportedScheme):
+                    report.skipped_links += 1
+                    continue
+                target_site = reduced(resolved.host)
+                if target_site == site:
+                    if depth + 1 <= policy.max_depth and str(resolved) not in seen:
+                        seen.add(str(resolved))
+                        queue.append((resolved, depth + 1))
+                else:
+                    links.add(LinkRecord(source=site, target=target_site, provenance=tags,
+                                         first_seen=now))
+    finally:
+        fetcher.pool.clear()
+    return CrawlResult(links=links, report=report)

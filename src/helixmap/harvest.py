@@ -25,15 +25,16 @@ import csv
 import email.message
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView
 
-import requests
 import urllib3
 
+from . import __version__
 from .urls import (
     GenericFilterList,
     MalformedUrl,
@@ -192,9 +193,10 @@ def merge_link_sets(a: LinkSet, b: LinkSet) -> LinkSet:
 class LinkIndex:
     """Interface to a link-evidence backend (inlink/outlink lookups).
 
-    A backend that cannot answer for a site raises ``OSError`` (which
-    covers ``requests`` errors), ``UnicodeError`` or ``IndexUnavailable``;
-    ``harvest_index`` records the site as failed and goes on.
+    A backend that cannot answer for a site raises ``OSError`` (a file
+    that cannot be read), ``UnicodeError`` or ``IndexUnavailable`` (every
+    HTTP failure); ``harvest_index`` records the site as failed and goes
+    on.
     """
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
@@ -232,8 +234,9 @@ class SnapshotLinkIndex(LinkIndex):
 
 
 def body_charset(content_type: str) -> str:
-    """The charset a ``Content-Type`` declares, else UTF-8 (not requests'
-    ISO-8859-1 for text/*); ``LookupError`` when it names no text codec."""
+    """The charset a ``Content-Type`` declares, else UTF-8 (not the
+    ISO-8859-1 that RFC 2616 gave text/*); ``LookupError`` when it names no
+    text codec."""
     header = email.message.Message()
     header["Content-Type"] = content_type
     charset = header.get_content_charset("utf-8")
@@ -244,10 +247,72 @@ def body_charset(content_type: str) -> str:
     return charset
 
 
+# headers every request carries besides its own; gzip and deflate bodies
+# are decoded before they are counted against a byte bound
+HTTP_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
+                "Connection": "keep-alive"}
+_READ_CHUNK = 2**16
+
+
+class BodyTooLarge(Exception):
+    """An HTTP answer went on past the byte bound its reader set."""
+
+
+@contextmanager
+def http_get(pool: urllib3.PoolManager, url: str, **options) -> Iterator[urllib3.BaseHTTPResponse]:
+    """GET ``url`` from ``pool`` with the body left to be streamed.
+
+    The connection of an answer read to its end goes back to the pool. An
+    answer left half-read is closed on leaving the block, so the rest of
+    its body can never be taken for the start of the next answer.
+    """
+    response = pool.request("GET", url, preload_content=False, **options)
+    try:
+        yield response
+    finally:
+        if not response.closed:
+            response.close()
+
+
+def read_chunks(response: urllib3.BaseHTTPResponse, bound: int) -> Iterator[bytes]:
+    """The decoded body of a streamed answer, chunk by chunk; raises
+    ``BodyTooLarge`` as soon as more than ``bound`` bytes have come."""
+    received = 0
+    while chunk := response.read1(_READ_CHUNK):
+        received += len(chunk)
+        if received > bound:
+            raise BodyTooLarge(f"answer exceeds {bound} bytes")
+        yield chunk
+
+
 # the most an HTTP index answer may hold: 16 MiB is over 100k URLs, and a
 # service that sends more is broken or hostile
 MAX_INDEX_RESPONSE_BYTES = 16 * 2**20
-_READ_CHUNK = 2**16
+# an index query is tried once and follows at most this many redirects
+_INDEX_RETRIES = urllib3.Retry(total=None, connect=0, read=0, other=0, redirect=30)
+
+
+def _lines(chunks: Iterator[bytes], charset: str, limit: int) -> list[str]:
+    """The first ``limit`` non-empty lines of a body in ``charset``, read
+    from ``chunks`` no further than those lines."""
+    decoder = codecs.getincrementaldecoder(charset)("replace")
+    links: list[str] = []
+    pending: list[str] = []  # the text of a line whose break has not come
+    while len(links) < limit:
+        chunk = next(chunks, b"")
+        # with a sentinel appended, the last item is what follows the last
+        # line break: it waits for the rest of its line, unless the body
+        # has ended, which ends the line too
+        text = decoder.decode(chunk, final=not chunk)
+        *ended, rest = (text + ("x" if chunk else "\nx")).splitlines()
+        if ended:
+            ended[0] = "".join(pending) + ended[0]
+            pending.clear()
+        pending.append(rest[:-1])
+        links += [line.strip() for line in ended if line.strip()]
+        if not chunk:
+            break
+    return links[:limit]
 
 
 class HttpLinkIndex(LinkIndex):
@@ -257,6 +322,13 @@ class HttpLinkIndex(LinkIndex):
     ``/outlinks``) to return ``text/plain``, one URL per line, in UTF-8
     unless the answer declares a charset. An optional bearer token covers
     the common auth case.
+
+    Queries share one urllib3 connection pool per index, open until
+    ``close``; a query is tried once and follows redirects. Every failure
+    to get a usable answer (no connection, a stall past ``timeout``, a 4xx
+    or 5xx status, an unknown charset, an answer past
+    ``MAX_INDEX_RESPONSE_BYTES``) raises ``IndexUnavailable``. No proxy
+    variable and no ``~/.netrc`` is read.
     """
 
     def __init__(self, endpoint: str, token: str | None = None, timeout: float = 30.0):
@@ -264,54 +336,32 @@ class HttpLinkIndex(LinkIndex):
             raise IndexUnavailable(f"bad index endpoint {endpoint!r}")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
-        self._headers = {"Authorization": f"Bearer {token}"} if token else {}
+        self._headers = {"User-Agent": f"helixmap/{__version__}", **HTTP_HEADERS}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
+        self._pool = urllib3.PoolManager(retries=_INDEX_RETRIES)
+
+    def close(self) -> None:
+        """Close the connections the index keeps open between queries."""
+        self._pool.clear()
 
     def _query(self, kind: str, site: SiteKey, limit: int) -> list[str]:
         """The first ``limit`` non-empty lines of the answer. The body is
         streamed and read no further than those lines, so a service that
         sends more than it was asked for is not waited for."""
         url = f"{self.endpoint}/{kind}"
-        with requests.get(
-            url,
-            params={"site": site.value, "limit": str(limit)},
-            headers=self._headers,
-            timeout=self.timeout,
-            stream=True,
-        ) as response:
-            response.raise_for_status()
-            try:
-                charset = body_charset(response.headers.get("Content-Type", ""))
-            except LookupError as exc:
-                raise IndexUnavailable(f"{url}: {exc}") from None
-            decoder = codecs.getincrementaldecoder(charset)("replace")
-            links: list[str] = []
-            pending: list[str] = []  # the text of a line whose break has not come
-            received = 0
-            while len(links) < limit:
+        try:
+            with http_get(self._pool, url, fields={"site": site.value, "limit": str(limit)},
+                          headers=self._headers, timeout=self.timeout) as response:
+                if response.status >= 400:
+                    raise IndexUnavailable(f"{url}: HTTP {response.status}")
                 try:
-                    chunk = response.raw.read1(_READ_CHUNK, decode_content=True)
-                except urllib3.exceptions.HTTPError as exc:
-                    # read straight from urllib3, whose stalls, resets and
-                    # decoding faults are not OSErrors as requests' would be
-                    raise IndexUnavailable(f"{url}: {exc}") from exc
-                received += len(chunk)
-                if received > MAX_INDEX_RESPONSE_BYTES:
-                    raise IndexUnavailable(
-                        f"{url}: answer exceeds {MAX_INDEX_RESPONSE_BYTES} bytes"
-                    )
-                # with a sentinel appended, the last item is what follows the
-                # last line break: it waits for the rest of its line, unless
-                # the body has ended, which ends the line too
-                text = decoder.decode(chunk, final=not chunk)
-                *ended, rest = (text + ("x" if chunk else "\nx")).splitlines()
-                if ended:
-                    ended[0] = "".join(pending) + ended[0]
-                    pending.clear()
-                pending.append(rest[:-1])
-                links += [line.strip() for line in ended if line.strip()]
-                if not chunk:
-                    break
-        return links[:limit]
+                    charset = body_charset(response.headers.get("Content-Type", ""))
+                except LookupError as exc:
+                    raise IndexUnavailable(f"{url}: {exc}") from None
+                return _lines(read_chunks(response, MAX_INDEX_RESPONSE_BYTES), charset, limit)
+        except (urllib3.exceptions.HTTPError, BodyTooLarge) as exc:
+            raise IndexUnavailable(f"{url}: {exc}") from exc
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
         return self._query("inlinks", site, limit)

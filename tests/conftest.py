@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import socket
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+@pytest.fixture
+def closed_port() -> int:
+    """A loopback port that no server listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def pytest_runtest_logreport(report):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -69,6 +68,12 @@ SITES = {
     },
     # its robots.txt allows everything, in a charset with no codec
     "shy.com": {"/": "", "/robots.txt": "User-agent: *\nAllow: /\n"},
+    # its second link is a page of 1000 bytes
+    "heavy.com": {
+        "/": '<a href="/big.html">b</a> <a href="/after.html">a</a>',
+        "/big.html": "x" * 1000,
+        "/after.html": '<a href="http://after.org/">a</a>',
+    },
 }
 ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200}
 # (host, path) -> (Content-Type, the codec of its body); other pages are
@@ -151,19 +156,13 @@ def test_crawl_is_breadth_first_and_honours_base(host_map):
     assert result.report.errors == []
 
 
-def _closed_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def test_unreachable_robots_disallows_the_whole_site(host_map):
+def test_unreachable_robots_disallows_the_whole_site(host_map, closed_port):
     policy = CrawlPolicy(delay_per_host=0, timeout=5)
     # a 5xx robots.txt is unreachable (RFC 9309 section 2.3.1.4)
     busy = crawl_outlinks(SiteKey("busy.com"), policy, RULES, host_map=host_map)
     # so is a host that accepts no connection
     gone = crawl_outlinks(SiteKey("gone.com"), policy, RULES,
-                          host_map={"gone.com": f"127.0.0.1:{_closed_port()}"})
+                          host_map={"gone.com": f"127.0.0.1:{closed_port}"})
     # a robots.txt that cannot be read has rules all the same
     shy = crawl_outlinks(SiteKey("shy.com"), policy, RULES, host_map=host_map)
     for result, site, status in ((busy, "busy.com", "503"), (gone, "gone.com", "error"),
@@ -263,3 +262,55 @@ def test_requests_to_one_host_are_spaced_by_the_delay(host_map, monkeypatch):
               if e.host == "chain.com" and e.status != "robots"]
     assert len(stamps) == 6  # robots.txt and five pages
     assert all(b - a >= 0.05 for a, b in zip(stamps, stamps[1:]))
+
+
+def test_a_page_past_the_byte_bound_is_a_page_error(host_map, monkeypatch):
+    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 999)
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("heavy.com"), policy, RULES, host_map=host_map)
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://heavy.com/big.html", "answer exceeds 999 bytes", 200),
+    ]
+    # the answer came, so the log has its status; the crawl goes on past it
+    assert _requests(result) == [
+        ("http://heavy.com/robots.txt", "404"),
+        ("http://heavy.com/", "200"),
+        ("http://heavy.com/big.html", "200"),
+        ("http://heavy.com/after.html", "200"),
+    ]
+    assert result.report.pages_fetched == 2
+    assert {record.key for record in result.links} == {("heavy.com", "after.org")}
+    # a page of exactly the bound is read
+    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 1000)
+    result = crawl_outlinks(SiteKey("heavy.com"), policy, RULES, host_map=host_map)
+    assert result.report.errors == []
+    assert result.report.pages_fetched == 3
+
+
+def test_a_crawl_reduces_each_host_once(host_map, monkeypatch):
+    calls = []
+    real = crawler.reduce_host
+
+    def counting(host, rules):
+        calls.append(host)
+        return real(host, rules)
+
+    monkeypatch.setattr(crawler, "reduce_host", counting)
+    policy = CrawlPolicy(delay_per_host=0, max_depth=5, timeout=5)
+    result = crawl_outlinks(SiteKey("site.com"), policy, RULES, host_map=host_map)
+    assert sorted(calls) == ["cdn.other.com", "other.org", "site.com", "third.org"]
+    assert sum(len(extract_hrefs(body)) for body in PAGES.values()) > len(calls)
+    # what the crawl found and asked for is that of a crawl reducing every link
+    assert {record.key for record in result.links} == {
+        ("site.com", "other.org"), ("site.com", "other.com"), ("site.com", "third.org"),
+    }
+    assert _requests(result) == [
+        ("http://site.com/robots.txt", "404"),
+        ("http://site.com/", "200"),
+        ("http://site.com/a.html", "200"),
+        ("http://site.com/b.html", "200"),
+        ("http://site.com/c.html", "200"),
+        ("http://site.com/d.html", "200"),
+        ("http://site.com/based/", "200"),
+    ]
+    assert result.report.skipped_links == 0

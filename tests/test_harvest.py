@@ -4,11 +4,11 @@ import gc
 import random
 import re
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,7 +220,7 @@ class _RaisingIndex(LinkIndex):
 
 
 def test_harvest_records_transport_errors_as_failed_sites():
-    index = _RaisingIndex(requests.ConnectionError("connection refused"))
+    index = _RaisingIndex(ConnectionError("connection refused"))
     result = harvest_index([SiteKey("a.co.uk")], index, Direction.INLINKS, RULES, now=1)
     assert [s.value for s in result.failed_sites] == ["a.co.uk"]
 
@@ -457,10 +457,11 @@ def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):
 
 # --- HTTP index adapter ---------------------------------------------------------
 
-# a backlink service on loopback: five links for any site, a 500 for
-# broken.co.uk; stall.co.uk gets ``limit`` links and then nothing until the
-# server is released, huge.co.uk one line longer than the read bound; the
-# sites in ENCODED get one link under their own Content-Type
+# a backlink service on loopback, which redirects /moved/... to /api/...:
+# five links for any site, a 500 for broken.co.uk; stall.co.uk gets
+# ``limit`` links of a longer answer and then nothing until the server is
+# released, huge.co.uk one line longer than the read bound; the sites in
+# ENCODED get one link under their own Content-Type
 SERVED = [f"http://x{i}.com/" for i in range(5)]
 ENCODED = {
     "idn.co.uk": ("text/plain", "http://münchen.de/\n".encode("utf-8")),
@@ -475,8 +476,15 @@ ENCODED = {
 class _IndexHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         split = urlsplit(self.path)
+        if split.path.startswith("/moved/"):
+            self.send_response(301)
+            self.send_header("Location", self.path.replace("/moved/", "/api/", 1))
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         query = parse_qs(split.query)
         self.server.seen.append((split.path, query, self.headers.get("Authorization")))
+        self.server.peers.append(self.client_address)
         site = query.get("site", [""])[0]
         self.send_response(500 if site == "broken.co.uk" else 200)
         content_type, payload = ENCODED.get(site, ("text/plain", None))
@@ -485,11 +493,13 @@ class _IndexHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
         elif site == "stall.co.uk":
-            self.end_headers()
             limit = int(query["limit"][0])
-            self.wfile.write("".join(f"{url}\n" for url in SERVED[:limit]).encode("utf-8"))
-            self.server.release.wait(10)
+            head = "".join(f"{url}\n" for url in SERVED[:limit]).encode("utf-8")
             payload = b"http://late.com/\n"
+            self.send_header("Content-Length", str(len(head) + len(payload)))
+            self.end_headers()
+            self.wfile.write(head)
+            self.server.release.wait(10)
         elif site == "huge.co.uk":
             payload = b"http://x" + b"a" * MAX_INDEX_RESPONSE_BYTES + b".com/\n"
             self.send_header("Content-Length", str(len(payload)))
@@ -507,10 +517,15 @@ class _IndexHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture(scope="module")
-def index_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _IndexHandler)
+class _KeepAliveIndexHandler(_IndexHandler):
+    protocol_version = "HTTP/1.1"
+
+
+@contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.seen = []
+    server.peers = []  # the client address of each request, in order
     server.release = threading.Event()
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -524,6 +539,19 @@ def index_server():
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def index_server():
+    with _serving(_IndexHandler) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def keepalive_index_server():
+    # answers with a Content-Length leave the connection open for the next query
+    with _serving(_KeepAliveIndexHandler) as server:
+        yield server
 
 
 def _endpoint(server) -> str:
@@ -540,6 +568,15 @@ def test_http_index_queries_site_and_limit_with_bearer_token(index_server):
     ]
     HttpLinkIndex(_endpoint(index_server), timeout=5).inlinks_of(SiteKey("b.co.uk"), 1)
     assert index_server.seen[-1][2] is None  # no token, no Authorization header
+
+
+def test_http_index_follows_redirects(index_server):
+    moved = _endpoint(index_server).replace("/api/", "/moved/")
+    index = HttpLinkIndex(moved, token="s3cret", timeout=5)
+    assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
+    assert index_server.seen[-1] == (
+        "/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, "Bearer s3cret",
+    )
 
 
 def test_http_index_server_error_makes_a_failed_site(index_server):
@@ -582,8 +619,39 @@ def test_http_index_response_past_the_byte_bound_makes_a_failed_site(index_serve
     assert len(result.links) == len(SERVED)
 
 
+def test_http_index_unreachable_makes_a_failed_site(index_server, closed_port):
+    gone = HttpLinkIndex(f"http://127.0.0.1:{closed_port}/api/", timeout=5)
+    with pytest.raises(IndexUnavailable):
+        gone.inlinks_of(SiteKey("gone.co.uk"), 10)
+    live = HttpLinkIndex(_endpoint(index_server), timeout=5)
+
+    class Routed(LinkIndex):
+        def inlinks_of(self, site, limit):
+            return (gone if site.value == "gone.co.uk" else live).inlinks_of(site, limit)
+
+    result = harvest_index([SiteKey("gone.co.uk"), SiteKey("sitea.co.uk")],
+                           Routed(), Direction.INLINKS, RULES, now=1)
+    assert [s.value for s in result.failed_sites] == ["gone.co.uk"]
+    assert {r.key for r in result.links} == {
+        (f"x{i}.com", "sitea.co.uk") for i in range(5)
+    }
+
+
+def test_http_index_does_not_reuse_a_half_read_answer(keepalive_index_server):
+    server = keepalive_index_server
+    index = HttpLinkIndex(_endpoint(server), timeout=0.5)
+    # the three links asked for, then a stall: the query stops inside the answer
+    assert index.inlinks_of(SiteKey("stall.co.uk"), 3) == SERVED[:3]
+    assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
+    assert index.outlinks_of(SiteKey("sitea.co.uk"), 2) == SERVED[:2]
+    index.close()
+    # the half-read answer's connection was closed; one read to its end is reused
+    first, second, third = server.peers[-3:]
+    assert first != second == third
+
+
 def test_http_index_decodes_utf8_unless_a_charset_is_declared(index_server):
-    # bare text/plain is read as UTF-8, not as the ISO-8859-1 requests assumes for text/*
+    # bare text/plain is read as UTF-8, not as the ISO-8859-1 RFC 2616 gave text/*
     index = HttpLinkIndex(_endpoint(index_server), timeout=5)
     for site in ("idn.co.uk", "latin.co.uk", "utf16.co.uk"):
         assert index.inlinks_of(SiteKey(site), 10) == ["http://münchen.de/"]

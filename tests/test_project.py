@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _scripts(toml: str) -> dict[str, str]:
@@ -17,6 +20,49 @@ def _scripts(toml: str) -> dict[str, str]:
     if table is None:
         return {}
     return dict(re.findall(r'^\s*([\w.-]+)\s*=\s*"([^"]*)"', table.group(1), re.M))
+
+
+def _dependencies(toml: str) -> set[str]:
+    """The distribution names in ``[project] dependencies``, lower-case
+    with ``-`` as ``_``; read by a regex, as ``_scripts`` is."""
+    table = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", toml, re.M | re.S)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", table.group(1), re.M | re.S)
+    if listed is None:
+        return set()
+    specs = re.findall(r'"([A-Za-z0-9._-]+)', listed.group(1))
+    return {spec.lower().replace("-", "_") for spec in specs}
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """The top-level names of the absolute imports in ``source`` that are
+    neither the standard library nor ``helixmap``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "helixmap"}
+
+
+def test_dependency_readers():
+    toml = ('[project]\nname = "x"\ndependencies = [\n    "idna>=3",\n    "Foo-Bar[x]~=1",\n]\n\n'
+            '[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n]\n')
+    assert _dependencies(toml) == {"idna", "foo_bar"}
+    assert _dependencies('[project]\nname = "x"\n') == set()
+    source = ("from __future__ import annotations\nimport os.path, urllib3\n"
+              "from idna import core\nfrom . import x\nfrom .urls import y\n"
+              "import helixmap.urls\n")
+    assert _third_party_imports(source) == {"urllib3", "idna"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    imported = set()
+    for path in (ROOT / "src" / "helixmap").glob("*.py"):
+        imported |= _third_party_imports(path.read_text(encoding="utf-8"))
+    declared = _dependencies(PYPROJECT.read_text(encoding="utf-8"))
+    assert imported - declared == set(), "imported but not declared"
+    assert declared - imported == set(), "declared but not imported"
 
 
 def test_script_table_reader():
