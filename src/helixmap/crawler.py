@@ -6,6 +6,18 @@ point at *other* sites, reduced to site keys. Only static ``a[href]`` and
 to it, which matches the behaviour of the desk-scale crawlers this kind
 of study relies on.
 
+Links are found by one compiled pattern that scans each page once, left to
+right. It recognises comments, ``<![CDATA[...]]>`` sections, ``<!...>``
+declarations (the doctype among them), ``<?...>`` processing
+instructions, end tags, the raw text of ``script`` and ``style``, and start
+tags whose attribute values are double-quoted, single-quoted or bare; a
+``>`` inside a quoted value does not end a tag. A construct left unclosed
+ends the scan, so the scan's time grows linearly with the page; so does a
+start tag holding more than 1,000 attribute values, which bounds the
+memory one tag can take. On well-formed markup the scanner finds what the
+standard library's ``html.parser`` finds, a repeated ``href`` included.
+``<![ foo``, on which ``html.parser`` raises, is read as a declaration.
+
 Politeness contract: consecutive requests to one host are spaced by at
 least the configured delay, robots.txt is honoured as RFC 9309 says
 (including a full-site exclusion, and complete disallow while robots.txt
@@ -23,12 +35,13 @@ no ``~/.netrc``, and every transport failure (``urllib3``'s
 from __future__ import annotations
 
 import logging
+import re
 import time
 import urllib.robotparser
 from collections import deque
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
-from urllib.parse import urljoin, urlsplit, urlunsplit
+from html import unescape
+from urllib.parse import urljoin
 
 import urllib3
 
@@ -126,21 +139,61 @@ class HostThrottle:
         self._next_allowed[host] = time.monotonic() + self.delay
 
 
-class _LinkCollector(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.hrefs: list[str] = []
-        self.base: str | None = None
+# one attribute value as html.parser reads it: after one or more "=", a
+# quoted value (which may hold ">") or a bare one up to white space or ">"
+_VALUE = r"""=+\s*(?:"[^"]*"|'[^']*'|(?!["'])[^\s>]*)"""
+# the most attribute values one tag may hold: the regex engine keeps a frame
+# for each repetition, so an unbounded run of values on a hostile page would
+# take memory in proportion to the page; a longer tag is taken as unclosed
+_MAX_VALUES = 1000
+# what ends a tag name, as html.parser reads it
+_NAME_END = r"(?=[\t\n\r\f />])"
 
-    def handle_starttag(self, tag, attrs):
-        if tag in ("a", "area"):
-            for name, value in attrs:
-                if name == "href" and value:
-                    self.hrefs.append(value)
-        elif tag == "base" and self.base is None:
-            for name, value in attrs:
-                if name == "href" and value is not None:
-                    self.base = value
+# One token of markup, starting at "<". Only an a, area or base start tag
+# sets the "attrs" group: the text between its name and its ">". A tag's
+# attribute text is taken whole by a lookahead and a backreference, which
+# nothing can backtrack into, and a construct left unclosed runs to the end
+# of the page, so the scan never looks again from a later "<" for an end
+# it has not found.
+_SCAN = re.compile(
+    rf"""<(?:
+        # an a, area or base start tag
+        (?:(?P<base>[bB][aA][sS][eE])|[aA](?:[rR][eE][aA])?){_NAME_END}
+        (?=(?P<attrs>[^>=]*(?:{_VALUE}[^>=]*){{0,{_MAX_VALUES}}}))(?P=attrs)>
+      | # a script or style start tag that "/>" does not close (a "/" that
+        # ends a bare value is the value's), then its raw text and end tag
+        (?i:(?P<raw>script|style)){_NAME_END}
+        (?=(?P<head>(?:[^>=]*{_VALUE}){{0,{_MAX_VALUES}}})(?P<tail>(?:[^>=]*[^>=/])?))
+        (?P=head)(?P=tail)>(?:.*?</\s*(?i:(?P=raw))\s*>|.*)
+      | !--(?:.*?--\s*>|.*)              # a comment
+      | !\[(?i:cdata)\[(?:.*?\]\]>|.*)   # a CDATA section
+      | [!?/][^>]*>?                     # a declaration, processing instruction or end tag
+      | [a-zA-Z]                         # any other start tag
+        (?=(?P<tag>[^\t\n\r\f />\x00]*[^>=]*(?:{_VALUE}[^>=]*){{0,{_MAX_VALUES}}}))(?P=tag)>
+      | [a-zA-Z].*                       # a start tag left unclosed
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
+# one attribute of a start tag: its name, and "=" with its value if it has one
+_ATTRIBUTE = re.compile(
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?"""
+)
+
+
+def _href_values(attrs: str) -> list[str | None]:
+    """The values of the href attributes in a start tag's attribute text,
+    in order, unquoted and with character references replaced; None for
+    an href written without a value."""
+    values: list[str | None] = []
+    for name, assigned, value in _ATTRIBUTE.findall(attrs):
+        if name.lower() == "href":
+            if not assigned:
+                values.append(None)
+            else:
+                if value[:1] in ("'", '"'):
+                    value = value[1:-1]
+                values.append(unescape(value))
+    return values
 
 
 def _join(base: str, href: str) -> str:
@@ -155,14 +208,27 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
 
     When the document has a ``<base href>``, the first one is resolved
     against ``url`` (the document's own URL) and every href against it, as
-    a browser does; otherwise the values are returned as written.
+    a browser does; otherwise the values are returned as written. A tag
+    that repeats ``href`` gives every value of an ``<a>`` or ``<area>``,
+    and the last value of the first ``<base>`` that has one.
     """
-    collector = _LinkCollector()
-    collector.feed(html)
-    if collector.base is None:
-        return collector.hrefs
-    base = _join(url, collector.base)
-    return [_join(base, href) for href in collector.hrefs]
+    hrefs: list[str] = []
+    base: str | None = None
+    for token in _SCAN.finditer(html):
+        attrs = token["attrs"]
+        if attrs is None:
+            continue
+        values = _href_values(attrs)
+        if token["base"] is None:
+            hrefs.extend(filter(None, values))
+        elif base is None:
+            for value in values:
+                if value is not None:
+                    base = value
+    if base is None:
+        return hrefs
+    base = _join(url, base)
+    return [_join(base, href) for href in hrefs]
 
 
 class Fetcher:
@@ -187,9 +253,9 @@ class Fetcher:
         address = self.host_map.get(url.host)
         if address is None:
             return str(url), headers
-        split = urlsplit(str(url))
         headers["Host"] = url.host
-        return urlunsplit((split.scheme, address, split.path, split.query, "")), headers
+        query = "" if url.query is None else f"?{url.query}"
+        return f"{url.scheme}://{address}{url.path}{query}", headers
 
     def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
         self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
@@ -259,6 +325,12 @@ def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.Ro
     return parser
 
 
+# what crawl_outlinks has for an href it has not resolved yet, and for one
+# that resolves only against the page it is on
+_UNSEEN = object()
+_NEEDS_PAGE = object()
+
+
 def crawl_outlinks(
     site: SiteKey,
     policy: CrawlPolicy,
@@ -273,8 +345,8 @@ def crawl_outlinks(
     crawled site; same-site links only feed the frontier. The returned
     report carries per-page errors, the robots verdict, and the request
     log used for politeness auditing. Each distinct host is reduced to its
-    site key once per crawl, and the crawl's connections are closed when
-    it returns.
+    site key, and each distinct href resolved, once per crawl; the crawl's
+    connections are closed when it returns.
     """
     if now is None:
         now = int(time.time())
@@ -284,12 +356,52 @@ def crawl_outlinks(
     fetcher = Fetcher(policy, throttle, report, host_map)
     tags = frozenset({SourceTag.CRAWL})
     site_of: dict[str, SiteKey] = {}  # host -> its site key: each host is reduced once
+    # href -> what it resolves to, or _NEEDS_PAGE; (href, page URL) -> what
+    # an href that needs its page resolves to on that page. What an href
+    # resolves to is (URL, URL text, site key) for a page of this site,
+    # (None, None, site key) for another site, and None when it is skipped.
+    resolved_of: dict[str | tuple[str, str], object] = {}
+    # URL text -> the one (URL, URL text, site key) of a page of this site,
+    # which every href that resolves to it shares
+    same_site: dict[str, tuple[CanonicalUrl, str, SiteKey]] = {}
 
     def reduced(host: str) -> SiteKey:
         key = site_of.get(host)
         if key is None:
             key = site_of[host] = reduce_host(host, rules).site
         return key
+
+    def target(url: CanonicalUrl) -> tuple[CanonicalUrl | None, str | None, SiteKey]:
+        key = reduced(url.host)
+        if key != site:
+            return None, None, key
+        text = str(url)
+        return same_site.setdefault(text, (url, text, key))
+
+    def resolve(href: str, page: CanonicalUrl, page_text: str):
+        # canonicalize reads a base only for an href without a scheme, and
+        # without a base raises MalformedUrl for one: any other answer to
+        # the base-less call holds on every page
+        hit = resolved_of.get(href, _UNSEEN)
+        if hit is _UNSEEN:
+            try:
+                hit = target(canonicalize(href))
+            except UnsupportedScheme:
+                hit = None
+            except MalformedUrl:
+                hit = _NEEDS_PAGE
+            resolved_of[href] = hit
+        if hit is not _NEEDS_PAGE:
+            return hit
+        key = (href, page_text)
+        hit = resolved_of.get(key, _UNSEEN)
+        if hit is _UNSEEN:
+            try:
+                hit = target(canonicalize(href, base=page))
+            except (MalformedUrl, UnsupportedScheme):
+                hit = None
+            resolved_of[key] = hit
+        return hit
 
     try:
         entry = canonicalize(f"http://{site.value}/")
@@ -322,20 +434,19 @@ def crawl_outlinks(
             if "html" not in content_type.lower():
                 continue
 
-            for href in extract_hrefs(body, str(final_url)):
-                try:
-                    resolved = canonicalize(href, base=final_url)
-                except (MalformedUrl, UnsupportedScheme):
+            page_text = str(final_url)
+            for href in extract_hrefs(body, page_text):
+                resolved = resolve(href, final_url, page_text)
+                if resolved is None:
                     report.skipped_links += 1
                     continue
-                target_site = reduced(resolved.host)
-                if target_site == site:
-                    if depth + 1 <= policy.max_depth and str(resolved) not in seen:
-                        seen.add(str(resolved))
-                        queue.append((resolved, depth + 1))
-                else:
+                link_url, link_text, target_site = resolved
+                if link_url is None:
                     links.add(LinkRecord(source=site, target=target_site, provenance=tags,
                                          first_seen=now))
+                elif depth + 1 <= policy.max_depth and link_text not in seen:
+                    seen.add(link_text)
+                    queue.append((link_url, depth + 1))
     finally:
         fetcher.pool.clear()
     return CrawlResult(links=links, report=report)

@@ -1,14 +1,18 @@
-"""Independent brute-force reference for the network pipeline and metrics.
+"""Independent brute-force reference for the network pipeline and metrics,
+and for the crawler's link extraction.
 
 Everything here is written as explicit set/list enumeration with no shared
 code or data structures from the package under test: records are plain
 string tuples, networks are (nodes, edges) pairs, means use Fractions with
-hand-rolled half-up rounding. Slow on purpose; only correctness matters.
+hand-rolled half-up rounding. Links are read with the standard library's
+``html.parser``. Slow on purpose; only correctness matters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from html.parser import HTMLParser
+from urllib.parse import urljoin
 
 
 def half_up_1dp(frac: Fraction) -> str:
@@ -143,3 +147,34 @@ def connectivity(category, category_of_actor, all_actor_ids, nodes, edges):
     ]
     percent = half_up_int(Fraction(len(connected) * 100, len(population)))
     return len(connected), len(population), percent
+
+
+class LinkCollector(HTMLParser):
+    """The a/area hrefs of a page and the href of its first base that has
+    one, as ``html.parser`` reads them."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.hrefs: list[str] = []
+        self.base: str | None = None
+
+    def handle_starttag(self, tag, attrs):
+        if tag in ("a", "area"):
+            for name, value in attrs:
+                if name == "href" and value:
+                    self.hrefs.append(value)
+        elif tag == "base" and self.base is None:
+            for name, value in attrs:
+                if name == "href" and value is not None:
+                    self.base = value
+
+
+def page_hrefs(html: str, url: str = "") -> list[str]:
+    """What ``crawler.extract_hrefs`` returns for a page, from html.parser:
+    the hrefs, each resolved against the first base when there is one."""
+    collector = LinkCollector()
+    collector.feed(html)
+    if collector.base is None:
+        return collector.hrefs
+    base = urljoin(url, collector.base.strip())
+    return [urljoin(base, href.strip()) for href in collector.hrefs]

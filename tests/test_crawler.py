@@ -38,6 +38,11 @@ REDIRECTS = {
     "/loop.html": (301, "/loop.html"),
 }
 
+REPEATED_HREFS = (
+    '<a href="y.html">r</a> <a href="/d/">d</a> <a href="http://ext.org/">e</a> '
+    '<a href="mailto:office@repeat.com">m</a> '
+) * 2
+
 # host -> its pages; site.com has no robots.txt (a 404), busy.com serves the
 # same pages but its robots.txt answers 503
 SITES = {
@@ -68,6 +73,19 @@ SITES = {
     },
     # its robots.txt allows everything, in a charset with no codec
     "shy.com": {"/": "", "/robots.txt": "User-agent: *\nAllow: /\n"},
+    # its second page ends in "<![", which html.parser cannot read
+    "marked.com": {
+        "/": '<a href="/odd.html">o</a> <a href="/after.html">a</a>',
+        "/odd.html": '<a href="http://before.org/">b</a> <![ foo',
+        "/after.html": '<a href="http://after.org/">a</a>',
+    },
+    # every page repeats the same hrefs; "y.html" resolves differently on "/d/"
+    "repeat.com": {
+        "/": REPEATED_HREFS,
+        "/y.html": REPEATED_HREFS,
+        "/d/": REPEATED_HREFS,
+        "/d/y.html": "",
+    },
     # its second link is a page of 1000 bytes
     "heavy.com": {
         "/": '<a href="/big.html">b</a> <a href="/after.html">a</a>',
@@ -314,3 +332,40 @@ def test_a_crawl_reduces_each_host_once(host_map, monkeypatch):
         ("http://site.com/based/", "200"),
     ]
     assert result.report.skipped_links == 0
+
+
+def test_a_crawl_canonicalizes_each_distinct_href_once(host_map, monkeypatch):
+    calls = []
+    real = crawler.canonicalize
+
+    def counting(raw, base=None):
+        calls.append((raw, None if base is None else str(base)))
+        return real(raw, base)
+
+    monkeypatch.setattr(crawler, "canonicalize", counting)
+    policy = CrawlPolicy(delay_per_host=0, max_depth=5, timeout=5)
+    result = crawl_outlinks(SiteKey("repeat.com"), policy, RULES, host_map=host_map)
+    # three pages of eight hrefs; no href is resolved twice against one base
+    assert len(calls) < 3 * len(extract_hrefs(REPEATED_HREFS))
+    assert len(calls) == len(set(calls))
+    # what the crawl found and asked for is that of a crawl resolving every href
+    assert _requests(result) == [
+        ("http://repeat.com/robots.txt", "404"),
+        ("http://repeat.com/", "200"),
+        ("http://repeat.com/y.html", "200"),
+        ("http://repeat.com/d/", "200"),
+        ("http://repeat.com/d/y.html", "200"),
+    ]
+    assert {record.key for record in result.links} == {("repeat.com", "ext.org")}
+    # each page's two mailto: links are skipped, each time they occur
+    assert result.report.skipped_links == 6
+
+
+def test_a_page_html_parser_cannot_read_does_not_stop_the_crawl(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("marked.com"), policy, RULES, host_map=host_map)
+    assert result.report.errors == []
+    assert result.report.pages_fetched == 3
+    assert {record.key for record in result.links} == {
+        ("marked.com", "before.org"), ("marked.com", "after.org"),
+    }
