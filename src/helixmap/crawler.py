@@ -14,9 +14,11 @@ tags whose attribute values are double-quoted, single-quoted or bare; a
 ``>`` inside a quoted value does not end a tag. A construct left unclosed
 ends the scan, so the scan's time grows linearly with the page; so does a
 start tag holding more than 1,000 attribute values, which bounds the
-memory one tag can take. On well-formed markup the scanner finds what the
-standard library's ``html.parser`` finds, a repeated ``href`` included.
-``<![ foo``, on which ``html.parser`` raises, is read as a declaration.
+memory one tag can take. A tag that repeats ``href`` is read by its first,
+as the HTML tokenizer drops a repeated attribute; otherwise, on well-formed
+markup, the scanner finds what the standard library's ``html.parser``
+finds. ``<![ foo``, on which ``html.parser`` raises, is read as a
+declaration.
 
 Politeness contract: consecutive requests to one host are spaced by at
 least the configured delay, robots.txt is honoured as RFC 9309 says
@@ -45,9 +47,9 @@ from urllib.parse import urljoin
 
 import urllib3
 
-from . import __version__
 from .harvest import (
     HTTP_HEADERS,
+    USER_AGENT,
     BodyTooLarge,
     Direction,
     LinkRecord,
@@ -80,7 +82,6 @@ class CrawlPolicy:
     max_depth: int = 3
     delay_per_host: float = 1.0
     timeout: float = 10.0
-    user_agent: str = f"helixmap/{__version__}"
 
     def __post_init__(self):
         if self.max_pages_per_site < 1:
@@ -180,20 +181,17 @@ _ATTRIBUTE = re.compile(
 )
 
 
-def _href_values(attrs: str) -> list[str | None]:
-    """The values of the href attributes in a start tag's attribute text,
-    in order, unquoted and with character references replaced; None for
-    an href written without a value."""
-    values: list[str | None] = []
-    for name, assigned, value in _ATTRIBUTE.findall(attrs):
+def _href_value(attrs: str) -> str | None:
+    """The value of the first href attribute in a start tag's attribute
+    text, unquoted and with character references replaced: "" for an href
+    written without a value, None when the tag has no href."""
+    for attribute in _ATTRIBUTE.finditer(attrs):
+        name, _, value = attribute.groups("")
         if name.lower() == "href":
-            if not assigned:
-                values.append(None)
-            else:
-                if value[:1] in ("'", '"'):
-                    value = value[1:-1]
-                values.append(unescape(value))
-    return values
+            if value[:1] in ("'", '"'):
+                value = value[1:-1]
+            return unescape(value)
+    return None
 
 
 def _join(base: str, href: str) -> str:
@@ -209,8 +207,8 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
     When the document has a ``<base href>``, the first one is resolved
     against ``url`` (the document's own URL) and every href against it, as
     a browser does; otherwise the values are returned as written. A tag
-    that repeats ``href`` gives every value of an ``<a>`` or ``<area>``,
-    and the last value of the first ``<base>`` that has one.
+    that repeats ``href`` gives its first value only, as the HTML tokenizer
+    drops a repeated attribute; an empty href gives no link.
     """
     hrefs: list[str] = []
     base: str | None = None
@@ -218,13 +216,12 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
         attrs = token["attrs"]
         if attrs is None:
             continue
-        values = _href_values(attrs)
+        href = _href_value(attrs)
         if token["base"] is None:
-            hrefs.extend(filter(None, values))
+            if href:
+                hrefs.append(href)
         elif base is None:
-            for value in values:
-                if value is not None:
-                    base = value
+            base = href
     if base is None:
         return hrefs
     base = _join(url, base)
@@ -249,7 +246,7 @@ class Fetcher:
         self.pool = urllib3.PoolManager(retries=False)
 
     def _transport_url(self, url: CanonicalUrl) -> tuple[str, dict[str, str]]:
-        headers = {"User-Agent": self.policy.user_agent, **HTTP_HEADERS}
+        headers = dict(HTTP_HEADERS)
         address = self.host_map.get(url.host)
         if address is None:
             return str(url), headers
@@ -345,16 +342,15 @@ def crawl_outlinks(
     crawled site; same-site links only feed the frontier. The returned
     report carries per-page errors, the robots verdict, and the request
     log used for politeness auditing. Each distinct host is reduced to its
-    site key, and each distinct href resolved, once per crawl; the crawl's
-    connections are closed when it returns.
+    site key, each distinct href resolved, and each linked site recorded,
+    once per crawl; the crawl's connections are closed when it returns.
     """
     if now is None:
         now = int(time.time())
     report = CrawlReport()
-    links = LinkSet(Direction.OUTLINKS)
     throttle = throttle or HostThrottle(policy.delay_per_host)
     fetcher = Fetcher(policy, throttle, report, host_map)
-    tags = frozenset({SourceTag.CRAWL})
+    targets: dict[SiteKey, None] = {}  # the linked sites, in first-seen order
     site_of: dict[str, SiteKey] = {}  # host -> its site key: each host is reduced once
     # href -> what it resolves to, or _NEEDS_PAGE; (href, page URL) -> what
     # an href that needs its page resolves to on that page. What an href
@@ -412,7 +408,7 @@ def crawl_outlinks(
         attempts = 0  # the page cap bounds requests, failed ones included
         while queue and attempts < policy.max_pages_per_site:
             url, depth = queue.popleft()
-            if not robots.can_fetch(policy.user_agent, str(url)):
+            if not robots.can_fetch(USER_AGENT, str(url)):
                 report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
                 if url == entry:
                     report.robots_blocked = True
@@ -427,9 +423,7 @@ def crawl_outlinks(
 
             final_site = reduced(final_url.host)
             if final_site != site:
-                # a redirector leaving the site is itself an external link
-                links.add(LinkRecord(source=site, target=final_site, provenance=tags,
-                                     first_seen=now))
+                targets[final_site] = None  # a redirector leaving the site links to it
                 continue
             if "html" not in content_type.lower():
                 continue
@@ -442,11 +436,12 @@ def crawl_outlinks(
                     continue
                 link_url, link_text, target_site = resolved
                 if link_url is None:
-                    links.add(LinkRecord(source=site, target=target_site, provenance=tags,
-                                         first_seen=now))
+                    targets[target_site] = None
                 elif depth + 1 <= policy.max_depth and link_text not in seen:
                     seen.add(link_text)
                     queue.append((link_url, depth + 1))
     finally:
         fetcher.pool.clear()
+    tags = frozenset({SourceTag.CRAWL})
+    links = LinkSet(Direction.OUTLINKS, (LinkRecord(site, target, tags, now) for target in targets))
     return CrawlResult(links=links, report=report)

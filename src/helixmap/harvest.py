@@ -7,10 +7,10 @@ directed ``source site -> target site`` record carrying provenance tags,
 and records are deduplicated per (source, target) pair.
 
 A ``LinkSet`` stores each record in its CSV form: the (source, target)
-pair of site-key texts maps to a (provenance label, ``first_seen``) tuple,
-beside one ``SiteKey`` per distinct site. Reading, filtering, merging and
-writing a set work on those values alone; ``LinkRecord`` objects are made
-only while a caller iterates a set or asks it for records.
+pair of site-key texts maps to a (provenance label, ``first_seen``) tuple.
+Reading, filtering, merging and writing a set work on those values alone;
+``LinkRecord`` objects are made only while a caller iterates a set or asks
+it for records.
 
 Index backends implement the small LinkIndex interface. Two adapters
 ship: a local snapshot index (a directory of per-site link lists, the
@@ -109,51 +109,38 @@ class LinkSet:
 
     A set stores each record as the atomic values of its CSV row:
     ``_records`` maps the (source, target) pair of site-key texts to the
-    record's (provenance label, ``first_seen``), and ``_sites`` maps each
-    site text to its one ``SiteKey``. Tuples of strings and ints drop out
-    of the cyclic garbage collector, however many records a set holds. The
-    site table may name sites no record names: a filtered set shares its
-    input's table.
+    record's (provenance label, ``first_seen``). Tuples of strings and ints
+    drop out of the cyclic garbage collector, however many records a set
+    holds.
 
-    ``LinkRecord``s are made on demand, by iteration, ``get`` and
-    ``records()``, and share the set's ``SiteKey``s and one provenance
-    frozenset per label. Iteration yields them in insertion order;
-    ``records()`` returns them sorted by (source, target), for output that
-    must be deterministic.
+    ``LinkRecord``s are made on demand, by iteration and ``records()``, and
+    share one provenance frozenset per label. Iteration yields them in
+    insertion order; ``records()`` returns them sorted by (source, target),
+    for output that must be deterministic.
     """
 
     def __init__(self, direction: Direction, records: Iterable[LinkRecord] = ()):
         self.direction = direction
         self._records: dict[tuple[str, str], tuple[str, int]] = {}
-        self._sites: dict[str, SiteKey] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: LinkRecord) -> None:
-        sites = self._sites
-        key = (sites.setdefault(record.source.value, record.source).value,
-               sites.setdefault(record.target.value, record.target).value)
+        key = record.key
         value = (_LABELS[record.provenance], record.first_seen)
         old = self._records.setdefault(key, value)
         if old is not value:
             self._records[key] = _merged(old, value)
 
-    def _record(self, key: tuple[str, str], value: tuple[str, int]) -> LinkRecord:
-        return LinkRecord(self._sites[key[0]], self._sites[key[1]], _TAG_SETS[value[0]],
-                          value[1])
+    @staticmethod
+    def _record(key: tuple[str, str], value: tuple[str, int]) -> LinkRecord:
+        return LinkRecord(SiteKey(key[0]), SiteKey(key[1]), _TAG_SETS[value[0]], value[1])
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[LinkRecord]:
         return starmap(self._record, self._records.items())
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._records
-
-    def get(self, key: tuple[str, str]) -> LinkRecord | None:
-        value = self._records.get(key)
-        return None if value is None else self._record(key, value)
 
     def records(self) -> list[LinkRecord]:
         """Records sorted by (source, target) for deterministic output."""
@@ -162,10 +149,6 @@ class LinkSet:
     def pairs(self) -> KeysView[tuple[str, str]]:
         """The (source, target) site-key texts of the records, in insertion order."""
         return self._records.keys()
-
-    def site(self, value: str) -> SiteKey:
-        """The ``SiteKey`` of a site text that a record names."""
-        return self._sites[value]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinkSet):
@@ -178,7 +161,6 @@ def merge_link_sets(a: LinkSet, b: LinkSet) -> LinkSet:
     if a.direction != b.direction:
         raise DirectionMismatch(f"{a.direction.value} vs {b.direction.value}")
     merged = LinkSet(a.direction)
-    merged._sites = a._sites | b._sites
     merged._records = records = dict(a._records)
     for key, value in b._records.items():
         old = records.setdefault(key, value)
@@ -247,10 +229,12 @@ def body_charset(content_type: str) -> str:
     return charset
 
 
+# the name every request gives, which robots.txt groups are matched against
+USER_AGENT = f"helixmap/{__version__}"
 # headers every request carries besides its own; gzip and deflate bodies
 # are decoded before they are counted against a byte bound
-HTTP_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
-                "Connection": "keep-alive"}
+HTTP_HEADERS = {"User-Agent": USER_AGENT, "Accept": "*/*",
+                "Accept-Encoding": "gzip, deflate", "Connection": "keep-alive"}
 _READ_CHUNK = 2**16
 
 
@@ -336,7 +320,7 @@ class HttpLinkIndex(LinkIndex):
             raise IndexUnavailable(f"bad index endpoint {endpoint!r}")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
-        self._headers = {"User-Agent": f"helixmap/{__version__}", **HTTP_HEADERS}
+        self._headers = dict(HTTP_HEADERS)
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
         self._pool = urllib3.PoolManager(retries=_INDEX_RETRIES)
@@ -446,11 +430,10 @@ def filter_generic(links: LinkSet, filter_list: GenericFilterList) -> tuple[Link
     generic denylist entry; return the kept set and the dropped count.
 
     The kept set holds the input's own stored values, in the input's
-    iteration order, and shares its site table.
+    iteration order.
     """
     generic = filter_list.entries
     kept = LinkSet(links.direction)
-    kept._sites = links._sites
     kept._records = {
         key: value
         for key, value in links._records.items()
@@ -503,12 +486,14 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
     them.
 
     Rows go straight into the set's storage; no ``LinkRecord`` is built.
-    Each distinct site text becomes one ``SiteKey``, whose text every key
-    naming the site shares, and each distinct provenance text is checked
-    once and stored as the one shared label string.
+    Each distinct site text is checked as a ``SiteKey`` once and stored as
+    one string, which every key naming the site shares, and each distinct
+    provenance text is checked once and stored as the one shared label
+    string.
     """
     links = LinkSet(direction)
-    records, sites = links._records, links._sites
+    records = links._records
+    sites: dict[str, str] = {}  # site text -> the first string read for it
     labels: dict[str, str] = {}  # provenance text -> its shared label
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -522,16 +507,14 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
                 raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(row)}")
             source, target, tags_text, first_seen = row
             try:
-                # a site read before gives its SiteKey's text; a new one's
-                # text becomes its SiteKey's
                 try:
-                    source = sites[source].value
+                    source = sites[source]
                 except KeyError:
-                    sites[source] = SiteKey(source)
+                    sites[source] = SiteKey(source).value
                 try:
-                    target = sites[target].value
+                    target = sites[target]
                 except KeyError:
-                    sites[target] = SiteKey(target)
+                    sites[target] = SiteKey(target).value
                 try:
                     label = labels[tags_text]
                 except KeyError:

@@ -36,6 +36,7 @@ from operator import eq, itemgetter
 
 from .harvest import LinkSet
 from .registry import Registry, resolve
+from .urls import SiteKey
 
 
 class Stage(IntEnum):
@@ -137,12 +138,12 @@ def restrict_to_actors(links: LinkSet, reg: Registry) -> tuple[frozenset[tuple[s
         try:
             source_id = owners[source]
         except KeyError:
-            actor = resolve(links.site(source), reg)
+            actor = resolve(SiteKey(source), reg)
             source_id = owners[source] = None if actor is None else actor.id
         try:
             target_id = owners[target]
         except KeyError:
-            actor = resolve(links.site(target), reg)
+            actor = resolve(SiteKey(target), reg)
             target_id = owners[target] = None if actor is None else actor.id
         if source_id is None or target_id is None:
             dropped += 1

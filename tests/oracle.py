@@ -150,8 +150,9 @@ def connectivity(category, category_of_actor, all_actor_ids, nodes, edges):
 
 
 class LinkCollector(HTMLParser):
-    """The a/area hrefs of a page and the href of its first base that has
-    one, as ``html.parser`` reads them."""
+    """The non-empty a/area hrefs of a page and the href of its first base
+    that has one, as ``html.parser`` reads them, taking the first href of a
+    tag as the HTML tokenizer does ("" for an href without a value)."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -159,14 +160,12 @@ class LinkCollector(HTMLParser):
         self.base: str | None = None
 
     def handle_starttag(self, tag, attrs):
+        href = next((value or "" for name, value in attrs if name == "href"), None)
         if tag in ("a", "area"):
-            for name, value in attrs:
-                if name == "href" and value:
-                    self.hrefs.append(value)
+            if href:
+                self.hrefs.append(href)
         elif tag == "base" and self.base is None:
-            for name, value in attrs:
-                if name == "href" and value is not None:
-                    self.base = value
+            self.base = href
 
 
 def page_hrefs(html: str, url: str = "") -> list[str]:

@@ -9,9 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from helixmap import crawler
+from helixmap import crawler, harvest
 from helixmap.crawler import MAX_REDIRECT_HOPS, CrawlPolicy, crawl_outlinks, extract_hrefs
-from helixmap.harvest import SourceTag
+from helixmap.harvest import LinkRecord, SourceTag
 from helixmap.urls import ReductionRules, SiteKey
 
 RULES = ReductionRules.bundled()
@@ -86,6 +86,18 @@ SITES = {
         "/d/": REPEATED_HREFS,
         "/d/y.html": "",
     },
+    # links to ext.org and elsewhere.org twice each: by an href and by
+    # www.ext.org's, and by a redirect (/away.html) and an href
+    "mixed.com": {
+        "/": '<a href="http://ext.org/">x</a> <a href="/away.html">a</a> <a href="/p.html">p</a>',
+        "/p.html": '<a href="http://elsewhere.org/y">e</a> <a href="http://www.ext.org/">x</a>',
+    },
+    # its robots.txt has a group for helixmap and a stricter one for the rest
+    "agent.com": {
+        "/": '<a href="/x.html">x</a> <a href="http://ext.org/">e</a>',
+        "/x.html": "",
+        "/robots.txt": "User-agent: helixmap\nDisallow: /x.html\n\nUser-agent: *\nDisallow: /\n",
+    },
     # its second link is a page of 1000 bytes
     "heavy.com": {
         "/": '<a href="/big.html">b</a> <a href="/after.html">a</a>',
@@ -93,7 +105,7 @@ SITES = {
         "/after.html": '<a href="http://after.org/">a</a>',
     },
 }
-ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200}
+ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200, "agent.com": 200}
 # (host, path) -> (Content-Type, the codec of its body); other pages are
 # UTF-8 as bare text/html
 ENCODINGS = {
@@ -194,6 +206,17 @@ def test_unreachable_robots_disallows_the_whole_site(host_map, closed_port):
             (f"http://{site}/", "robots"),
         ]
 
+
+def test_robots_txt_group_naming_helixmap_applies(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("agent.com"), policy, RULES, host_map=host_map)
+    assert not result.report.robots_blocked
+    assert [(e.url, e.status) for e in result.report.log] == [
+        ("http://agent.com/robots.txt", "200"),
+        ("http://agent.com/", "200"),
+        ("http://agent.com/x.html", "robots"),
+    ]
+    assert {record.key for record in result.links} == {("agent.com", "ext.org")}
 
 
 def test_pages_are_read_in_their_declared_charset_else_utf8(host_map):
@@ -369,3 +392,41 @@ def test_a_page_html_parser_cannot_read_does_not_stop_the_crawl(host_map):
     assert {record.key for record in result.links} == {
         ("marked.com", "before.org"), ("marked.com", "after.org"),
     }
+
+
+def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
+    added = []
+    real = harvest.LinkSet.add
+
+    def counting(self, record):
+        added.append(record.key)
+        return real(self, record)
+
+    monkeypatch.setattr(harvest.LinkSet, "add", counting)
+    policy = CrawlPolicy(delay_per_host=0, max_depth=5, timeout=5)
+    for site, targets, requests, skipped in (
+        ("mixed.com", ["ext.org", "elsewhere.org"], [
+            ("http://mixed.com/robots.txt", "404"),
+            ("http://mixed.com/", "200"),
+            ("http://mixed.com/away.html", "302"),
+            ("http://elsewhere.org/", "200"),
+            ("http://mixed.com/p.html", "200"),
+        ], 0),
+        ("repeat.com", ["ext.org"], [
+            ("http://repeat.com/robots.txt", "404"),
+            ("http://repeat.com/", "200"),
+            ("http://repeat.com/y.html", "200"),
+            ("http://repeat.com/d/", "200"),
+            ("http://repeat.com/d/y.html", "200"),
+        ], 6),
+    ):
+        added.clear()
+        result = crawl_outlinks(SiteKey(site), policy, RULES, host_map=host_map, now=7)
+        assert len(added) == len(result.links), site
+        # the sites in the order they were first linked to
+        assert list(result.links) == [
+            LinkRecord(SiteKey(site), SiteKey(target), frozenset({SourceTag.CRAWL}), 7)
+            for target in targets
+        ]
+        assert _requests(result) == requests
+        assert result.report.skipped_links == skipped

@@ -55,10 +55,9 @@ def test_linkset_dedups_by_source_target():
         _record("a.com", "b.com", {SourceTag.CRAWL}, 5),
         _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 3),
     )
-    assert len(links) == 1
-    merged = links.get(("a.com", "b.com"))
-    assert merged.provenance == {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}
-    assert merged.first_seen == 3
+    assert list(links) == [
+        _record("a.com", "b.com", {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}, 3),
+    ]
 
 
 def test_merge_unions_keys_and_provenance():
@@ -69,10 +68,11 @@ def test_merge_unions_keys_and_provenance():
              _record("a.com", "b.com", {SourceTag.CRAWL}),
              _record("a.com", "d.com", {SourceTag.CRAWL}))
     merged = merge_link_sets(a, b)
-    assert len(merged) == 3
-    assert merged.get(("a.com", "b.com")).provenance == {
-        SourceTag.CRAWL, SourceTag.OUTLINK_INDEX,
-    }
+    assert [(r.key, r.provenance) for r in merged] == [
+        (("a.com", "b.com"), {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}),
+        (("a.com", "c.com"), {SourceTag.OUTLINK_INDEX}),
+        (("a.com", "d.com"), {SourceTag.CRAWL}),
+    ]
 
 
 def test_merge_direction_mismatch():
@@ -354,14 +354,25 @@ def test_read_link_set_rejects_malformed_row_after_valid_ones(tmp_path, row):
         read_link_set(path, Direction.OUTLINKS)
 
 
-def test_read_link_set_builds_one_site_key_per_site_text(tmp_path):
+def test_read_link_set_builds_one_site_key_per_site_text(tmp_path, monkeypatch):
     path = tmp_path / "links.csv"
     rows = [f"s{i % 3}.com,s{(i + 1) % 4}.com,{'Crawl' if i % 2 else 'InlinkIndex'},{i}"
             for i in range(12)]
     path.write_text("source,target,provenance,first_seen\n" + "\n".join(rows) + "\n")
+    checked = []
+
+    def counting(text):
+        checked.append(text)
+        return SiteKey(text)
+
+    monkeypatch.setattr(harvest, "SiteKey", counting)
     links = read_link_set(path, Direction.INLINKS)
+    monkeypatch.undo()
     assert len(links) == 12
-    sites = {id(site): site.value for r in links for site in (r.source, r.target)}
+    # each site text is checked once, as a SiteKey
+    assert sorted(checked) == ["s0.com", "s1.com", "s2.com", "s3.com"]
+    # the set holds every site's text, and every key naming it, as one string
+    sites = {id(text): text for key in links.pairs() for text in key}
     assert sorted(sites.values()) == ["s0.com", "s1.com", "s2.com", "s3.com"]
     assert len({id(r.provenance) for r in links}) == 2
 

@@ -128,7 +128,20 @@ def test_scanner_handles_each_kind_of_markup():
         '<p title="a>b" class=x>1 < 2</p><A HREF=\'one&amp;two\'>x</A>'
         '<area href="m" alt=""/><a href="x" href=y><a href="">e</a><a name=q>'
     )
-    assert extract_hrefs(document) == ["one&two", "m", "x", "y"]
+    assert extract_hrefs(document) == ["one&two", "m", "x"]
+
+
+def test_a_tag_is_read_by_its_first_href():
+    # the HTML tokenizer drops a repeated attribute, and the document's base
+    # is the first base that has an href
+    assert extract_hrefs('<a href="x" href=y><a href href=y><a href="" href=z>') == ["x"]
+    for bases, link in (
+        ('<base href="/b/" href="/c/">', "http://site.com/b/p"),
+        ('<base target=_top><base href="/b/"><base href="/c/">', "http://site.com/b/p"),
+        # an href without a value is the page's own URL
+        ("<base href><base href='/c/'>", "http://site.com/dir/p"),
+    ):
+        assert extract_hrefs(f'{bases}<a href="p">', PAGE_URL) == [link], bases
 
 
 def test_a_script_tag_closed_by_its_slash_has_no_raw_text():

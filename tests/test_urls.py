@@ -172,6 +172,47 @@ def test_canonicalize_idempotent(scheme, host, port, path, query, fragment):
     assert again == first
 
 
+# hrefs as pages write them, built from a scheme (in mixed case, or not
+# http(s), or none), an authority with a port or an IDN host, path segments
+# with dots and escapes, and a query or fragment; or the same pieces in any
+# order
+_SCHEMES = ["", "http:", "HTTP:", "https:", "hTtPs:", "Http:", "ftp:", "mailto:", "MailTo:",
+            "javascript:"]
+_AUTHORITIES = ["", "//", "//site.com", "//bücher.de", "//xn--bcher-kva.de:8080",
+                "//WWW.Other.ORG:80", "//[::1]:8443", "//me@site.com", "//site.com:"]
+_SEGMENTS = ["/", "..", ".", "%7e", "%7E", "x.html", "a b"]
+_TAILS = ["", "?", "?a=1", "#", "#top", "?q=%7e#f"]
+_HREFS = st.one_of(
+    st.tuples(st.sampled_from(_SCHEMES), st.sampled_from(_AUTHORITIES),
+              st.lists(st.sampled_from(_SEGMENTS), max_size=5).map("".join),
+              st.sampled_from(_TAILS)).map("".join),
+    st.lists(st.sampled_from(_SCHEMES + _AUTHORITIES + _SEGMENTS + _TAILS),
+             min_size=1, max_size=8).map("".join),
+)
+_BASES = [canonicalize(raw) for raw in (
+    "http://site.com/dir/page.html", "https://bücher.de:8443/a/b/?q=1", "http://[::1]/",
+    "HTTP://Other.org",
+)]
+
+
+@given(raw=_HREFS)
+@settings(max_examples=300)
+def test_a_base_changes_only_what_canonicalize_cannot_read_without_one(raw):
+    # a crawl resolves an href once, without a base, and reuses the answer on
+    # every page unless the answer is MalformedUrl
+    try:
+        alone = canonicalize(raw)
+    except UnsupportedScheme:
+        for base in _BASES:
+            with pytest.raises(UnsupportedScheme):
+                canonicalize(raw, base=base)
+        return
+    except MalformedUrl:
+        return
+    for base in _BASES:
+        assert canonicalize(raw, base=base) == alone
+
+
 # --- SiteKey ----------------------------------------------------------------
 
 
