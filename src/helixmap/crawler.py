@@ -27,15 +27,19 @@ is unreachable), redirects are followed up to 5 hops with the final URL
 deciding the site key, and per-page failures never abort a crawl.
 
 A host map ("host -> address:port") lets fixtures and mirrors serve a
-logical hostname from a local address, exactly like a hosts-file entry.
-It is the one supported way to redirect a crawl: pages are fetched over
-one urllib3 connection pool per crawl, which reads no proxy variable and
-no ``~/.netrc``, and every transport failure (``urllib3``'s
-``HTTPError``s) is a recorded page error.
+logical hostname from a local address, exactly like a hosts-file entry:
+the request goes to the address and still names the logical host and port
+in its ``Host`` header. It is the one supported way to redirect a crawl:
+pages are fetched with the standard library's ``http.client``, over one
+``harvest.HttpClient`` per crawl, which keeps a connection per origin and
+reads no proxy variable and no ``~/.netrc``. Every transport failure (an
+``OSError`` or an ``http.client.HTTPException``, a body cut short among
+them) is a recorded page error, and so is a body in a content coding.
 """
 
 from __future__ import annotations
 
+import http.client
 import logging
 import re
 import time
@@ -43,21 +47,20 @@ import urllib.robotparser
 from collections import deque
 from dataclasses import dataclass, field
 from html import unescape
-from urllib.parse import urljoin
-
-import urllib3
+from urllib.parse import urljoin, urlsplit
 
 from .harvest import (
     HTTP_HEADERS,
+    MAX_REDIRECT_HOPS,
+    REDIRECT_STATUSES,
     USER_AGENT,
-    BodyTooLarge,
     Direction,
+    HttpClient,
     LinkRecord,
     LinkSet,
     SourceTag,
+    UnreadableBody,
     body_charset,
-    http_get,
-    read_chunks,
 )
 from .urls import (
     CanonicalUrl,
@@ -71,7 +74,6 @@ from .urls import (
 
 log = logging.getLogger(__name__)
 
-MAX_REDIRECT_HOPS = 5
 # the most a page body may hold once decoded; a larger page is a page error
 MAX_PAGE_BYTES = 8 * 2**20
 
@@ -230,7 +232,7 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
 
 class Fetcher:
     """HTTP fetcher with manual redirect handling and host-map support,
-    over one connection pool that never retries."""
+    over one ``HttpClient`` that never retries."""
 
     def __init__(
         self,
@@ -242,17 +244,13 @@ class Fetcher:
         self.policy = policy
         self.throttle = throttle
         self.report = report
-        self.host_map = host_map or {}
-        self.pool = urllib3.PoolManager(retries=False)
-
-    def _transport_url(self, url: CanonicalUrl) -> tuple[str, dict[str, str]]:
-        headers = dict(HTTP_HEADERS)
-        address = self.host_map.get(url.host)
-        if address is None:
-            return str(url), headers
-        headers["Host"] = url.host
-        query = "" if url.query is None else f"?{url.query}"
-        return f"{url.scheme}://{address}{url.path}{query}", headers
+        # host -> the (address, port) its requests go to; None is the
+        # scheme's default port
+        self.addresses: dict[str, tuple[str, int | None]] = {}
+        for host, address in (host_map or {}).items():
+            split = urlsplit(f"//{address}")
+            self.addresses[host] = (split.hostname, split.port)
+        self.client = HttpClient(policy.timeout)
 
     def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
         self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
@@ -269,21 +267,20 @@ class Fetcher:
         for _ in range(MAX_REDIRECT_HOPS + 1):
             self.throttle.wait(current.host)
             sent = time.time()
-            transport, headers = self._transport_url(current)
             try:
-                with http_get(self.pool, transport, headers=headers,
-                              timeout=self.policy.timeout, redirect=False) as response:
-                    body = b"".join(read_chunks(response, MAX_PAGE_BYTES))
-            except BodyTooLarge as exc:
-                self._log(sent, current, str(response.status))
-                return FetchError(str(current), str(exc), response.status)
-            except urllib3.exceptions.HTTPError as exc:
+                with self.client.get(current, HTTP_HEADERS, MAX_PAGE_BYTES,
+                                     self.addresses.get(current.host)) as (response, chunks):
+                    status = response.status
+                    body = b"".join(chunks)
+            except UnreadableBody as exc:
+                self._log(sent, current, str(status))
+                return FetchError(str(current), str(exc), status)
+            except (OSError, http.client.HTTPException) as exc:
                 self._log(sent, current, "error")
                 return FetchError(str(current), str(exc), None)
-            status = response.status
             self._log(sent, current, str(status))
-            if status in (301, 302, 303, 307, 308):
-                location = response.headers.get("Location")
+            if status in REDIRECT_STATUSES:
+                location = response.getheader("Location")
                 if not location:
                     return FetchError(str(current), "redirect without Location", status)
                 try:
@@ -293,7 +290,7 @@ class Fetcher:
                 continue
             if status != 200:
                 return FetchError(str(current), f"HTTP {status}", status)
-            content_type = response.headers.get("Content-Type", "")
+            content_type = response.getheader("Content-Type", "")
             try:
                 charset = body_charset(content_type)
             except LookupError as exc:
@@ -441,7 +438,7 @@ def crawl_outlinks(
                     seen.add(link_text)
                     queue.append((link_url, depth + 1))
     finally:
-        fetcher.pool.clear()
+        fetcher.client.close()
     tags = frozenset({SourceTag.CRAWL})
     links = LinkSet(Direction.OUTLINKS, (LinkRecord(site, target, tags, now) for target in targets))
     return CrawlResult(links=links, report=report)

@@ -23,6 +23,8 @@ Canonicalization rules:
   §6.2.2.2): hex digits are uppercased and encoded unreserved characters
   are decoded, so ``%7e`` becomes ``~`` and ``%2f`` becomes ``%2F``,
 - dot segments (``./``, ``../``) are resolved out of the path,
+- a relative reference is resolved against its base as RFC 3986 section
+  5.2.2 says, on the base's parsed parts, before it is normalized,
 - ``www.`` is never special-cased: it disappears only through registrable
   domain reduction.
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 import idna
 
@@ -61,6 +63,10 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 # the forbidden domain code points of the WHATWG URL standard
 _FORBIDDEN_HOST_CHARS = re.compile(r"[\x00-\x20#%/:<>?@\[\\\]^|\x7f]")
 _PERCENT_ENCODED = re.compile(r"%[0-9A-Fa-f]{2}")
+# what urlsplit drops from a URL before it parses it: C0 controls and
+# spaces at its start, and every tab and line break
+_C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
+_TAB_AND_NEWLINE = str.maketrans("", "", "\t\n\r")
 _UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
 
 
@@ -74,11 +80,17 @@ class CanonicalUrl:
     path: str
     query: str | None = None
 
-    def __str__(self) -> str:
+    @property
+    def authority(self) -> str:
+        """The host, in brackets when it is an IPv6 literal, and ``:port``
+        unless the port is the scheme's default: what the URL and the
+        ``Host`` header of a request for it write."""
         host = f"[{self.host}]" if ":" in self.host else self.host
-        port = f":{self.port}" if self.port is not None else ""
+        return host if self.port is None else f"{host}:{self.port}"
+
+    def __str__(self) -> str:
         query = f"?{self.query}" if self.query is not None else ""
-        return f"{self.scheme}://{host}{port}{self.path}{query}"
+        return f"{self.scheme}://{self.authority}{self.path}{query}"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -209,56 +221,73 @@ class ReductionRules:
 def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
     """Parse and normalize a URL string, resolving it against ``base`` if relative.
 
-    Raises MalformedUrl for unparseable input (or a relative reference with
-    no base) and UnsupportedScheme for non-http(s) schemes. Idempotent:
-    canonicalizing the rendering of a canonical URL returns an equal value.
+    A relative reference is resolved as RFC 3986 section 5.2.2 says, on
+    the base's own parts: a merged path keeps its empty segments, and an
+    empty query (``?``) replaces the base's. Raises MalformedUrl for
+    unparseable input (or a relative reference with no base) and
+    UnsupportedScheme for non-http(s) schemes. Idempotent: canonicalizing
+    the rendering of a canonical URL returns an equal value.
     """
     if raw is None or not raw.strip():
         raise MalformedUrl("empty URL")
     raw = raw.strip()
+    if not raw.isprintable():
+        # drop what urlsplit drops before it parses, so that raw is the
+        # text it parses
+        raw = raw.lstrip(_C0_CONTROL_OR_SPACE).translate(_TAB_AND_NEWLINE)
 
     try:
-        split = urlsplit(raw)
+        scheme, netloc, path, query, _ = urlsplit(raw)
     except ValueError as exc:
         raise MalformedUrl(f"unparseable URL {raw!r}: {exc}") from exc
+    query = _normalize_percent(query) if query else None
 
-    if split.scheme and split.scheme.lower() not in _ALLOWED_SCHEMES:
-        raise UnsupportedScheme(f"unsupported scheme {split.scheme!r} in {raw!r}")
-    if split.scheme and not split.netloc:
-        raise MalformedUrl(f"missing host in {raw!r}")
+    if scheme:
+        if scheme not in _ALLOWED_SCHEMES:
+            raise UnsupportedScheme(f"unsupported scheme {scheme!r} in {raw!r}")
+        if not netloc:
+            raise MalformedUrl(f"missing host in {raw!r}")
+    elif base is None:
+        raise MalformedUrl(f"relative URL {raw!r} without a base")
+    elif netloc or raw.startswith("//"):
+        # a network-path reference: the base's scheme and its own authority
+        scheme = base.scheme
+        path = _remove_dot_segments(path)
+    elif path:
+        if path[0] != "/":
+            path = base.path[: base.path.rfind("/") + 1] + path
+        path = _normalize_path(_remove_dot_segments(path))
+        return CanonicalUrl(base.scheme, base.host, base.port, path, query)
+    elif "?" in raw.partition("#")[0]:
+        return CanonicalUrl(base.scheme, base.host, base.port, base.path, query)
+    else:
+        return base  # a fragment alone, or nothing
 
-    if not split.scheme:
-        if base is None:
-            raise MalformedUrl(f"relative URL {raw!r} without a base")
-        try:
-            split = urlsplit(urljoin(str(base), raw))
-        except ValueError as exc:
-            raise MalformedUrl(f"cannot resolve {raw!r} against {base}: {exc}") from exc
-
-    scheme = split.scheme.lower()
-    if scheme not in _ALLOWED_SCHEMES:
-        raise UnsupportedScheme(f"unsupported scheme {scheme!r} in {raw!r}")
-    if split.username is not None or split.password is not None:
-        raise MalformedUrl(f"userinfo is not supported: {raw!r}")
-
-    try:
-        host = split.hostname
-        port = split.port
-    except ValueError as exc:
-        raise MalformedUrl(f"bad host/port in {raw!r}: {exc}") from exc
-    if not host:
-        raise MalformedUrl(f"empty host in {raw!r}")
-    host = _normalize_host(host, raw)
-
+    host, port = _host_and_port(netloc, raw)
     if port == _DEFAULT_PORTS[scheme]:
         port = None
+    return CanonicalUrl(scheme, host, port, _normalize_path(path), query)
 
-    path = _remove_dot_segments(_normalize_percent(split.path) or "/")
-    if not path.startswith("/"):
-        path = "/" + path
 
-    query = _normalize_percent(split.query) if split.query else None
-    return CanonicalUrl(scheme=scheme, host=host, port=port, path=path, query=query)
+def _host_and_port(netloc: str, raw: str) -> tuple[str, int | None]:
+    """The normalized host and the port of a URL's authority, read as
+    urlsplit's ``hostname`` and ``port`` read them; userinfo is refused."""
+    if "@" in netloc:
+        raise MalformedUrl(f"userinfo is not supported: {raw!r}")
+    if "[" in netloc:
+        host, _, port = netloc.partition("[")[2].partition("]")
+        port = port.partition(":")[2]
+    else:
+        host, _, port = netloc.partition(":")
+    if not port:
+        number = None
+    elif port.isascii() and port.isdigit() and len(port.lstrip("0")) <= 5 and int(port) <= 65535:
+        number = int(port)
+    else:
+        raise MalformedUrl(f"bad port in {raw!r}")
+    if not host:
+        raise MalformedUrl(f"empty host in {raw!r}")
+    return _normalize_host(host, raw), number
 
 
 def _normalize_host(host: str, raw: str) -> str:
@@ -296,8 +325,15 @@ def _normalize_percent(text: str) -> str:
     return _PERCENT_ENCODED.sub(normalize, text)
 
 
+def _normalize_path(path: str) -> str:
+    # RFC 3986 sections 6.2.2.2 and 6.2.2.3, and "/" for an empty path
+    return _remove_dot_segments(_normalize_percent(path) or "/")
+
+
 def _remove_dot_segments(path: str) -> str:
     # RFC 3986 section 5.2.4
+    if "/." not in path and path[:1] != ".":
+        return path  # no segment is "." or ".."
     output: list[str] = []
     while path:
         if path.startswith("../"):

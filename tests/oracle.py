@@ -1,15 +1,17 @@
 """Independent brute-force reference for the network pipeline and metrics,
-and for the crawler's link extraction.
+for the crawler's link extraction, and for URI reference resolution.
 
 Everything here is written as explicit set/list enumeration with no shared
 code or data structures from the package under test: records are plain
 string tuples, networks are (nodes, edges) pairs, means use Fractions with
 hand-rolled half-up rounding. Links are read with the standard library's
-``html.parser``. Slow on purpose; only correctness matters.
+``html.parser``. References are resolved by a transcription of RFC 3986's
+own text. Slow on purpose; only correctness matters.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from html.parser import HTMLParser
 from urllib.parse import urljoin
@@ -177,3 +179,98 @@ def page_hrefs(html: str, url: str = "") -> list[str]:
         return collector.hrefs
     base = urljoin(url, collector.base.strip())
     return [urljoin(base, href.strip()) for href in collector.hrefs]
+
+
+# --- URI reference resolution: RFC 3986 Appendix B and sections 5.2.2-5.3 -----
+
+_URI_REFERENCE = re.compile(r"^(([^:/?#]+):)?(//([^/?#]*))?([^?#]*)(\?([^#]*))?(#(.*))?")
+
+
+def split_reference(reference: str):
+    """(scheme, authority, path, query, fragment) by the regular expression
+    of RFC 3986 Appendix B; None for a component the reference lacks."""
+    match = _URI_REFERENCE.match(reference)
+    return match.group(2), match.group(4), match.group(5), match.group(7), match.group(9)
+
+
+def remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4, with its input and output buffers."""
+    input_buffer, output_buffer = path, ""
+    while input_buffer:
+        # A
+        if input_buffer.startswith("../"):
+            input_buffer = input_buffer[3:]
+        elif input_buffer.startswith("./"):
+            input_buffer = input_buffer[2:]
+        # B
+        elif input_buffer.startswith("/./"):
+            input_buffer = input_buffer[2:]
+        elif input_buffer == "/.":
+            input_buffer = "/"
+        # C: the last segment of the output goes, with the "/" before it
+        elif input_buffer.startswith("/../"):
+            input_buffer = input_buffer[3:]
+            output_buffer = output_buffer[: max(output_buffer.rfind("/"), 0)]
+        elif input_buffer == "/..":
+            input_buffer = "/"
+            output_buffer = output_buffer[: max(output_buffer.rfind("/"), 0)]
+        # D
+        elif input_buffer in (".", ".."):
+            input_buffer = ""
+        # E: the first segment moves, with its "/" if it has one
+        else:
+            end = input_buffer.find("/", 1)
+            if end == -1:
+                end = len(input_buffer)
+            output_buffer += input_buffer[:end]
+            input_buffer = input_buffer[end:]
+    return output_buffer
+
+
+def merge(base_authority: str | None, base_path: str, reference_path: str) -> str:
+    """RFC 3986 section 5.2.3."""
+    if base_authority is not None and base_path == "":
+        return "/" + reference_path
+    return base_path[: base_path.rfind("/") + 1] + reference_path
+
+
+def resolve(base: str, reference: str) -> str:
+    """The target URI of ``reference`` against ``base``: RFC 3986 section
+    5.2.2 (strict), recomposed as section 5.3 says."""
+    b_scheme, b_authority, b_path, b_query, _ = split_reference(base)
+    r_scheme, r_authority, r_path, r_query, r_fragment = split_reference(reference)
+    if r_scheme is not None:
+        t_scheme = r_scheme
+        t_authority = r_authority
+        t_path = remove_dot_segments(r_path)
+        t_query = r_query
+    else:
+        if r_authority is not None:
+            t_authority = r_authority
+            t_path = remove_dot_segments(r_path)
+            t_query = r_query
+        else:
+            if r_path == "":
+                t_path = b_path
+                t_query = r_query if r_query is not None else b_query
+            else:
+                if r_path.startswith("/"):
+                    t_path = remove_dot_segments(r_path)
+                else:
+                    t_path = remove_dot_segments(merge(b_authority, b_path, r_path))
+                t_query = r_query
+            t_authority = b_authority
+        t_scheme = b_scheme
+    t_fragment = r_fragment
+
+    result = ""
+    if t_scheme is not None:
+        result += t_scheme + ":"
+    if t_authority is not None:
+        result += "//" + t_authority
+    result += t_path
+    if t_query is not None:
+        result += "?" + t_query
+    if t_fragment is not None:
+        result += "#" + t_fragment
+    return result

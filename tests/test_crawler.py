@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import gzip
 import threading
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from helixmap import crawler, harvest
-from helixmap.crawler import MAX_REDIRECT_HOPS, CrawlPolicy, crawl_outlinks, extract_hrefs
+from helixmap.crawler import (
+    MAX_REDIRECT_HOPS,
+    CrawlPolicy,
+    CrawlReport,
+    Fetcher,
+    HostThrottle,
+    crawl_outlinks,
+    extract_hrefs,
+)
 from helixmap.harvest import LinkRecord, SourceTag
-from helixmap.urls import ReductionRules, SiteKey
+from helixmap.urls import ReductionRules, SiteKey, canonicalize
 
 RULES = ReductionRules.bundled()
 
@@ -104,6 +114,30 @@ SITES = {
         "/big.html": "x" * 1000,
         "/after.html": '<a href="http://after.org/">a</a>',
     },
+    # its second and third links are answers cut short: 33 bytes of a
+    # Content-Length of 500, and a chunked body without its last chunk
+    "cut.com": {
+        "/": '<a href="/short.html">s</a> <a href="/chunked.html">c</a> <a href="/after.html">a</a>',
+        "/after.html": '<a href="http://after.org/">a</a>',
+    },
+    # its second link is a page in gzip, which the crawl did not ask for
+    "zipped.com": {
+        "/": '<a href="/z.html">z</a> <a href="/after.html">a</a>',
+        "/after.html": '<a href="http://after.org/">a</a>',
+    },
+}
+_LINK = b'<a href="http://short.org/">s</a>'
+_ZIPPED = gzip.compress(b'<a href="http://zipped.org/">z</a>')
+# (host, path) -> the whole answer, sent as it is
+RAW = {
+    ("cut.com", "/short.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                                 b"Content-Length: 500\r\n\r\n" + _LINK),
+    ("cut.com", "/chunked.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                                   b"Transfer-Encoding: chunked\r\n\r\n"
+                                   + b"%x\r\n" % len(_LINK) + _LINK + b"\r\n"),
+    ("zipped.com", "/z.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                                b"Content-Encoding: gzip\r\n"
+                                b"Content-Length: %d\r\n\r\n" % len(_ZIPPED) + _ZIPPED),
 }
 ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200, "agent.com": 200}
 # (host, path) -> (Content-Type, the codec of its body); other pages are
@@ -118,6 +152,10 @@ ENCODINGS = {
 class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         host = self.headers["Host"]
+        raw = RAW.get((host, self.path))
+        if raw is not None:
+            self.wfile.write(raw)
+            return
         body = SITES[host].get(self.path)
         status, location = REDIRECTS.get(self.path, (200 if body is not None else 404, None))
         if self.path == "/robots.txt":
@@ -136,21 +174,27 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture(scope="module")
-def host_map():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+@contextmanager
+def _serving(handler, server_class=ThreadingHTTPServer):
+    server = server_class(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
     try:
-        address = f"127.0.0.1:{server.server_address[1]}"
-        yield {host: address for host in SITES}
+        yield server
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def host_map():
+    with _serving(_Handler) as server:
+        address = f"127.0.0.1:{server.server_address[1]}"
+        yield {host: address for host in SITES}
 
 
 def test_extract_hrefs_resolves_against_first_base():
@@ -430,3 +474,125 @@ def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
         ]
         assert _requests(result) == requests
         assert result.report.skipped_links == skipped
+
+
+def test_a_body_cut_short_is_a_page_error(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("cut.com"), policy, RULES, host_map=host_map)
+    # the transport failed, so no status; what came of the bodies is not read
+    assert [(e.url, e.status) for e in result.report.errors] == [
+        ("http://cut.com/short.html", None),
+        ("http://cut.com/chunked.html", None),
+    ]
+    assert _requests(result) == [
+        ("http://cut.com/robots.txt", "404"),
+        ("http://cut.com/", "200"),
+        ("http://cut.com/short.html", "error"),
+        ("http://cut.com/chunked.html", "error"),
+        ("http://cut.com/after.html", "200"),
+    ]
+    assert result.report.pages_fetched == 2
+    assert {record.key for record in result.links} == {("cut.com", "after.org")}
+
+
+def test_an_answer_in_a_content_coding_is_a_page_error(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("zipped.com"), policy, RULES, host_map=host_map)
+    # asked for identity, sent gzip: recorded, never decoded or read as text
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://zipped.com/z.html", "answer in content coding 'gzip'", 200),
+    ]
+    assert ("http://zipped.com/z.html", "200") in _requests(result)
+    assert result.report.pages_fetched == 2
+    assert {record.key for record in result.links} == {("zipped.com", "after.org")}
+
+
+class _HostRecorder(BaseHTTPRequestHandler):
+    def do_GET(self):
+        self.server.hosts.append(self.headers["Host"])
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_the_host_header_names_the_urls_authority():
+    with _serving(_HostRecorder) as server:
+        server.hosts = []
+        address = f"127.0.0.1:{server.server_address[1]}"
+        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0),
+                          CrawlReport(), host_map={"a.com": address, "::1": address})
+        urls = ["http://a.com:8080/x", "http://a.com/x", "http://a.com:80/x",
+                "http://[::1]:8443/x", "http://[::1]/x", f"http://{address}/x"]
+        try:
+            for url in urls:
+                assert not isinstance(fetcher.fetch(canonicalize(url)), crawler.FetchError)
+        finally:
+            fetcher.client.close()
+    # the port unless it is the default, an IPv6 host in brackets; mapped or not
+    assert server.hosts == ["a.com:8080", "a.com", "a.com", "[::1]:8443", "[::1]", address]
+
+
+class _IdleClosingServer(ThreadingHTTPServer):
+    """Closes each connection once its answer is sent, though the answer
+    (HTTP/1.1, with a Content-Length) lets the client keep it open."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.closed = threading.Semaphore(0)  # released per closed connection
+        self.peers = []
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+class _IdleClosingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        self.server.peers.append(self.client_address)
+        body = {"/": b'<a href="/a.html">a</a>',
+                "/a.html": b'<a href="http://after.org/">a</a>'}.get(self.path)
+        self.send_response(404 if body is None else 200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body or b"")))
+        self.end_headers()
+        self.wfile.write(body or b"")
+        self.close_connection = True
+
+    def log_message(self, format, *args):
+        pass
+
+
+class _AfterEachClose(HostThrottle):
+    """Lets each request after the first go only once the server has closed
+    the connection of the one before."""
+
+    def __init__(self, server):
+        super().__init__(0)
+        self.server = server
+        self.requests = 0
+
+    def wait(self, host):
+        if self.requests:
+            assert self.server.closed.acquire(timeout=5)
+        self.requests += 1
+
+
+def test_a_connection_the_server_closed_while_idle_is_opened_again():
+    with _serving(_IdleClosingHandler, _IdleClosingServer) as server:
+        policy = CrawlPolicy(delay_per_host=0, timeout=5)
+        result = crawl_outlinks(SiteKey("idle.com"), policy, RULES,
+                                host_map={"idle.com": f"127.0.0.1:{server.server_address[1]}"},
+                                throttle=_AfterEachClose(server))
+    assert result.report.errors == []
+    assert _requests(result) == [
+        ("http://idle.com/robots.txt", "404"),
+        ("http://idle.com/", "200"),
+        ("http://idle.com/a.html", "200"),
+    ]
+    assert {record.key for record in result.links} == {("idle.com", "after.org")}
+    assert len(set(server.peers)) == 3  # a new connection for each request

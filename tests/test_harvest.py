@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import gzip
 import random
 import re
 import threading
@@ -468,12 +469,26 @@ def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):
 
 # --- HTTP index adapter ---------------------------------------------------------
 
-# a backlink service on loopback, which redirects /moved/... to /api/...:
-# five links for any site, a 500 for broken.co.uk; stall.co.uk gets
-# ``limit`` links of a longer answer and then nothing until the server is
-# released, huge.co.uk one line longer than the read bound; the sites in
-# ENCODED get one link under their own Content-Type
+# a backlink service on loopback, which redirects /moved/... to /api/...
+# and /to/<port>/... to /... on that port: five links for any site, a 500
+# for broken.co.uk; stall.co.uk gets ``limit`` links of a longer answer and
+# then nothing until the server is released, huge.co.uk one line longer
+# than the read bound; the sites in ENCODED get one link under their own
+# Content-Type, and those in RAW_ANSWERS the answer given there
 SERVED = [f"http://x{i}.com/" for i in range(5)]
+_HEAD = "".join(f"{url}\n" for url in SERVED[:2]).encode("utf-8")
+_ZIPPED = gzip.compress("".join(f"{url}\n" for url in SERVED).encode("utf-8"))
+RAW_ANSWERS = {
+    # two links of a Content-Length of 500
+    "short.co.uk": (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+                    b"Content-Length: 500\r\n\r\n" + _HEAD),
+    # a chunk of two links, and not the last chunk
+    "chunked.co.uk": (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+                      b"Transfer-Encoding: chunked\r\n\r\n"
+                      + b"%x\r\n" % len(_HEAD) + _HEAD + b"\r\n"),
+    "gzip.co.uk": (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Encoding: gzip\r\n"
+                   b"Content-Length: %d\r\n\r\n" % len(_ZIPPED) + _ZIPPED),
+}
 ENCODED = {
     "idn.co.uk": ("text/plain", "http://münchen.de/\n".encode("utf-8")),
     "latin.co.uk": ("text/plain; charset=ISO-8859-1", "http://münchen.de/\n".encode("latin-1")),
@@ -487,9 +502,14 @@ ENCODED = {
 class _IndexHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         split = urlsplit(self.path)
-        if split.path.startswith("/moved/"):
+        if split.path.startswith(("/moved/", "/to/")):
+            if split.path.startswith("/moved/"):
+                location = self.path.replace("/moved/", "/api/", 1)
+            else:
+                _, _, port, rest = self.path.split("/", 3)
+                location = f"http://127.0.0.1:{port}/{rest}"
             self.send_response(301)
-            self.send_header("Location", self.path.replace("/moved/", "/api/", 1))
+            self.send_header("Location", location)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -497,6 +517,10 @@ class _IndexHandler(BaseHTTPRequestHandler):
         self.server.seen.append((split.path, query, self.headers.get("Authorization")))
         self.server.peers.append(self.client_address)
         site = query.get("site", [""])[0]
+        if site in RAW_ANSWERS:
+            self.wfile.write(RAW_ANSWERS[site])
+            self.close_connection = True
+            return
         self.send_response(500 if site == "broken.co.uk" else 200)
         content_type, payload = ENCODED.get(site, ("text/plain", None))
         self.send_header("Content-Type", content_type)
@@ -588,6 +612,39 @@ def test_http_index_follows_redirects(index_server):
     assert index_server.seen[-1] == (
         "/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, "Bearer s3cret",
     )
+
+
+def test_http_index_redirect_to_another_origin_drops_the_token(index_server,
+                                                               keepalive_index_server):
+    here, there = index_server.server_address[1], keepalive_index_server.server_address[1]
+    for port, server, authorization in ((there, keepalive_index_server, None),
+                                        (here, index_server, "Bearer s3cret")):
+        index = HttpLinkIndex(f"http://127.0.0.1:{here}/to/{port}/api/", token="s3cret",
+                              timeout=5)
+        assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
+        index.close()
+        assert server.seen[-1] == (
+            "/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, authorization,
+        )
+
+
+@pytest.mark.parametrize("site", ["short.co.uk", "chunked.co.uk"])
+def test_http_index_answer_cut_short_makes_a_failed_site(index_server, site):
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    with pytest.raises(IndexUnavailable):
+        index.inlinks_of(SiteKey(site), 10)
+    # the links asked for came before the cut
+    assert index.inlinks_of(SiteKey(site), 2) == SERVED[:2]
+    result = harvest_index([SiteKey(site), SiteKey("sitea.co.uk")],
+                           index, Direction.INLINKS, RULES, now=1)
+    assert [s.value for s in result.failed_sites] == [site]
+    assert len(result.links) == len(SERVED)
+
+
+def test_http_index_answer_in_a_content_coding_makes_a_failed_site(index_server):
+    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
+    with pytest.raises(IndexUnavailable, match="content coding 'gzip'"):
+        index.inlinks_of(SiteKey("gzip.co.uk"), 10)
 
 
 def test_http_index_server_error_makes_a_failed_site(index_server):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ipaddress
 import os
+import re
 import subprocess
 import sys
 import types
@@ -11,9 +12,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from helixmap import urls
 from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag, filter_generic
 from helixmap.urls import (
@@ -211,6 +213,96 @@ def test_a_base_changes_only_what_canonicalize_cannot_read_without_one(raw):
         return
     for base in _BASES:
         assert canonicalize(raw, base=base) == alone
+
+
+# RFC 3986 section 5.4's examples against its base, each with its target
+# after canonicalization (no fragment, no empty query, "/" for an empty
+# path) or the error canonicalize raises; then where resolution departs
+# from urljoin, which drops empty segments of a merged path and ignores an
+# empty query
+_RFC3986_BASE = "http://a/b/c/d;p?q"
+_RFC3986_EXAMPLES = [
+    # section 5.4.1, normal examples
+    ("g:h", UnsupportedScheme),
+    ("g", "http://a/b/c/g"),
+    ("./g", "http://a/b/c/g"),
+    ("g/", "http://a/b/c/g/"),
+    ("/g", "http://a/g"),
+    ("//g", "http://g/"),
+    ("?y", "http://a/b/c/d;p?y"),
+    ("g?y", "http://a/b/c/g?y"),
+    ("#s", "http://a/b/c/d;p?q"),
+    ("g#s", "http://a/b/c/g"),
+    ("g?y#s", "http://a/b/c/g?y"),
+    (";x", "http://a/b/c/;x"),
+    ("g;x", "http://a/b/c/g;x"),
+    ("g;x?y#s", "http://a/b/c/g;x?y"),
+    ("", MalformedUrl),  # the RFC's base; canonicalize refuses an empty URL
+    (".", "http://a/b/c/"),
+    ("./", "http://a/b/c/"),
+    ("..", "http://a/b/"),
+    ("../", "http://a/b/"),
+    ("../g", "http://a/b/g"),
+    ("../..", "http://a/"),
+    ("../../", "http://a/"),
+    ("../../g", "http://a/g"),
+    # section 5.4.2, abnormal examples
+    ("../../../g", "http://a/g"),
+    ("../../../../g", "http://a/g"),
+    ("/./g", "http://a/g"),
+    ("/../g", "http://a/g"),
+    ("g.", "http://a/b/c/g."),
+    (".g", "http://a/b/c/.g"),
+    ("g..", "http://a/b/c/g.."),
+    ("..g", "http://a/b/c/..g"),
+    ("./../g", "http://a/b/g"),
+    ("./g/.", "http://a/b/c/g/"),
+    ("g/./h", "http://a/b/c/g/h"),
+    ("g/../h", "http://a/b/c/h"),
+    ("g;x=1/./y", "http://a/b/c/g;x=1/y"),
+    ("g;x=1/../y", "http://a/b/c/y"),
+    ("g?y/./x", "http://a/b/c/g?y/./x"),
+    ("g?y/../x", "http://a/b/c/g?y/../x"),
+    ("g#s/./x", "http://a/b/c/g"),
+    ("g#s/../x", "http://a/b/c/g"),
+    ("http:g", MalformedUrl),  # strict: a scheme and no host
+    # where urljoin differs: it gives /b/c/d/e, /b/c/b and the base's query
+    ("d//e", "http://a/b/c/d//e"),
+    ("./a//../b", "http://a/b/c/a/b"),
+    ("?", "http://a/b/c/d;p"),
+]
+
+
+@pytest.mark.parametrize("reference, expected", _RFC3986_EXAMPLES)
+def test_references_resolve_as_rfc3986_examples_say(reference, expected):
+    base = canonicalize(_RFC3986_BASE)
+    if isinstance(expected, str):
+        assert str(canonicalize(reference, base=base)) == expected
+        assert canonicalize(oracle.resolve(_RFC3986_BASE, reference)) == canonicalize(expected)
+    else:
+        with pytest.raises(expected):
+            canonicalize(reference, base=base)
+
+
+# a scheme as RFC 3986 section 3.1 writes it
+_RFC3986_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
+
+
+@given(raw=_HREFS, base=st.sampled_from(_BASES))
+@settings(max_examples=300)
+def test_resolution_matches_the_rfc3986_transcription(raw, base):
+    # Appendix B takes any text before the first ":" for a scheme; text that
+    # no scheme can be makes no URI reference, and urlsplit reads it as a
+    # path. An empty href is no link, and canonicalize refuses it.
+    scheme = oracle.split_reference(raw)[0]
+    assume(raw.strip() and (scheme is None or _RFC3986_SCHEME.fullmatch(scheme)))
+    try:
+        expected = canonicalize(oracle.resolve(str(base), raw))
+    except (MalformedUrl, UnsupportedScheme) as exc:
+        with pytest.raises(type(exc)):
+            canonicalize(raw, base=base)
+        return
+    assert canonicalize(raw, base=base) == expected
 
 
 # --- SiteKey ----------------------------------------------------------------
