@@ -30,38 +30,31 @@ A host map ("host -> address:port") lets fixtures and mirrors serve a
 logical hostname from a local address, exactly like a hosts-file entry:
 the request goes to the address and still names the logical host and port
 in its ``Host`` header. It is the one supported way to redirect a crawl:
-pages are fetched with the standard library's ``http.client``, over one
-``harvest.HttpClient`` per crawl, which keeps a connection per origin and
-reads no proxy variable and no ``~/.netrc``. Every transport failure (an
+pages are fetched with the standard library's ``http.client`` by one
+``Fetcher`` per crawl, which keeps a connection per origin and reads no
+proxy variable and no ``~/.netrc``. Every transport failure (an
 ``OSError`` or an ``http.client.HTTPException``, a body cut short among
 them) is a recorded page error, and so is a body in a content coding.
 """
 
 from __future__ import annotations
 
+import email.message
 import http.client
 import logging
 import re
+import select
+import socket
 import time
 import urllib.robotparser
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from html import unescape
 from urllib.parse import urljoin, urlsplit
 
-from .harvest import (
-    HTTP_HEADERS,
-    MAX_REDIRECT_HOPS,
-    REDIRECT_STATUSES,
-    USER_AGENT,
-    Direction,
-    HttpClient,
-    LinkRecord,
-    LinkSet,
-    SourceTag,
-    UnreadableBody,
-    body_charset,
-)
+from . import __version__
+from .harvest import Direction, LinkRecord, LinkSet, SourceTag
 from .urls import (
     CanonicalUrl,
     MalformedUrl,
@@ -74,8 +67,23 @@ from .urls import (
 
 log = logging.getLogger(__name__)
 
-# the most a page body may hold once decoded; a larger page is a page error
+# the most a page body may hold; a larger page is a page error
 MAX_PAGE_BYTES = 8 * 2**20
+# the most redirects one fetch follows
+MAX_REDIRECT_HOPS = 5
+# statuses whose Location a fetch follows
+REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
+# the name every request gives, which robots.txt groups are matched against
+USER_AGENT = f"helixmap/{__version__}"
+# the headers of every request besides Host; a body in any content coding
+# but identity is refused, so no decoder ever runs on an answer
+HTTP_HEADERS = {"User-Agent": USER_AGENT, "Accept": "*/*",
+                "Accept-Encoding": "identity", "Connection": "keep-alive"}
+_READ_CHUNK = 2**16
+# a character a request target may not hold as it is: outside RFC 3986's
+# unreserved, sub-delims, ":", "@", "/" and "?", or a "%" that starts no
+# percent-encoding
+_UNSAFE_IN_TARGET = re.compile(r"[^A-Za-z0-9\-._~!$&'()*+,;=:@/?%]|%(?![0-9A-Fa-f]{2})")
 
 
 @dataclass(frozen=True)
@@ -230,9 +238,80 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
     return [_join(base, href) for href in hrefs]
 
 
+def body_charset(content_type: str) -> str:
+    """The charset a ``Content-Type`` declares, else UTF-8 (not the
+    ISO-8859-1 that RFC 2616 gave text/*); ``LookupError`` when it names no
+    text codec."""
+    header = email.message.Message()
+    header["Content-Type"] = content_type
+    charset = header.get_content_charset("utf-8")
+    try:
+        b"\n".decode(charset, "replace")  # bytes-to-bytes codecs raise LookupError
+    except (LookupError, UnicodeError):
+        raise LookupError(f"unknown charset {charset!r}") from None
+    return charset
+
+
+class UnreadableBody(Exception):
+    """An answer went on past ``MAX_PAGE_BYTES``, or came in a content
+    coding."""
+
+
+def _percent_encoded(match: re.Match) -> str:
+    return "".join(f"%{byte:02X}" for byte in match[0].encode("utf-8", "surrogatepass"))
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket has something to read: the server
+    closed it, or sent what no request asked for. Either way it cannot
+    carry the next request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_all(connections: dict) -> None:
+    for connection in connections.values():
+        connection.close()
+    connections.clear()
+
+
+def _body(response: http.client.HTTPResponse) -> bytes:
+    """The whole body of ``response``, which is closed once it is read:
+    ``UnreadableBody`` for one in a content coding or of more than
+    ``MAX_PAGE_BYTES``, ``http.client.HTTPException`` for one cut short."""
+    coding = response.getheader("Content-Encoding", "").strip().lower()
+    if coding not in ("", "identity"):
+        raise UnreadableBody(f"answer in content coding {coding!r}")
+    bound = MAX_PAGE_BYTES
+    chunks = []
+    received = 0
+    while chunk := response.read1(_READ_CHUNK):
+        received += len(chunk)
+        if received > bound:
+            raise UnreadableBody(f"answer exceeds {bound} bytes")
+        chunks.append(chunk)
+    # read1 ends a body cut short of its Content-Length without raising
+    if response.length:
+        raise http.client.HTTPException(
+            f"answer ends {response.length} bytes short of its Content-Length")
+    # nor does it close an answer read to the end, which the connection's
+    # next request needs
+    response.close()
+    return b"".join(chunks)
+
+
 class Fetcher:
-    """HTTP fetcher with manual redirect handling and host-map support,
-    over one ``HttpClient`` that never retries."""
+    """HTTP fetcher with manual redirect handling and host-map support.
+
+    GETs go over one keep-alive ``http.client`` connection per origin
+    (scheme, address, port), open until ``close``. A request is sent once:
+    no retry, and no proxy variable or ``~/.netrc`` is read. HTTPS is
+    verified with the default ``ssl`` context. ``policy.timeout`` bounds
+    each socket operation. A connection carries the next request only after
+    its answer was read to the end; one that the server closed while it was
+    idle is opened again first.
+    """
 
     def __init__(
         self,
@@ -250,7 +329,28 @@ class Fetcher:
         for host, address in (host_map or {}).items():
             split = urlsplit(f"//{address}")
             self.addresses[host] = (split.hostname, split.port)
-        self.client = HttpClient(policy.timeout)
+        self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
+        # an unclosed fetcher closes its connections when it is collected
+        self._finalizer = weakref.finalize(self, _close_all, self._connections)
+
+    def close(self) -> None:
+        """Close every connection."""
+        self._finalizer()
+
+    def _connection(self, url: CanonicalUrl) -> http.client.HTTPConnection:
+        """The connection to ``url``'s origin, at its mapped address if the
+        host map has one."""
+        host, port = self.addresses.get(url.host) or (url.host, url.port)
+        if port is None:
+            port = http.client.HTTPS_PORT if url.scheme == "https" else http.client.HTTP_PORT
+        origin = (url.scheme, host, port)
+        connection = self._connections.get(origin)
+        if connection is None:
+            kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+            connection = self._connections[origin] = kind(host, port, timeout=self.policy.timeout)
+        elif connection.sock is not None and _dropped(connection.sock):
+            connection.close()  # the request opens it again
+        return connection
 
     def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
         self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
@@ -260,24 +360,38 @@ class Fetcher:
 
         Follows up to MAX_REDIRECT_HOPS redirects; every hop is throttled
         and logged against its own host, stamped with the time it was sent.
-        Every answer's body is read, up to MAX_PAGE_BYTES; the page's is
-        decoded in the charset ``body_charset`` picks.
+        Every request carries ``HTTP_HEADERS`` and the URL's authority as
+        ``Host``. Every answer's body is read, up to MAX_PAGE_BYTES; the
+        page's is decoded in the charset ``body_charset`` picks. An answer
+        left half-read is closed with its connection, so the rest of its
+        body can never be taken for the start of the next answer.
         """
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
             self.throttle.wait(current.host)
             sent = time.time()
+            connection = self._connection(current)
+            target = current.path if current.query is None else f"{current.path}?{current.query}"
+            response = None
             try:
-                with self.client.get(current, HTTP_HEADERS, MAX_PAGE_BYTES,
-                                     self.addresses.get(current.host)) as (response, chunks):
-                    status = response.status
-                    body = b"".join(chunks)
+                connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
+                                   headers={**HTTP_HEADERS, "Host": current.authority})
+                response = connection.getresponse()
+                status = response.status
+                body = _body(response)
             except UnreadableBody as exc:
                 self._log(sent, current, str(status))
                 return FetchError(str(current), str(exc), status)
             except (OSError, http.client.HTTPException) as exc:
                 self._log(sent, current, "error")
                 return FetchError(str(current), str(exc), None)
+            finally:
+                if response is None or not response.isclosed():
+                    # an answer that ends its connection (HTTP/1.0, say) has
+                    # left it and holds the socket itself: close both
+                    connection.close()
+                    if response is not None:
+                        response.close()
             self._log(sent, current, str(status))
             if status in REDIRECT_STATUSES:
                 location = response.getheader("Location")
@@ -397,7 +511,8 @@ def crawl_outlinks(
         return hit
 
     try:
-        entry = canonicalize(f"http://{site.value}/")
+        # str() brackets an IPv6 key, and canonicalize encodes an IDN one
+        entry = canonicalize(str(CanonicalUrl("http", site.value, None, "/")))
         robots = _load_robots(entry, fetcher)
         queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
         seen: set[str] = {str(entry)}
@@ -438,7 +553,7 @@ def crawl_outlinks(
                     seen.add(link_text)
                     queue.append((link_url, depth + 1))
     finally:
-        fetcher.client.close()
+        fetcher.close()
     tags = frozenset({SourceTag.CRAWL})
     links = LinkSet(Direction.OUTLINKS, (LinkRecord(site, target, tags, now) for target in targets))
     return CrawlResult(links=links, report=report)

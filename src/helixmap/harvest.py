@@ -12,35 +12,24 @@ Reading, filtering, merging and writing a set work on those values alone;
 ``LinkRecord`` objects are made only while a caller iterates a set or asks
 it for records.
 
-Index backends implement the small LinkIndex interface. Two adapters
-ship: a local snapshot index (a directory of per-site link lists, the
-only thing tests rely on) and a generic HTTP adapter for whatever
-backlink service a study has access to.
+Index backends implement the small LinkIndex interface. One ships: a
+snapshot index, a directory of per-site link lists, which is the form a
+study's exported inlink and outlink lists take. The module opens no
+socket; fetching pages is the crawler's.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
-import email.message
-import http.client
 import logging
-import re
-import select
-import socket
 import time
-import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, KeysView
-from urllib.parse import urlencode
 
-from . import __version__
 from .urls import (
-    CanonicalUrl,
     GenericFilterList,
     MalformedUrl,
     ReductionFlag,
@@ -181,9 +170,9 @@ class LinkIndex:
     """Interface to a link-evidence backend (inlink/outlink lookups).
 
     A backend that cannot answer for a site raises ``OSError`` (a file
-    that cannot be read), ``UnicodeError`` or ``IndexUnavailable`` (every
-    HTTP failure); ``harvest_index`` records the site as failed and goes
-    on.
+    that cannot be read), ``UnicodeError`` (one that is not UTF-8) or
+    ``IndexUnavailable`` (a backend that is gone or answers unusably);
+    ``harvest_index`` records the site as failed and goes on.
     """
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
@@ -218,241 +207,6 @@ class SnapshotLinkIndex(LinkIndex):
 
     def outlinks_of(self, site: SiteKey, limit: int) -> list[str]:
         return self._read(site, "out", limit)
-
-
-def body_charset(content_type: str) -> str:
-    """The charset a ``Content-Type`` declares, else UTF-8 (not the
-    ISO-8859-1 that RFC 2616 gave text/*); ``LookupError`` when it names no
-    text codec."""
-    header = email.message.Message()
-    header["Content-Type"] = content_type
-    charset = header.get_content_charset("utf-8")
-    try:
-        b"\n".decode(charset, "replace")  # bytes-to-bytes codecs raise LookupError
-    except (LookupError, UnicodeError):
-        raise LookupError(f"unknown charset {charset!r}") from None
-    return charset
-
-
-# the name every request gives, which robots.txt groups are matched against
-USER_AGENT = f"helixmap/{__version__}"
-# headers every request carries besides its own; a body in any content
-# coding but identity is refused, so no decoder ever runs on an answer
-HTTP_HEADERS = {"User-Agent": USER_AGENT, "Accept": "*/*",
-                "Accept-Encoding": "identity", "Connection": "keep-alive"}
-_READ_CHUNK = 2**16
-# statuses whose Location both HTTP clients follow
-REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
-# a character a request target may not hold as it is: outside RFC 3986's
-# unreserved, sub-delims, ":", "@", "/" and "?", or a "%" that starts no
-# percent-encoding
-_UNSAFE_IN_TARGET = re.compile(r"[^A-Za-z0-9\-._~!$&'()*+,;=:@/?%]|%(?![0-9A-Fa-f]{2})")
-
-
-class UnreadableBody(Exception):
-    """An HTTP answer went on past the byte bound its reader set, or came in
-    a content coding."""
-
-
-def _percent_encoded(match: re.Match) -> str:
-    return "".join(f"%{byte:02X}" for byte in match[0].encode("utf-8", "surrogatepass"))
-
-
-def _dropped(sock: socket.socket) -> bool:
-    """Whether an idle kept-alive socket has something to read: the server
-    closed it, or sent what no request asked for. Either way it cannot
-    carry the next request."""
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
-
-
-def _close_all(connections: dict) -> None:
-    for connection in connections.values():
-        connection.close()
-    connections.clear()
-
-
-class HttpClient:
-    """GETs over one keep-alive ``http.client`` connection per origin
-    (scheme, address, port), open until ``close``.
-
-    A request is sent once: no retry, no redirect, and no proxy variable or
-    ``~/.netrc`` is read. HTTPS is verified with the default ``ssl``
-    context. ``timeout`` bounds each socket operation. A connection carries
-    the next request only after its answer was read to the end; one that
-    the server closed while it was idle is opened again first.
-    """
-
-    def __init__(self, timeout: float):
-        self.timeout = timeout
-        self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
-        # an unclosed client closes its connections when it is collected
-        self._finalizer = weakref.finalize(self, _close_all, self._connections)
-
-    def close(self) -> None:
-        """Close every connection."""
-        self._finalizer()
-
-    @contextmanager
-    def get(self, url: CanonicalUrl, headers: dict[str, str], bound: int,
-            address: tuple[str, int | None] | None = None,
-            ) -> Iterator[tuple[http.client.HTTPResponse, Iterator[bytes]]]:
-        """GET ``url``, from ``address`` (host, port) if one is given: the
-        answer, and its body chunk by chunk.
-
-        The request carries ``headers`` and ``url``'s authority as ``Host``.
-        The chunks raise ``UnreadableBody`` for a body in a content coding
-        or as soon as more than ``bound`` bytes have come, and
-        ``http.client.HTTPException`` for one cut short. An answer left
-        half-read closes its connection on leaving the block, so the rest of
-        its body can never be taken for the start of the next answer.
-        """
-        host, port = address or (url.host, url.port)
-        if port is None:
-            port = http.client.HTTPS_PORT if url.scheme == "https" else http.client.HTTP_PORT
-        origin = (url.scheme, host, port)
-        connection = self._connections.get(origin)
-        if connection is None:
-            kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-            connection = self._connections[origin] = kind(host, port, timeout=self.timeout)
-        elif connection.sock is not None and _dropped(connection.sock):
-            connection.close()  # the request opens it again
-        target = url.path if url.query is None else f"{url.path}?{url.query}"
-        response = None
-        try:
-            connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
-                               headers={**headers, "Host": url.authority})
-            response = connection.getresponse()
-            yield response, _chunks(response, bound)
-        finally:
-            if response is None or not response.isclosed():
-                connection.close()
-
-
-def _chunks(response: http.client.HTTPResponse, bound: int) -> Iterator[bytes]:
-    coding = response.getheader("Content-Encoding", "").strip().lower()
-    if coding not in ("", "identity"):
-        raise UnreadableBody(f"answer in content coding {coding!r}")
-    received = 0
-    while chunk := response.read1(_READ_CHUNK):
-        received += len(chunk)
-        if received > bound:
-            raise UnreadableBody(f"answer exceeds {bound} bytes")
-        yield chunk
-    # read1 ends a body cut short of its Content-Length without raising
-    if response.length:
-        raise http.client.HTTPException(
-            f"answer ends {response.length} bytes short of its Content-Length")
-    # nor does it close an answer read to the end, which the connection's
-    # next request needs
-    response.close()
-
-
-# the most an HTTP index answer may hold: 16 MiB is over 100k URLs, and a
-# service that sends more is broken or hostile
-MAX_INDEX_RESPONSE_BYTES = 16 * 2**20
-# the most redirects one HTTP request follows, in either client
-MAX_REDIRECT_HOPS = 5
-
-
-def _lines(chunks: Iterator[bytes], charset: str, limit: int) -> list[str]:
-    """The first ``limit`` non-empty lines of a body in ``charset``, read
-    from ``chunks`` no further than those lines."""
-    decoder = codecs.getincrementaldecoder(charset)("replace")
-    links: list[str] = []
-    pending: list[str] = []  # the text of a line whose break has not come
-    while len(links) < limit:
-        chunk = next(chunks, b"")
-        # with a sentinel appended, the last item is what follows the last
-        # line break: it waits for the rest of its line, unless the body
-        # has ended, which ends the line too
-        text = decoder.decode(chunk, final=not chunk)
-        *ended, rest = (text + ("x" if chunk else "\nx")).splitlines()
-        if ended:
-            ended[0] = "".join(pending) + ended[0]
-            pending.clear()
-        pending.append(rest[:-1])
-        links += [line.strip() for line in ended if line.strip()]
-        if not chunk:
-            break
-    return links[:limit]
-
-
-class HttpLinkIndex(LinkIndex):
-    """Generic HTTP backlink-service adapter.
-
-    Expects ``GET <endpoint>/inlinks?site=<key>&limit=<n>`` (and
-    ``/outlinks``) to return ``text/plain``, one URL per line, in UTF-8
-    unless the answer declares a charset. An optional bearer token covers
-    the common auth case.
-
-    Queries share one ``HttpClient``, which keeps a connection per origin
-    open until ``close``. A query is tried once and follows up to
-    ``MAX_REDIRECT_HOPS`` redirects, each ``Location`` resolved as
-    ``canonicalize`` resolves an href; the token is not sent again once a
-    redirect leaves the origin it was sent to. Every failure to get a
-    usable answer (no connection, a stall past ``timeout``, a 4xx or 5xx
-    status, a redirect loop, an unknown charset, a body cut short, in a
-    content coding, or past ``MAX_INDEX_RESPONSE_BYTES``) raises
-    ``IndexUnavailable``. No proxy variable and no ``~/.netrc`` is read.
-    """
-
-    def __init__(self, endpoint: str, token: str | None = None, timeout: float = 30.0):
-        try:
-            self.endpoint = canonicalize(endpoint)
-        except (MalformedUrl, UnsupportedScheme):
-            raise IndexUnavailable(f"bad index endpoint {endpoint!r}") from None
-        if self.endpoint.query is not None:
-            raise IndexUnavailable(f"bad index endpoint {endpoint!r}: it has a query")
-        self._headers = dict(HTTP_HEADERS)
-        if token:
-            self._headers["Authorization"] = f"Bearer {token}"
-        self._client = HttpClient(timeout)
-
-    def close(self) -> None:
-        """Close the connections the index keeps open between queries."""
-        self._client.close()
-
-    def _query(self, kind: str, site: SiteKey, limit: int) -> list[str]:
-        """The first ``limit`` non-empty lines of the answer. The body is
-        streamed and read no further than those lines, so a service that
-        sends more than it was asked for is not waited for."""
-        endpoint = self.endpoint
-        url = CanonicalUrl(endpoint.scheme, endpoint.host, endpoint.port,
-                           f"{endpoint.path.rstrip('/')}/{kind}",
-                           urlencode({"site": site.value, "limit": limit}))
-        headers = self._headers
-        try:
-            for _ in range(MAX_REDIRECT_HOPS + 1):
-                with self._client.get(url, headers, MAX_INDEX_RESPONSE_BYTES) as (response, chunks):
-                    status = response.status
-                    if status in REDIRECT_STATUSES:
-                        location = response.getheader("Location")
-                    elif status >= 400:
-                        raise IndexUnavailable(f"{url}: HTTP {status}")
-                    else:
-                        try:
-                            charset = body_charset(response.getheader("Content-Type", ""))
-                        except LookupError as exc:
-                            raise IndexUnavailable(f"{url}: {exc}") from None
-                        return _lines(chunks, charset, limit)
-                if not location:
-                    raise IndexUnavailable(f"{url}: redirect without Location")
-                moved = canonicalize(location, base=url)
-                if (moved.scheme, moved.host, moved.port) != (url.scheme, url.host, url.port):
-                    headers = {k: v for k, v in headers.items() if k != "Authorization"}
-                url = moved
-            raise IndexUnavailable(f"{url}: too many redirects")
-        except (OSError, http.client.HTTPException, UnreadableBody,
-                MalformedUrl, UnsupportedScheme) as exc:
-            raise IndexUnavailable(f"{url}: {exc}") from exc
-
-    def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
-        return self._query("inlinks", site, limit)
-
-    def outlinks_of(self, site: SiteKey, limit: int) -> list[str]:
-        return self._query("outlinks", site, limit)
 
 
 # --- harvesting -------------------------------------------------------------

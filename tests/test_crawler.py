@@ -77,9 +77,12 @@ SITES = {
     # "/" is UTF-8 that says so only in a <meta>: its Content-Type is bare
     "intl.com": {
         "/": ('<meta charset="utf-8"><a href="http://bücher.de/">b</a>'
-              '<a href="/latin.html">l</a> <a href="/bogus.html">x</a>'),
+              '<a href="/latin.html">l</a> <a href="/bogus.html">x</a>'
+              '<a href="/wide.html">w</a> <a href="/b64.html">6</a>'),
         "/latin.html": '<a href="http://münchen.de/">m</a>',
         "/bogus.html": '<a href="http://lost.org/">l</a>',
+        "/wide.html": '<a href="http://köln.de/">k</a>',
+        "/b64.html": '<a href="http://lost.org/">l</a>',
     },
     # its robots.txt allows everything, in a charset with no codec
     "shy.com": {"/": "", "/robots.txt": "User-agent: *\nAllow: /\n"},
@@ -114,11 +117,18 @@ SITES = {
         "/big.html": "x" * 1000,
         "/after.html": '<a href="http://after.org/">a</a>',
     },
-    # its second and third links are answers cut short: 33 bytes of a
-    # Content-Length of 500, and a chunked body without its last chunk
+    # its second to fourth links are answers cut short: 33 bytes of a
+    # Content-Length of 500, a chunked body without its last chunk, and 33
+    # bytes of a Content-Length of 500 followed by a stall
     "cut.com": {
-        "/": '<a href="/short.html">s</a> <a href="/chunked.html">c</a> <a href="/after.html">a</a>',
+        "/": ('<a href="/short.html">s</a> <a href="/chunked.html">c</a> '
+              '<a href="/stall.html">t</a> <a href="/after.html">a</a>'),
         "/after.html": '<a href="http://after.org/">a</a>',
+    },
+    # the Host an IPv6 key's requests name
+    "[::1]": {
+        "/": '<a href="/x.html">x</a> <a href="http://ext.org/">e</a>',
+        "/x.html": "",
     },
     # its second link is a page in gzip, which the crawl did not ask for
     "zipped.com": {
@@ -135,16 +145,25 @@ RAW = {
     ("cut.com", "/chunked.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
                                    b"Transfer-Encoding: chunked\r\n\r\n"
                                    + b"%x\r\n" % len(_LINK) + _LINK + b"\r\n"),
+    ("cut.com", "/stall.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                                 b"Content-Length: 500\r\n\r\n" + _LINK),
     ("zipped.com", "/z.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
                                 b"Content-Encoding: gzip\r\n"
                                 b"Content-Length: %d\r\n\r\n" % len(_ZIPPED) + _ZIPPED),
 }
+# (host, path) of the RAW answers whose server then sends nothing for
+# STALL_SECONDS, and hangs up
+STALLED = {("cut.com", "/stall.html")}
+STALL_SECONDS = 2.0
 ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200, "agent.com": 200}
 # (host, path) -> (Content-Type, the codec of its body); other pages are
 # UTF-8 as bare text/html
 ENCODINGS = {
     ("intl.com", "/latin.html"): ("text/html; charset=ISO-8859-1", "latin-1"),
     ("intl.com", "/bogus.html"): ("text/html; charset=x-no-such-codec", "utf-8"),
+    ("intl.com", "/wide.html"): ("text/html; charset=utf-16", "utf-16"),
+    # a codec that turns bytes into bytes, not into text
+    ("intl.com", "/b64.html"): ("text/html; charset=base64", "utf-8"),
     ("shy.com", "/robots.txt"): ("text/plain; charset=x-no-such-codec", "utf-8"),
 }
 
@@ -155,6 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
         raw = RAW.get((host, self.path))
         if raw is not None:
             self.wfile.write(raw)
+            if (host, self.path) in STALLED:
+                time.sleep(STALL_SECONDS)
             return
         body = SITES[host].get(self.path)
         status, location = REDIRECTS.get(self.path, (200 if body is not None else 404, None))
@@ -268,13 +289,14 @@ def test_pages_are_read_in_their_declared_charset_else_utf8(host_map):
     result = crawl_outlinks(SiteKey("intl.com"), policy, RULES, host_map=host_map)
     assert result.report.skipped_links == 0
     assert {record.target.value for record in result.links} == {
-        "xn--bcher-kva.de", "xn--mnchen-3ya.de",
+        "xn--bcher-kva.de", "xn--mnchen-3ya.de", "xn--kln-sna.de",
     }
-    # a page in a charset with no codec is a page error, not a guess
+    # a page in a charset with no text codec is a page error, not a guess
     assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
         ("http://intl.com/bogus.html", "unknown charset 'x-no-such-codec'", 200),
+        ("http://intl.com/b64.html", "unknown charset 'base64'", 200),
     ]
-    assert result.report.pages_fetched == 2
+    assert result.report.pages_fetched == 3
 
 
 def _requests(result) -> list[tuple[str, str]]:
@@ -477,18 +499,22 @@ def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
 
 
 def test_a_body_cut_short_is_a_page_error(host_map):
-    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    # shorter than STALL_SECONDS, so the stalled answer times out
+    policy = CrawlPolicy(delay_per_host=0, timeout=0.5)
     result = crawl_outlinks(SiteKey("cut.com"), policy, RULES, host_map=host_map)
     # the transport failed, so no status; what came of the bodies is not read
     assert [(e.url, e.status) for e in result.report.errors] == [
         ("http://cut.com/short.html", None),
         ("http://cut.com/chunked.html", None),
+        ("http://cut.com/stall.html", None),
     ]
+    assert "timed out" in result.report.errors[-1].cause
     assert _requests(result) == [
         ("http://cut.com/robots.txt", "404"),
         ("http://cut.com/", "200"),
         ("http://cut.com/short.html", "error"),
         ("http://cut.com/chunked.html", "error"),
+        ("http://cut.com/stall.html", "error"),
         ("http://cut.com/after.html", "200"),
     ]
     assert result.report.pages_fetched == 2
@@ -530,9 +556,75 @@ def test_the_host_header_names_the_urls_authority():
             for url in urls:
                 assert not isinstance(fetcher.fetch(canonicalize(url)), crawler.FetchError)
         finally:
-            fetcher.client.close()
+            fetcher.close()
     # the port unless it is the default, an IPv6 host in brackets; mapped or not
     assert server.hosts == ["a.com:8080", "a.com", "a.com", "[::1]:8443", "[::1]", address]
+
+
+def test_a_site_keyed_by_an_ipv6_literal_is_crawled(host_map):
+    # the key reduce_host gives http://[::1]/; its requests name [::1] as Host
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("::1"), policy, RULES, host_map={"::1": host_map["[::1]"]})
+    assert result.report.errors == []
+    assert _requests(result) == [
+        ("http://[::1]/robots.txt", "404"),
+        ("http://[::1]/", "200"),
+        ("http://[::1]/x.html", "200"),
+    ]
+    assert {record.key for record in result.links} == {("::1", "ext.org")}
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """Leaves each connection open for the next request (HTTP/1.1, with a
+    Content-Length)."""
+
+    protocol_version = "HTTP/1.1"
+    pages = {
+        "/": '<a href="/big.html">b</a> <a href="/after.html">a</a>',
+        "/big.html": "x" * 1000,
+        "/after.html": '<a href="/last.html">l</a>',
+        "/last.html": "",
+    }
+
+    def do_GET(self):
+        self.server.peers.append(self.client_address)
+        body = self.pages.get(self.path)
+        payload = (body or "").encode("utf-8")
+        self.send_response(404 if body is None else 200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format, *args):
+        pass
+
+
+def test_an_answer_left_half_read_does_not_carry_the_next_request(monkeypatch):
+    # the read of the 1000-byte page stops at the bound, before its end; all
+    # of it has come, so no unread byte on the socket shows the fetcher that
+    # the connection is unusable
+    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 999)
+    with _serving(_KeepAliveHandler) as server:
+        server.peers = []
+        policy = CrawlPolicy(delay_per_host=0, timeout=5)
+        result = crawl_outlinks(SiteKey("kept.com"), policy, RULES,
+                                host_map={"kept.com": f"127.0.0.1:{server.server_address[1]}"})
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://kept.com/big.html", "answer exceeds 999 bytes", 200),
+    ]
+    assert _requests(result) == [
+        ("http://kept.com/robots.txt", "404"),
+        ("http://kept.com/", "200"),
+        ("http://kept.com/big.html", "200"),
+        ("http://kept.com/after.html", "200"),
+        ("http://kept.com/last.html", "200"),
+    ]
+    # answers read to their end share a connection; the half-read one's is
+    # closed, and the next request opens another
+    before, after = server.peers[:3], server.peers[3:]
+    assert len(set(before)) == len(set(after)) == 1
+    assert before[0] != after[0]
 
 
 class _IdleClosingServer(ThreadingHTTPServer):

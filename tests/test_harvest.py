@@ -1,13 +1,8 @@
 from __future__ import annotations
 
 import gc
-import gzip
 import random
 import re
-import threading
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +13,10 @@ from helixmap.harvest import (
     Direction,
     DirectionMismatch,
     HarvestResult,
-    HttpLinkIndex,
     IndexUnavailable,
     LinkIndex,
     LinkRecord,
     LinkSet,
-    MAX_INDEX_RESPONSE_BYTES,
     SnapshotLinkIndex,
     SourceTag,
     filter_generic,
@@ -466,282 +459,3 @@ def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):
     assert all(type(label) is str and type(seen) is int for _, (label, seen) in stored)
     assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in stored)
 
-
-# --- HTTP index adapter ---------------------------------------------------------
-
-# a backlink service on loopback, which redirects /moved/... to /api/...
-# and /to/<port>/... to /... on that port: five links for any site, a 500
-# for broken.co.uk; stall.co.uk gets ``limit`` links of a longer answer and
-# then nothing until the server is released, huge.co.uk one line longer
-# than the read bound; the sites in ENCODED get one link under their own
-# Content-Type, and those in RAW_ANSWERS the answer given there
-SERVED = [f"http://x{i}.com/" for i in range(5)]
-_HEAD = "".join(f"{url}\n" for url in SERVED[:2]).encode("utf-8")
-_ZIPPED = gzip.compress("".join(f"{url}\n" for url in SERVED).encode("utf-8"))
-RAW_ANSWERS = {
-    # two links of a Content-Length of 500
-    "short.co.uk": (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
-                    b"Content-Length: 500\r\n\r\n" + _HEAD),
-    # a chunk of two links, and not the last chunk
-    "chunked.co.uk": (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
-                      b"Transfer-Encoding: chunked\r\n\r\n"
-                      + b"%x\r\n" % len(_HEAD) + _HEAD + b"\r\n"),
-    "gzip.co.uk": (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Encoding: gzip\r\n"
-                   b"Content-Length: %d\r\n\r\n" % len(_ZIPPED) + _ZIPPED),
-}
-ENCODED = {
-    "idn.co.uk": ("text/plain", "http://münchen.de/\n".encode("utf-8")),
-    "latin.co.uk": ("text/plain; charset=ISO-8859-1", "http://münchen.de/\n".encode("latin-1")),
-    "utf16.co.uk": ("text/plain; charset=utf-16", "http://münchen.de/\n".encode("utf-16")),
-    "bogus.co.uk": ("text/plain; charset=x-no-such-codec", b"http://x0.com/\n"),
-    # a codec that turns bytes into bytes, not into text
-    "base64.co.uk": ("text/plain; charset=base64", b"aHR0cDovL3gwLmNvbS8K\n"),
-}
-
-
-class _IndexHandler(BaseHTTPRequestHandler):
-    def do_GET(self):
-        split = urlsplit(self.path)
-        if split.path.startswith(("/moved/", "/to/")):
-            if split.path.startswith("/moved/"):
-                location = self.path.replace("/moved/", "/api/", 1)
-            else:
-                _, _, port, rest = self.path.split("/", 3)
-                location = f"http://127.0.0.1:{port}/{rest}"
-            self.send_response(301)
-            self.send_header("Location", location)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        query = parse_qs(split.query)
-        self.server.seen.append((split.path, query, self.headers.get("Authorization")))
-        self.server.peers.append(self.client_address)
-        site = query.get("site", [""])[0]
-        if site in RAW_ANSWERS:
-            self.wfile.write(RAW_ANSWERS[site])
-            self.close_connection = True
-            return
-        self.send_response(500 if site == "broken.co.uk" else 200)
-        content_type, payload = ENCODED.get(site, ("text/plain", None))
-        self.send_header("Content-Type", content_type)
-        if payload is not None:
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-        elif site == "stall.co.uk":
-            limit = int(query["limit"][0])
-            head = "".join(f"{url}\n" for url in SERVED[:limit]).encode("utf-8")
-            payload = b"http://late.com/\n"
-            self.send_header("Content-Length", str(len(head) + len(payload)))
-            self.end_headers()
-            self.wfile.write(head)
-            self.server.release.wait(10)
-        elif site == "huge.co.uk":
-            payload = b"http://x" + b"a" * MAX_INDEX_RESPONSE_BYTES + b".com/\n"
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-        else:
-            payload = ("\n".join(SERVED) + "\n\n").encode("utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-        try:
-            self.wfile.write(payload)
-        except OSError:
-            pass  # the client stopped reading and hung up
-
-    def log_message(self, format, *args):
-        pass
-
-
-class _KeepAliveIndexHandler(_IndexHandler):
-    protocol_version = "HTTP/1.1"
-
-
-@contextmanager
-def _serving(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    server.seen = []
-    server.peers = []  # the client address of each request, in order
-    server.release = threading.Event()
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.release.set()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-@pytest.fixture(scope="module")
-def index_server():
-    with _serving(_IndexHandler) as server:
-        yield server
-
-
-@pytest.fixture(scope="module")
-def keepalive_index_server():
-    # answers with a Content-Length leave the connection open for the next query
-    with _serving(_KeepAliveIndexHandler) as server:
-        yield server
-
-
-def _endpoint(server) -> str:
-    return f"http://127.0.0.1:{server.server_address[1]}/api/"
-
-
-def test_http_index_queries_site_and_limit_with_bearer_token(index_server):
-    index = HttpLinkIndex(_endpoint(index_server), token="s3cret", timeout=5)
-    assert index.inlinks_of(SiteKey("sitea.co.uk"), 3) == SERVED[:3]
-    assert index.outlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
-    assert index_server.seen[-2:] == [
-        ("/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["3"]}, "Bearer s3cret"),
-        ("/api/outlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, "Bearer s3cret"),
-    ]
-    HttpLinkIndex(_endpoint(index_server), timeout=5).inlinks_of(SiteKey("b.co.uk"), 1)
-    assert index_server.seen[-1][2] is None  # no token, no Authorization header
-
-
-def test_http_index_follows_redirects(index_server):
-    moved = _endpoint(index_server).replace("/api/", "/moved/")
-    index = HttpLinkIndex(moved, token="s3cret", timeout=5)
-    assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
-    assert index_server.seen[-1] == (
-        "/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, "Bearer s3cret",
-    )
-
-
-def test_http_index_redirect_to_another_origin_drops_the_token(index_server,
-                                                               keepalive_index_server):
-    here, there = index_server.server_address[1], keepalive_index_server.server_address[1]
-    for port, server, authorization in ((there, keepalive_index_server, None),
-                                        (here, index_server, "Bearer s3cret")):
-        index = HttpLinkIndex(f"http://127.0.0.1:{here}/to/{port}/api/", token="s3cret",
-                              timeout=5)
-        assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
-        index.close()
-        assert server.seen[-1] == (
-            "/api/inlinks", {"site": ["sitea.co.uk"], "limit": ["10"]}, authorization,
-        )
-
-
-@pytest.mark.parametrize("site", ["short.co.uk", "chunked.co.uk"])
-def test_http_index_answer_cut_short_makes_a_failed_site(index_server, site):
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    with pytest.raises(IndexUnavailable):
-        index.inlinks_of(SiteKey(site), 10)
-    # the links asked for came before the cut
-    assert index.inlinks_of(SiteKey(site), 2) == SERVED[:2]
-    result = harvest_index([SiteKey(site), SiteKey("sitea.co.uk")],
-                           index, Direction.INLINKS, RULES, now=1)
-    assert [s.value for s in result.failed_sites] == [site]
-    assert len(result.links) == len(SERVED)
-
-
-def test_http_index_answer_in_a_content_coding_makes_a_failed_site(index_server):
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    with pytest.raises(IndexUnavailable, match="content coding 'gzip'"):
-        index.inlinks_of(SiteKey("gzip.co.uk"), 10)
-
-
-def test_http_index_server_error_makes_a_failed_site(index_server):
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    result = harvest_index([SiteKey("broken.co.uk"), SiteKey("sitea.co.uk")],
-                           index, Direction.INLINKS, RULES, now=1)
-    assert [s.value for s in result.failed_sites] == ["broken.co.uk"]
-    assert {r.key for r in result.links} == {
-        (f"x{i}.com", "sitea.co.uk") for i in range(5)
-    }
-
-
-def test_http_index_stops_reading_at_the_limit(index_server):
-    # the service stalls after the links asked for; the read must not wait for it
-    index = HttpLinkIndex(_endpoint(index_server), timeout=0.5)
-    result = harvest_index([SiteKey("stall.co.uk")], index, Direction.INLINKS, RULES,
-                           limit=3, now=1)
-    assert result.failed_sites == []
-    assert {r.key for r in result.links} == {(f"x{i}.com", "stall.co.uk") for i in range(3)}
-
-
-def test_http_index_stall_before_the_limit_makes_a_failed_site(index_server):
-    # five links of the ten asked for, then a stall past the timeout
-    index = HttpLinkIndex(_endpoint(index_server), timeout=0.5)
-    result = harvest_index([SiteKey("stall.co.uk"), SiteKey("sitea.co.uk")],
-                           index, Direction.INLINKS, RULES, limit=10, now=1)
-    assert [s.value for s in result.failed_sites] == ["stall.co.uk"]
-    assert {r.key for r in result.links} == {
-        (f"x{i}.com", "sitea.co.uk") for i in range(5)
-    }
-
-
-def test_http_index_response_past_the_byte_bound_makes_a_failed_site(index_server):
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    with pytest.raises(IndexUnavailable):
-        index.inlinks_of(SiteKey("huge.co.uk"), 10)
-    result = harvest_index([SiteKey("huge.co.uk"), SiteKey("sitea.co.uk")],
-                           index, Direction.INLINKS, RULES, now=1)
-    assert [s.value for s in result.failed_sites] == ["huge.co.uk"]
-    assert len(result.links) == len(SERVED)
-
-
-def test_http_index_unreachable_makes_a_failed_site(index_server, closed_port):
-    gone = HttpLinkIndex(f"http://127.0.0.1:{closed_port}/api/", timeout=5)
-    with pytest.raises(IndexUnavailable):
-        gone.inlinks_of(SiteKey("gone.co.uk"), 10)
-    live = HttpLinkIndex(_endpoint(index_server), timeout=5)
-
-    class Routed(LinkIndex):
-        def inlinks_of(self, site, limit):
-            return (gone if site.value == "gone.co.uk" else live).inlinks_of(site, limit)
-
-    result = harvest_index([SiteKey("gone.co.uk"), SiteKey("sitea.co.uk")],
-                           Routed(), Direction.INLINKS, RULES, now=1)
-    assert [s.value for s in result.failed_sites] == ["gone.co.uk"]
-    assert {r.key for r in result.links} == {
-        (f"x{i}.com", "sitea.co.uk") for i in range(5)
-    }
-
-
-def test_http_index_does_not_reuse_a_half_read_answer(keepalive_index_server):
-    server = keepalive_index_server
-    index = HttpLinkIndex(_endpoint(server), timeout=0.5)
-    # the three links asked for, then a stall: the query stops inside the answer
-    assert index.inlinks_of(SiteKey("stall.co.uk"), 3) == SERVED[:3]
-    assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
-    assert index.outlinks_of(SiteKey("sitea.co.uk"), 2) == SERVED[:2]
-    index.close()
-    # the half-read answer's connection was closed; one read to its end is reused
-    first, second, third = server.peers[-3:]
-    assert first != second == third
-
-
-def test_http_index_decodes_utf8_unless_a_charset_is_declared(index_server):
-    # bare text/plain is read as UTF-8, not as the ISO-8859-1 RFC 2616 gave text/*
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    for site in ("idn.co.uk", "latin.co.uk", "utf16.co.uk"):
-        assert index.inlinks_of(SiteKey(site), 10) == ["http://münchen.de/"]
-        result = harvest_index([SiteKey(site)], index, Direction.INLINKS, RULES, now=1)
-        assert result.skipped_urls == 0
-        assert {r.key for r in result.links} == {("xn--mnchen-3ya.de", site)}
-
-
-def test_http_index_joins_lines_and_characters_cut_between_reads(index_server, monkeypatch):
-    # 3-byte reads cut UTF-8 and UTF-16 characters and line breaks apart
-    monkeypatch.setattr(harvest, "_READ_CHUNK", 3)
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    for site in ("idn.co.uk", "latin.co.uk", "utf16.co.uk"):
-        assert index.inlinks_of(SiteKey(site), 10) == ["http://münchen.de/"]
-    assert index.inlinks_of(SiteKey("sitea.co.uk"), 10) == SERVED
-    assert index.inlinks_of(SiteKey("sitea.co.uk"), 2) == SERVED[:2]
-
-
-def test_http_index_unknown_charset_makes_a_failed_site(index_server):
-    index = HttpLinkIndex(_endpoint(index_server), timeout=5)
-    result = harvest_index([SiteKey("bogus.co.uk"), SiteKey("base64.co.uk"),
-                            SiteKey("sitea.co.uk")],
-                           index, Direction.INLINKS, RULES, now=1)
-    assert [s.value for s in result.failed_sites] == ["bogus.co.uk", "base64.co.uk"]
-    assert len(result.links) == len(SERVED)

@@ -1,4 +1,4 @@
-"""Checks on what pyproject.toml declares."""
+"""Checks on what pyproject.toml declares and on what the modules import."""
 
 from __future__ import annotations
 
@@ -33,15 +33,23 @@ def _dependencies(toml: str) -> set[str]:
     return {spec.lower().replace("-", "_") for spec in specs}
 
 
-def _third_party_imports(source: str) -> set[str]:
-    """The top-level names of the absolute imports in ``source`` that are
-    neither the standard library nor ``helixmap``."""
+def _imports(source: str) -> set[str]:
+    """The dotted names of the modules the absolute imports in ``source``
+    may load: ``from http import client`` names ``http`` and ``http.client``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names.update(alias.name.partition(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.partition(".")[0])
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """The top-level names of the absolute imports in ``source`` that are
+    neither the standard library nor ``helixmap``."""
+    names = {name.partition(".")[0] for name in _imports(source)}
     return names - set(sys.stdlib_module_names) - {"__future__", "helixmap"}
 
 
@@ -54,6 +62,10 @@ def test_dependency_readers():
               "from idna import core\nfrom . import x\nfrom .urls import y\n"
               "import helixmap.urls\n")
     assert _third_party_imports(source) == {"urllib3", "idna"}
+    assert _imports("import http.client, ssl\nfrom socket import create_connection\n"
+                    "from . import select\n") == {
+        "http.client", "ssl", "socket", "socket.create_connection",
+    }
 
 
 def test_declared_dependencies_are_the_imported_ones():
@@ -63,6 +75,16 @@ def test_declared_dependencies_are_the_imported_ones():
     declared = _dependencies(PYPROJECT.read_text(encoding="utf-8"))
     assert imported - declared == set(), "imported but not declared"
     assert declared - imported == set(), "declared but not imported"
+
+
+def test_only_the_crawler_imports_network_modules():
+    network = {"http.client", "socket", "select", "ssl"}
+    importers = {
+        path.name
+        for path in (ROOT / "src" / "helixmap").glob("*.py")
+        if _imports(path.read_text(encoding="utf-8")) & network
+    }
+    assert importers == {"crawler.py"}
 
 
 def test_script_table_reader():
