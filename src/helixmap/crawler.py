@@ -24,7 +24,13 @@ Politeness contract: consecutive requests to one host are spaced by at
 least the configured delay, robots.txt is honoured as RFC 9309 says
 (including a full-site exclusion, and complete disallow while robots.txt
 is unreachable), redirects are followed up to 5 hops with the final URL
-deciding the site key, and per-page failures never abort a crawl.
+deciding the site key, and per-page failures never abort a crawl. A crawl
+has at most one request in flight: once a page's answer is read, and
+before the page is scanned, the request for the next page in the queue is
+sent (after its host's delay, as every request is), so the server answers
+it while the crawl resolves this page's links.
+Requests go in the order of a crawl that sends each one only after the
+page before is scanned, since a page's links join the queue at its end.
 
 A host map ("host -> address:port") lets fixtures and mirrors serve a
 logical hostname from a local address, exactly like a hosts-file entry:
@@ -51,7 +57,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from html import unescape
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 from . import __version__
 from .harvest import Direction, LinkRecord, LinkSet, SourceTag
@@ -135,7 +141,9 @@ class CrawlResult:
 class HostThrottle:
     """Spaces consecutive requests to one host by at least ``delay`` seconds.
 
-    Crawls run one at a time; a throttle is not shared between threads.
+    A fetcher waits for a slot before every request it sends, a request sent
+    ahead of its page's fetch included. Crawls run one at a time; a
+    throttle is not shared between threads.
     """
 
     def __init__(self, delay: float):
@@ -204,19 +212,22 @@ def _href_value(attrs: str) -> str | None:
     return None
 
 
-def _join(base: str, href: str) -> str:
+def _canonical(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl | None:
     try:
-        return urljoin(base, href.strip())
-    except ValueError:
-        return href  # unparseable: left for canonicalize to reject
+        return canonicalize(raw, base)
+    except (MalformedUrl, UnsupportedScheme):
+        return None
 
 
 def extract_hrefs(html: str, url: str = "") -> list[str]:
     """All a[href] / area[href] values in document order.
 
     When the document has a ``<base href>``, the first one is resolved
-    against ``url`` (the document's own URL) and every href against it, as
-    a browser does; otherwise the values are returned as written. A tag
+    against ``url`` (the document's own URL), and every href against it, by
+    ``canonicalize``: the RFC 3986 resolution a crawl gives an href on a
+    page without a base. Those hrefs are returned as canonical URL text, or
+    as written when canonicalize rejects them. Without a base, or with one
+    that canonicalize rejects, the values are returned as written. A tag
     that repeats ``href`` gives its first value only, as the HTML tokenizer
     drops a repeated attribute; an empty href gives no link.
     """
@@ -234,8 +245,13 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
             base = href
     if base is None:
         return hrefs
-    base = _join(url, base)
-    return [_join(base, href) for href in hrefs]
+    # an empty base is the document itself, though canonicalize, which reads
+    # an empty href as no link, refuses it
+    base_url = _canonical(base, _canonical(url)) if base.strip() else _canonical(url)
+    if base_url is None:
+        return hrefs
+    return [str(resolved) if (resolved := _canonical(href, base_url)) else href
+            for href in hrefs]
 
 
 def body_charset(content_type: str) -> str:
@@ -311,6 +327,13 @@ class Fetcher:
     each socket operation. A connection carries the next request only after
     its answer was read to the end; one that the server closed while it was
     idle is opened again first.
+
+    A fetch either sends its first request or reads the answer to the one
+    sent ahead for its URL by ``_send_ahead``, which the crawl calls before
+    it scans a page, so that the server's work and the crawl's overlap. At
+    most one request is sent ahead. It waits for its host's slot as any
+    request does, the fetch that reads its answer logs it, and ``close``
+    closes its connection with the rest.
     """
 
     def __init__(
@@ -330,6 +353,10 @@ class Fetcher:
             split = urlsplit(f"//{address}")
             self.addresses[host] = (split.hostname, split.port)
         self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
+        # the request sent ahead of its fetch: (URL, time sent, connection,
+        # the error that stopped its send or None)
+        self._ahead: tuple[CanonicalUrl, float, http.client.HTTPConnection,
+                           Exception | None] | None = None
         # an unclosed fetcher closes its connections when it is collected
         self._finalizer = weakref.finalize(self, _close_all, self._connections)
 
@@ -355,6 +382,26 @@ class Fetcher:
     def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
         self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
 
+    def _send(self, url: CanonicalUrl) -> tuple[float, http.client.HTTPConnection, Exception | None]:
+        """Wait for the slot of ``url``'s host, then send its GET: the time
+        it was sent, the connection it went over, and the transport error
+        that stopped it, if one did."""
+        self.throttle.wait(url.host)
+        sent = time.time()
+        connection = self._connection(url)
+        target = url.path if url.query is None else f"{url.path}?{url.query}"
+        try:
+            connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
+                               headers={**HTTP_HEADERS, "Host": url.authority})
+        except (OSError, http.client.HTTPException) as exc:
+            return sent, connection, exc
+        return sent, connection, None
+
+    def _send_ahead(self, url: CanonicalUrl) -> None:
+        """Send the GET of ``url`` now, so that the server answers it while
+        the caller works; the next ``fetch`` of ``url`` reads the answer."""
+        self._ahead = (url, *self._send(url))
+
     def fetch(self, url: CanonicalUrl) -> tuple[CanonicalUrl, str, str] | FetchError:
         """GET one page: (final_url, content_type, body), or why it failed.
 
@@ -365,17 +412,23 @@ class Fetcher:
         page's is decoded in the charset ``body_charset`` picks. An answer
         left half-read is closed with its connection, so the rest of its
         body can never be taken for the start of the next answer.
+
+        The first request is the one sent ahead for ``url``, if there is
+        one; a request sent ahead for another URL is closed with its
+        connection, its answer unread.
         """
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead[0] != url:
+            ahead[2].close()
+            ahead = None
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
-            self.throttle.wait(current.host)
-            sent = time.time()
-            connection = self._connection(current)
-            target = current.path if current.query is None else f"{current.path}?{current.query}"
+            sent, connection, error = self._send(current) if ahead is None else ahead[1:]
+            ahead = None
             response = None
             try:
-                connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
-                                   headers={**HTTP_HEADERS, "Host": current.authority})
+                if error is not None:
+                    raise error
                 response = connection.getresponse()
                 status = response.status
                 body = _body(response)
@@ -511,21 +564,32 @@ def crawl_outlinks(
         return hit
 
     try:
-        # str() brackets an IPv6 key, and canonicalize encodes an IDN one
+        # str() brackets an IPv6 key
         entry = canonicalize(str(CanonicalUrl("http", site.value, None, "/")))
         robots = _load_robots(entry, fetcher)
         queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
         seen: set[str] = {str(entry)}
 
         attempts = 0  # the page cap bounds requests, failed ones included
-        while queue and attempts < policy.max_pages_per_site:
-            url, depth = queue.popleft()
-            if not robots.can_fetch(USER_AGENT, str(url)):
+
+        def next_page() -> tuple[CanonicalUrl, int] | None:
+            # the queue's next URL robots.txt allows, with its depth, if the
+            # page cap allows one more request; the URLs passed over are logged
+            nonlocal attempts
+            while queue and attempts < policy.max_pages_per_site:
+                url, depth = queue.popleft()
+                if robots.can_fetch(USER_AGENT, str(url)):
+                    attempts += 1
+                    return url, depth
                 report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
                 if url == entry:
                     report.robots_blocked = True
-                continue
-            attempts += 1
+            return None
+
+        ahead = None  # the next page, when its request is already sent
+        while (page := ahead or next_page()) is not None:
+            ahead = None
+            url, depth = page
             fetched = fetcher.fetch(url)
             if isinstance(fetched, FetchError):
                 report.errors.append(fetched)
@@ -540,6 +604,12 @@ def crawl_outlinks(
             if "html" not in content_type.lower():
                 continue
 
+            # the server answers the next page while this one is scanned:
+            # the page's links join the queue at its end, so its head, and
+            # the order of requests, are what they would be after the scan
+            ahead = next_page()
+            if ahead is not None:
+                fetcher._send_ahead(ahead[0])
             page_text = str(final_url)
             for href in extract_hrefs(body, page_text):
                 resolved = resolve(href, final_url, page_text)

@@ -180,15 +180,16 @@ def load_registry(path: str | Path) -> Registry:
 
     Expected header: ``site,actor_id,label,sector,category,role``. One row
     per site; rows sharing an actor_id must agree on label, sector,
-    category and role. Role may be empty. A site, stripped and lower-cased,
-    must be a ``SiteKey``.
+    category and role. Role may be empty. A site is stripped and read by
+    ``SiteKey.parse``, so a name written in Unicode is keyed by its
+    ``xn--`` form, as a crawled or harvested host is.
     """
     rows = _read_rows(path)
     pending: dict[str, dict] = {}
     for line_no, row in rows:
         # each value's own type refuses a bad cell
         try:
-            site = SiteKey(row["site"].strip().lower())
+            site = SiteKey.parse(row["site"].strip())
             actor_id = row["actor_id"].strip()
             if not actor_id:
                 raise ValueError("empty actor_id")

@@ -6,9 +6,10 @@ then reduced to a *site key*: the registrable domain of the host (e.g.
 ``wlv.ac.uk``), or a configured sub-domain when a study keeps the
 sub-sites of one registrable domain apart (e.g. ``cybermetrics.wlv.ac.uk``).
 
-A site key is non-empty, lower-case text without whitespace, as every
+A site key is non-empty, lower-case ASCII text without whitespace, as every
 reduced host is. ``SiteKey`` alone holds that rule, and every site read from
-a file is built as one, so a site that no host can reduce to is refused.
+a file is built as one, so a site that no host can reduce to is refused; a
+site a file writes in Unicode is read in the ``xn--`` form of its host.
 
 Canonicalization rules:
 
@@ -96,14 +97,28 @@ class CanonicalUrl:
 @dataclass(frozen=True, order=True, slots=True)
 class SiteKey:
     """An actor-level web identity: a registrable domain, a kept sub-domain
-    or an IP literal, as non-empty, lower-case text without whitespace."""
+    or an IP literal, as non-empty, lower-case ASCII text without
+    whitespace."""
 
     value: str
 
     def __post_init__(self):
         # split() is [value] only for non-empty text without whitespace
-        if self.value.split() != [self.value] or self.value != self.value.lower():
-            raise ValueError(f"bad site key {self.value!r}")
+        value = self.value
+        if not value.isascii() or value.split() != [value] or value != value.lower():
+            raise ValueError(f"bad site key {value!r}")
+
+    @classmethod
+    def parse(cls, text: str) -> "SiteKey":
+        """The key of a site as a file writes it: lower-cased, with a name
+        written in Unicode encoded by UTS #46 as ``canonicalize`` encodes a
+        host, so ``Bücher.de`` is ``xn--bcher-kva.de``. ValueError for text
+        that is no site key, a ``MalformedUrl`` for a name IDNA cannot
+        encode."""
+        text = text.lower()
+        if not text.isascii():
+            text = _encoded_idn(text, text)
+        return cls(text)
 
 
 class ReductionFlag(Enum):
@@ -306,11 +321,16 @@ def _normalize_host(host: str, raw: str) -> str:
     if _FORBIDDEN_HOST_CHARS.search(host):
         raise MalformedUrl(f"forbidden code point in host of {raw!r}")
     if not host.isascii():
-        try:
-            host = idna.encode(host, uts46=True, transitional=False).decode("ascii")
-        except UnicodeError as exc:
-            raise MalformedUrl(f"cannot encode IDN host in {raw!r}") from exc
+        host = _encoded_idn(host, raw)
     return host
+
+
+def _encoded_idn(host: str, raw: str) -> str:
+    """A non-ASCII host in its UTS #46 (non-transitional) ASCII form."""
+    try:
+        return idna.encode(host, uts46=True, transitional=False).decode("ascii")
+    except UnicodeError as exc:
+        raise MalformedUrl(f"cannot encode IDN host in {raw!r}") from exc
 
 
 def _normalize_percent(text: str) -> str:
@@ -394,7 +414,9 @@ class GenericFilterList:
     """Denylist of generic sites (search engines, portals, social networks,
     tourist information, public transport) excluded from actor networks.
     ``harvest.filter_generic`` drops a record when its source or target
-    site key exactly matches an entry, so each entry must be a site key."""
+    site key exactly matches an entry, so each entry must be a site key.
+    ``from_text`` reads an entry written in Unicode by ``SiteKey.parse``,
+    and names the line of one that cannot be encoded."""
 
     entries: frozenset[str]
     version: str = "unversioned"
@@ -407,16 +429,21 @@ class GenericFilterList:
     def from_text(cls, text: str) -> "GenericFilterList":
         version = "unversioned"
         entries = set()
-        for line in text.splitlines():
+        for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if stripped.startswith("#"):
                 comment = stripped[1:].strip()
                 if comment.upper().startswith("VERSION:"):
                     version = comment.split(":", 1)[1].strip()
                 continue
-            stripped = stripped.split("#", 1)[0].strip()
-            if stripped:
-                entries.add(stripped.lower())
+            entry = stripped.split("#", 1)[0].strip().lower()
+            if not entry.isascii():
+                try:
+                    entry = SiteKey.parse(entry).value
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {exc}") from None
+            if entry:
+                entries.add(entry)
         return cls(entries=frozenset(entries), version=version)
 
     @classmethod

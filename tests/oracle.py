@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from html.parser import HTMLParser
-from urllib.parse import urljoin
 
 
 def half_up_1dp(frac: Fraction) -> str:
@@ -171,14 +170,19 @@ class LinkCollector(HTMLParser):
 
 
 def page_hrefs(html: str, url: str = "") -> list[str]:
-    """What ``crawler.extract_hrefs`` returns for a page, from html.parser:
-    the hrefs, each resolved against the first base when there is one."""
+    """The links ``crawler.extract_hrefs`` finds on a page, from
+    html.parser: the hrefs, each resolved by ``resolve`` against the first
+    base when there is one. A base that resolves to no http or https URL
+    with a host is passed over, and the hrefs are returned as written."""
     collector = LinkCollector()
     collector.feed(html)
     if collector.base is None:
         return collector.hrefs
-    base = urljoin(url, collector.base.strip())
-    return [urljoin(base, href.strip()) for href in collector.hrefs]
+    base = resolve(url, collector.base.strip())
+    scheme, authority, _, _, _ = split_reference(base)
+    if (scheme or "").lower() not in ("http", "https") or not authority:
+        return collector.hrefs
+    return [resolve(base, href.strip()) for href in collector.hrefs]
 
 
 # --- URI reference resolution: RFC 3986 Appendix B and sections 5.2.2-5.3 -----

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
+import select
+import socket
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -22,6 +26,7 @@ from helixmap.crawler import (
     extract_hrefs,
 )
 from helixmap.harvest import LinkRecord, SourceTag
+from helixmap.registry import load_registry
 from helixmap.urls import ReductionRules, SiteKey, canonicalize
 
 RULES = ReductionRules.bundled()
@@ -135,6 +140,26 @@ SITES = {
         "/": '<a href="/z.html">z</a> <a href="/after.html">a</a>',
         "/after.html": '<a href="http://after.org/">a</a>',
     },
+    # the host of bücher.de
+    "xn--bcher-kva.de": {
+        "/": '<a href="/x.html">x</a>',
+        "/x.html": '<a href="http://ext.org/">e</a>',
+    },
+    # a site whose crawl sends requests ahead: after "/" a page is read while
+    # the queue holds more, among them a redirect (/old.html), a path
+    # robots.txt disallows, a 404 and a page that is not HTML (/doc.txt)
+    "ahead.com": {
+        "/": ('<a href="/a.html">a</a> <a href="/old.html">o</a> <a href="/private/p.html">p</a> '
+              '<a href="/missing.html">m</a> <a href="/doc.txt">t</a> '
+              '<a href="mailto:office@ahead.com">x</a> <a href="http://ext.org/">e</a>'),
+        "/a.html": '<a href="/c.html">c</a> <a href="/private/q.html">q</a>',
+        "/new.html": '<a href="/b.html">b</a> <a href="http://other.org/">o</a>',
+        "/doc.txt": '<a href="/never.html">n</a>',
+        "/b.html": '<a href="/d.html">d</a>',
+        "/c.html": "",
+        "/d.html": "",
+        "/robots.txt": "User-agent: *\nDisallow: /private/\n",
+    },
 }
 _LINK = b'<a href="http://short.org/">s</a>'
 _ZIPPED = gzip.compress(b'<a href="http://zipped.org/">z</a>')
@@ -155,7 +180,7 @@ RAW = {
 # STALL_SECONDS, and hangs up
 STALLED = {("cut.com", "/stall.html")}
 STALL_SECONDS = 2.0
-ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200, "agent.com": 200}
+ROBOTS_STATUS = {"busy.com": 503, "shy.com": 200, "agent.com": 200, "ahead.com": 200}
 # (host, path) -> (Content-Type, the codec of its body); other pages are
 # UTF-8 as bare text/html
 ENCODINGS = {
@@ -165,6 +190,8 @@ ENCODINGS = {
     # a codec that turns bytes into bytes, not into text
     ("intl.com", "/b64.html"): ("text/html; charset=base64", "utf-8"),
     ("shy.com", "/robots.txt"): ("text/plain; charset=x-no-such-codec", "utf-8"),
+    ("ahead.com", "/robots.txt"): ("text/plain", "utf-8"),
+    ("ahead.com", "/doc.txt"): ("text/plain", "utf-8"),
 }
 
 
@@ -364,11 +391,13 @@ def test_requests_to_one_host_are_spaced_by_the_delay(host_map, monkeypatch):
     monkeypatch.setattr(crawler, "time", SimpleNamespace(
         time=time.monotonic, monotonic=time.monotonic, sleep=time.sleep))
     policy = CrawlPolicy(delay_per_host=0.05, timeout=5, max_depth=4)
-    result = crawl_outlinks(SiteKey("chain.com"), policy, RULES, host_map=host_map)
-    stamps = [e.timestamp for e in result.report.log
-              if e.host == "chain.com" and e.status != "robots"]
-    assert len(stamps) == 6  # robots.txt and five pages
-    assert all(b - a >= 0.05 for a, b in zip(stamps, stamps[1:]))
+    # chain.com's crawl sends each request once the page before is scanned,
+    # ahead.com's mostly before; the count is robots.txt and the pages
+    for site, requests in (("chain.com", 6), ("ahead.com", 10)):
+        result = crawl_outlinks(SiteKey(site), policy, RULES, host_map=host_map)
+        stamps = [e.timestamp for e in result.report.log if e.host == site and e.status != "robots"]
+        assert len(stamps) == requests, site
+        assert all(b - a >= 0.05 for a, b in zip(stamps, stamps[1:])), site
 
 
 def test_a_page_past_the_byte_bound_is_a_page_error(host_map, monkeypatch):
@@ -688,3 +717,185 @@ def test_a_connection_the_server_closed_while_idle_is_opened_again():
     ]
     assert {record.key for record in result.links} == {("idle.com", "after.org")}
     assert len(set(server.peers)) == 3  # a new connection for each request
+
+
+def test_a_site_a_registry_writes_in_unicode_is_crawled(host_map, tmp_path):
+    path = tmp_path / "registry.csv"
+    path.write_text("site,actor_id,label,sector,category,role\n"
+                    "park.co.uk,park,P,Government,SciencePark,\n"
+                    "bücher.de,books,B,Industry,KnowledgeBasedFirm,\n", encoding="utf-8")
+    [site] = load_registry(path).get("books").sites
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(site, policy, RULES, host_map=host_map)
+    # the key is the host a link to the site reduces to, so its home page is
+    # not taken for a redirect off the site
+    assert result.report.pages_fetched == 2
+    assert {record.key for record in result.links} == {("xn--bcher-kva.de", "ext.org")}
+
+
+# how long an answer is held back unless a test says otherwise
+HOLD_SECONDS = 0.02
+
+
+class _RecordingServer(ThreadingHTTPServer):
+    """Records the requests it reads, and how many it held unanswered at once."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lock = threading.Lock()
+        self.requests = []  # (Host, path, peer) of each request, in the order read
+        self.unanswered = 0
+        self.most_unanswered = 0
+        self.early = 0  # requests sent on a connection before its last one was answered
+        self.dropped = []  # paths of the requests whose connection closed unanswered
+        self.hold = {}  # path -> seconds its answer is held back, else HOLD_SECONDS
+
+
+class _RecordingHandler(_Handler):
+    """Serves what ``_Handler`` serves over kept-alive connections, holding
+    each answer back until a request sent too early or the client's close
+    would show."""
+
+    protocol_version = "HTTP/1.1"
+    rbufsize = 0  # read no byte past a request: one sent early stays on the socket
+    wbufsize = -1  # each answer goes out in one write, once do_GET returns
+
+    def do_GET(self):
+        server = self.server
+        with server.lock:
+            server.requests.append((self.headers["Host"], self.path, self.client_address))
+            server.unanswered += 1
+            server.most_unanswered = max(server.most_unanswered, server.unanswered)
+        held = select.select([self.connection], [], [],
+                             server.hold.get(self.path, HOLD_SECONDS))[0]
+        try:
+            closed = bool(held) and not self.connection.recv(1, socket.MSG_PEEK)
+        except ConnectionError:
+            closed = True
+        with server.lock:
+            # counted as answered before any byte of the answer leaves
+            server.unanswered -= 1
+            if closed:
+                server.dropped.append(self.path)
+            elif held:
+                server.early += 1
+        if closed:
+            self.close_connection = True
+            return
+        super().do_GET()
+
+
+def _recorded(server) -> dict[str, str]:
+    return {"ahead.com": f"127.0.0.1:{server.server_address[1]}"}
+
+
+def test_a_crawl_sends_each_request_ahead_in_the_order_of_a_sequential_walk(monkeypatch):
+    sent_ahead = []
+    real = Fetcher._send_ahead
+
+    def recording(self, url):
+        sent_ahead.append(str(url))
+        real(self, url)
+
+    # the cap stops the crawl with /b.html, /private/q.html and /d.html queued
+    policy = CrawlPolicy(delay_per_host=0, timeout=5, max_depth=5, max_pages_per_site=6)
+    walks = []
+    # with requests sent ahead, then each sent when its fetch starts
+    for send_ahead in (recording, lambda self, url: None):
+        monkeypatch.setattr(Fetcher, "_send_ahead", send_ahead)
+        with _serving(_RecordingHandler, _RecordingServer) as server:
+            result = crawl_outlinks(SiteKey("ahead.com"), policy, RULES,
+                                    host_map=_recorded(server), now=7)
+        assert server.most_unanswered == 1
+        assert server.early == 0
+        assert server.dropped == []
+        report = result.report
+        walks.append(([path for _, path, _ in server.requests],
+                      [(e.host, e.url, e.status) for e in report.log],
+                      report.pages_fetched, report.errors, report.skipped_links,
+                      list(result.links)))
+    assert sent_ahead == ["http://ahead.com/old.html", "http://ahead.com/missing.html"]
+    assert walks[0] == walks[1]
+    requests, log, pages_fetched, errors, skipped_links, links = walks[0]
+    assert requests == ["/robots.txt", "/", "/a.html", "/old.html", "/new.html",
+                        "/missing.html", "/doc.txt", "/c.html"]
+    assert [(url, status) for _, url, status in log] == [
+        ("http://ahead.com/robots.txt", "200"),
+        ("http://ahead.com/", "200"),
+        ("http://ahead.com/a.html", "200"),
+        ("http://ahead.com/old.html", "301"),
+        ("http://ahead.com/new.html", "200"),
+        ("http://ahead.com/private/p.html", "robots"),
+        ("http://ahead.com/missing.html", "404"),
+        ("http://ahead.com/doc.txt", "200"),
+        ("http://ahead.com/c.html", "200"),
+    ]
+    assert pages_fetched == 5
+    assert [(e.url, e.status) for e in errors] == [("http://ahead.com/missing.html", 404)]
+    assert skipped_links == 1  # the mailto: link
+    assert [record.target.value for record in links] == ["ext.org", "other.org"]
+
+
+def test_a_fetch_of_another_url_closes_the_request_sent_ahead_unread():
+    with _serving(_RecordingHandler, _RecordingServer) as server:
+        server.hold["/b.html"] = 5.0  # answered only if its connection stays open
+        report = CrawlReport()
+        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0), report,
+                          host_map=_recorded(server))
+        try:
+            fetcher._send_ahead(canonicalize("http://ahead.com/b.html"))
+            deadline = time.monotonic() + 5
+            while not server.requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            fetched = fetcher.fetch(canonicalize("http://ahead.com/c.html"))
+        finally:
+            fetcher.close()
+    assert fetched == (canonicalize("http://ahead.com/c.html"), "text/html", "")
+    assert [(e.url, e.status) for e in report.log] == [("http://ahead.com/c.html", "200")]
+    assert server.dropped == ["/b.html"]
+    (_, first, ahead_peer), (_, second, peer) = server.requests
+    assert (first, second) == ("/b.html", "/c.html")
+    assert ahead_peer != peer
+
+
+def test_a_request_sent_ahead_to_a_closed_port_fails_as_a_fetch_does(closed_port):
+    url = canonicalize("http://gone.com/x.html")
+    outcomes = []
+    for ahead in (True, False):
+        report = CrawlReport()
+        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0), report,
+                          host_map={"gone.com": f"127.0.0.1:{closed_port}"})
+        try:
+            if ahead:
+                fetcher._send_ahead(url)
+            fetched = fetcher.fetch(url)
+        finally:
+            fetcher.close()
+        outcomes.append((fetched, [(e.host, e.url, e.status) for e in report.log]))
+    assert outcomes[0] == outcomes[1]
+    fetched, log = outcomes[0]
+    assert (fetched.url, fetched.status) == ("http://gone.com/x.html", None)
+    assert log == [("gone.com", "http://gone.com/x.html", "error")]
+
+
+def test_a_crawl_that_raises_with_a_request_in_flight_closes_its_sockets(monkeypatch):
+    real = crawler.extract_hrefs
+
+    def failing(html, url=""):
+        if url.endswith("/a.html"):
+            raise RuntimeError("scan failed")
+        return real(html, url)
+
+    monkeypatch.setattr(crawler, "extract_hrefs", failing)
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with _serving(_RecordingHandler, _RecordingServer) as server:
+            # /old.html is sent ahead while /a.html is scanned
+            server.hold["/old.html"] = 5.0
+            with pytest.raises(RuntimeError, match="scan failed"):
+                crawl_outlinks(SiteKey("ahead.com"), policy, RULES, host_map=_recorded(server))
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert [path for _, path, _ in server.requests][-1] == "/old.html"
+    assert server.dropped == ["/old.html"]

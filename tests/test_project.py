@@ -87,6 +87,15 @@ def test_only_the_crawler_imports_network_modules():
     assert importers == {"crawler.py"}
 
 
+def test_no_module_imports_a_concurrency_layer():
+    # a crawl overlaps its server's work with its own by sending the next
+    # request ahead, on the one thread it runs on
+    layers = {"threading", "concurrent", "asyncio", "multiprocessing"}
+    for path in (ROOT / "src" / "helixmap").glob("*.py"):
+        imported = {name.partition(".")[0] for name in _imports(path.read_text(encoding="utf-8"))}
+        assert imported & layers == set(), path.name
+
+
 def test_script_table_reader():
     toml = '[project]\nname = "x"\n\n[project.scripts]\na = "m:f"\nb-c = "p.q:g"\n\n[tool.x]\nd = "e"\n'
     assert _scripts(toml) == {"a": "m:f", "b-c": "p.q:g"}

@@ -169,6 +169,24 @@ def test_load_registry_tolerates_case_and_padding_in_site_cells(tmp_path):
     assert resolve(SiteKey("park.co.uk"), reg).id == "park.co.uk"
 
 
+def test_load_registry_keys_a_unicode_site_by_its_idna_form(tmp_path):
+    # the form canonicalize gives a host, which every crawled or harvested
+    # link's site key is reduced from
+    p = tmp_path / "reg.csv"
+    rows = ("site,actor_id,label,sector,category,role\n"
+            "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+            "{},books,B,Industry,KnowledgeBasedFirm,\n")
+    p.write_text(rows.format(" Bücher.DE "), encoding="utf-8")
+    reg = load_registry(p)
+    assert reg.get("books").sites == frozenset({SiteKey("xn--bcher-kva.de")})
+    assert resolve(SiteKey("xn--bcher-kva.de"), reg).id == "books"
+    # a name IDNA cannot encode stops the load on its line
+    p.write_text(rows.format("\u2603.com"), encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 3: cannot encode ") as err:
+        load_registry(p)
+    assert err.value.line == 3
+
+
 def test_load_registry_inconsistent_actor_rows(tmp_path):
     p = tmp_path / "reg.csv"
     p.write_text(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracle
 from helixmap import urls
+from helixmap.crawler import extract_hrefs
 from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag, filter_generic
 from helixmap.urls import (
     CanonicalUrl,
@@ -284,6 +285,29 @@ def test_references_resolve_as_rfc3986_examples_say(reference, expected):
             canonicalize(reference, base=base)
 
 
+def _crawled(html: str, url: str) -> list:
+    """The targets a crawl takes the links of a page at ``url`` for: what
+    ``extract_hrefs`` gives, resolved against the page's URL, or the error
+    canonicalize raises."""
+    targets = []
+    for href in extract_hrefs(html, url):
+        try:
+            targets.append(str(canonicalize(href, base=canonicalize(url))))
+        except (MalformedUrl, UnsupportedScheme) as exc:
+            targets.append(type(exc))
+    return targets
+
+
+@pytest.mark.parametrize("reference, expected", _RFC3986_EXAMPLES)
+def test_a_base_element_resolves_references_as_the_documents_url_does(reference, expected):
+    link = f'<a href="{reference}">'
+    alone = _crawled(link, _RFC3986_BASE)
+    assert alone == ([] if reference == "" else [expected])  # an empty href is no link
+    # the same link on a page elsewhere whose <base> is the RFC's base
+    based = _crawled(f'<base href="{_RFC3986_BASE}">{link}', "http://elsewhere.org/x/y.html?z")
+    assert based == alone
+
+
 # a scheme as RFC 3986 section 3.1 writes it
 _RFC3986_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
 
@@ -318,6 +342,8 @@ def test_resolution_matches_the_rfc3986_transcription(raw, base):
         pytest.param("wlv.ac.uk\n", id="trailing-newline"),
         pytest.param("uni.ac.uk; york.ac.uk", id="two-sites"),
         pytest.param("wlv.ac\u00a0uk", id="no-break-space"),
+        # canonicalize writes every host in ASCII
+        pytest.param("bücher.de", id="unicode"),
     ],
 )
 def test_site_key_refuses_text_no_reduced_host_can_be(text):
@@ -589,6 +615,14 @@ def test_filter_file_parsing(tmp_path):
 def test_filter_rejects_uppercase_entries():
     with pytest.raises(ValueError):
         GenericFilterList(entries=frozenset({"Upper.Com"}))
+
+
+def test_filter_reads_a_unicode_entry_as_its_idna_form():
+    filt = GenericFilterList.from_text("# VERSION: 1\nBücher.de  # books\nok.com\n")
+    assert filt.entries == frozenset({"xn--bcher-kva.de", "ok.com"})
+    assert _filtered(reduce_host(canonicalize("http://www.bücher.de/").host, RULES).site, filt)
+    with pytest.raises(ValueError, match="^line 2: cannot encode "):
+        GenericFilterList.from_text("ok.com\n\u2603.com\n")
 
 
 @pytest.mark.parametrize("text", ["foo bar.com\n", "ok.com\nfoo\tbar.com\n"])
