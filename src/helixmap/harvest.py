@@ -184,7 +184,9 @@ class LinkIndex:
 
 class SnapshotLinkIndex(LinkIndex):
     """Directory of per-site link lists: ``<sitekey>.in`` / ``<sitekey>.out``,
-    one URL per line. A missing file means no recorded links for that site."""
+    one URL per line. Blank lines and ``#`` comment lines are skipped, and a
+    UTF-8 byte-order mark is ignored. A missing file means no recorded links
+    for that site."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -197,7 +199,7 @@ class SnapshotLinkIndex(LinkIndex):
             return []
         lines = [
             line.strip()
-            for line in path.read_text(encoding="utf-8").splitlines()
+            for line in path.read_text(encoding="utf-8-sig").splitlines()
             if line.strip() and not line.lstrip().startswith("#")
         ]
         return lines[:limit]
@@ -350,7 +352,7 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
     records = links._records
     sites: dict[str, str] = {}  # site text -> the first string read for it
     labels: dict[str, str] = {}  # provenance text -> its shared label
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LINKSET_HEADER:

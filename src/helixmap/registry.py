@@ -183,64 +183,45 @@ def load_registry(path: str | Path) -> Registry:
     category and role. Role may be empty. A site is stripped and read by
     ``SiteKey.parse``, so a name written in Unicode is keyed by its
     ``xn--`` form, as a crawled or harvested host is.
+
+    The first bad row in file order stops the load with a ``ParseError``
+    naming the physical line on which that row starts, so a quoted cell
+    holding a line break does not shift the lines of the rows after it.
     """
-    rows = _read_rows(path)
-    pending: dict[str, dict] = {}
-    for line_no, row in rows:
-        # each value's own type refuses a bad cell
-        try:
-            site = SiteKey.parse(row["site"].strip())
-            actor_id = row["actor_id"].strip()
-            if not actor_id:
-                raise ValueError("empty actor_id")
-            role = row["role"].strip()
-            fields = {
-                "label": row["label"].strip(),
-                "sector": Sector(row["sector"].strip()),
-                "category": TableCategory(row["category"].strip()),
-                "role": FrameworkRole(role) if role else None,
-            }
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        entry = pending.setdefault(actor_id, {"sites": [], **fields})
-        for key, value in fields.items():
-            if entry[key] != value:
-                raise ParseError(
-                    line_no, f"actor {actor_id!r} redefines {key} ({entry[key]} != {value})"
-                )
-        entry["sites"].append(site)
-
-    actors = [
-        Actor(
-            id=actor_id,
-            sites=frozenset(entry["sites"]),
-            label=entry["label"],
-            sector=entry["sector"],
-            category=entry["category"],
-            role=entry["role"],
-        )
-        for actor_id, entry in pending.items()
-    ]
-    return Registry(actors)
-
-
-def _read_rows(path: str | Path) -> list[tuple[int, dict]]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    fields: dict[str, tuple] = {}  # actor id -> (label, sector, category, role)
+    sites: dict[str, list[SiteKey]] = {}
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty classification file") from None
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "empty classification file")
         if [h.strip() for h in header] != REGISTRY_HEADER:
             raise ParseError(1, f"bad header {header!r}; expected {REGISTRY_HEADER!r}")
-        rows = []
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
+        end = reader.line_num  # the physical line the last row read ends on
+        for raw in reader:
+            line_no, end = end + 1, reader.line_num
+            cells = [cell.strip() for cell in raw]
+            if not any(cells):
                 continue
-            if len(raw) != len(REGISTRY_HEADER):
-                raise ParseError(line_no, f"expected {len(REGISTRY_HEADER)} fields, got {len(raw)}")
-            rows.append((line_no, dict(zip(REGISTRY_HEADER, raw))))
-    return rows
+            if len(cells) != len(REGISTRY_HEADER):
+                raise ParseError(line_no, f"expected {len(REGISTRY_HEADER)} fields, got {len(cells)}")
+            site, actor_id, label, sector, category, role = cells
+            # each value's own type refuses a bad cell
+            try:
+                key = SiteKey.parse(site)
+                if not actor_id:
+                    raise ValueError("empty actor_id")
+                row = (label, Sector(sector), TableCategory(category),
+                       FrameworkRole(role) if role else None)
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+            known = fields.setdefault(actor_id, row)
+            if known != row:
+                name, old, new = next(d for d in zip(REGISTRY_HEADER[2:], known, row) if d[1] != d[2])
+                raise ParseError(line_no, f"actor {actor_id!r} redefines {name} ({old} != {new})")
+            sites.setdefault(actor_id, []).append(key)
+    return Registry(Actor(actor_id, frozenset(sites[actor_id]), *row)
+                    for actor_id, row in fields.items())
 
 
 def write_registry(reg: Registry, path: str | Path) -> None:

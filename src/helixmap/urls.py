@@ -8,8 +8,10 @@ sub-sites of one registrable domain apart (e.g. ``cybermetrics.wlv.ac.uk``).
 
 A site key is non-empty, lower-case ASCII text without whitespace, as every
 reduced host is. ``SiteKey`` alone holds that rule, and every site read from
-a file is built as one, so a site that no host can reduce to is refused; a
-site a file writes in Unicode is read in the ``xn--`` form of its host.
+a file is built as one, so a site that no host can reduce to is refused.
+Every site list (the registry, the generic filter and the sub-domain
+exceptions) reads a site written in Unicode through ``SiteKey.parse``, in
+the ``xn--`` form of its host; so is a suffix rule written in Unicode.
 
 Canonicalization rules:
 
@@ -143,15 +145,18 @@ class ReductionRules:
     ``//`` comments, ``*`` wildcard labels, ``!`` exception rules. Rules are
     kept as plain suffix strings in three sets: exact rules, wildcard bases
     (``*.b.c`` is kept as ``b.c``) and exceptions (``!a.b.c`` as ``a.b.c``).
-    A host is matched by looking its own suffixes up in those sets, longest
-    first: an exception prevails and its suffix drops the leftmost label;
-    otherwise the longest suffix that is an exact rule, or whose one-label-
-    shorter suffix is a wildcard base, is the public suffix.
+    A rule written in Unicode is kept in its ``xn--`` form, as
+    ``canonicalize`` gives every host. A host is matched by looking its own
+    suffixes up in those sets, longest first: an exception prevails and its
+    suffix drops the leftmost label; otherwise the longest suffix that is an
+    exact rule, or whose one-label-shorter suffix is a wildcard base, is the
+    public suffix.
 
-    The sub-domain exception file lists one registrable domain per line whose
-    sub-domains are to be kept as distinct site keys. Each exception must be
-    a site key (lower-case, no whitespace) and a registrable domain, or the
-    rules raise ``ValueError``.
+    The sub-domain exceptions file lists one registrable domain per line
+    whose sub-domains are to be kept as distinct site keys; ``#`` starts a
+    comment, and an entry written in Unicode is read by ``SiteKey.parse``.
+    Each exception must be a site key (lower-case, no whitespace) and a
+    registrable domain, or the rules raise ``ValueError``.
     """
 
     def __init__(self, suffix_text: str, subdomain_exceptions: set[str] | None = None):
@@ -170,11 +175,12 @@ class ReductionRules:
                 continue
             rule = line.split()[0].lower()
             if rule.startswith("!"):
-                self._exceptions.add(rule[1:])
+                rules, rule = self._exceptions, rule[1:]
             elif rule.startswith("*."):
-                self._wildcards.add(rule[2:])
+                rules, rule = self._wildcards, rule[2:]
             else:
-                self._exact.add(rule)
+                rules = self._exact
+            rules.add(rule if rule.isascii() else _encoded_idn(rule, line))
         if not (self._exact or self._wildcards):
             raise ValueError("suffix snapshot contains no rules")
 
@@ -193,24 +199,15 @@ class ReductionRules:
     def from_files(
         cls, suffix_path: str | Path, exceptions_path: str | Path | None = None
     ) -> "ReductionRules":
-        suffix_text = Path(suffix_path).read_text(encoding="utf-8")
-        exceptions: set[str] = set()
+        exceptions = None
         if exceptions_path is not None:
-            for line in Path(exceptions_path).read_text(encoding="utf-8").splitlines():
-                line = line.split("#", 1)[0].strip().lower()
-                if line:
-                    exceptions.add(line)
-        return cls(suffix_text, exceptions)
+            exceptions = _read_site_list(Path(exceptions_path).read_text(encoding="utf-8-sig"))[1]
+        return cls(Path(suffix_path).read_text(encoding="utf-8-sig"), exceptions)
 
     @classmethod
     def bundled(cls, subdomain_exceptions: set[str] | None = None) -> "ReductionRules":
         """Rules backed by the suffix snapshot shipped with the package."""
-        text = (
-            resources.files("helixmap.data")
-            .joinpath("public_suffix_snapshot.dat")
-            .read_text(encoding="utf-8")
-        )
-        return cls(text, subdomain_exceptions)
+        return cls(_bundled("public_suffix_snapshot.dat"), subdomain_exceptions)
 
     def registrable_length(self, labels: list[str]) -> int:
         """Label count of the registrable domain of a host split into
@@ -415,8 +412,8 @@ class GenericFilterList:
     tourist information, public transport) excluded from actor networks.
     ``harvest.filter_generic`` drops a record when its source or target
     site key exactly matches an entry, so each entry must be a site key.
-    ``from_text`` reads an entry written in Unicode by ``SiteKey.parse``,
-    and names the line of one that cannot be encoded."""
+    ``from_text`` reads one entry a line, with ``#`` comments, and an entry
+    written in Unicode by ``SiteKey.parse``."""
 
     entries: frozenset[str]
     version: str = "unversioned"
@@ -427,34 +424,40 @@ class GenericFilterList:
 
     @classmethod
     def from_text(cls, text: str) -> "GenericFilterList":
-        version = "unversioned"
-        entries = set()
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                comment = stripped[1:].strip()
-                if comment.upper().startswith("VERSION:"):
-                    version = comment.split(":", 1)[1].strip()
-                continue
-            entry = stripped.split("#", 1)[0].strip().lower()
-            if not entry.isascii():
-                try:
-                    entry = SiteKey.parse(entry).value
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: {exc}") from None
-            if entry:
-                entries.add(entry)
+        version, entries = _read_site_list(text)
         return cls(entries=frozenset(entries), version=version)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GenericFilterList":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(Path(path).read_text(encoding="utf-8-sig"))
 
     @classmethod
     def bundled(cls) -> "GenericFilterList":
-        text = (
-            resources.files("helixmap.data")
-            .joinpath("generic_filter_default.txt")
-            .read_text(encoding="utf-8")
-        )
-        return cls.from_text(text)
+        return cls.from_text(_bundled("generic_filter_default.txt"))
+
+
+def _read_site_list(text: str) -> tuple[str, set[str]]:
+    """The ``# VERSION:`` and the lower-cased entries of a site list, one a
+    line, ``#`` starting a comment. ``SiteKey.parse`` reads a Unicode entry,
+    naming its line if it cannot; the list's own ``SiteKey`` checks the rest."""
+    version, entries = "unversioned", set()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            comment = stripped[1:].strip()
+            if comment.upper().startswith("VERSION:"):
+                version = comment.split(":", 1)[1].strip()
+            continue
+        entry = stripped.split("#", 1)[0].strip().lower()
+        if not entry.isascii():
+            try:
+                entry = SiteKey.parse(entry).value
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+        if entry:
+            entries.add(entry)
+    return version, entries
+
+
+def _bundled(name: str) -> str:
+    return resources.files("helixmap.data").joinpath(name).read_text(encoding="utf-8")

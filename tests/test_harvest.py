@@ -26,7 +26,8 @@ from helixmap.harvest import (
     read_link_set,
     write_link_set,
 )
-from helixmap.urls import GenericFilterList, ReductionFlag, ReductionRules, SiteKey
+from helixmap.registry import load_registry
+from helixmap.urls import GenericFilterList, ReductionFlag, ReductionRules, SiteKey, reduce_host
 from instances import random_instance
 
 RULES = ReductionRules.bundled()
@@ -459,3 +460,50 @@ def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):
     assert all(type(label) is str and type(seen) is int for _, (label, seen) in stored)
     assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in stored)
 
+
+
+# --- a UTF-8 byte-order mark -------------------------------------------------
+
+def _harvested(path):
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(path.parent),
+                           Direction.OUTLINKS, RULES, now=1)
+    return result.links, result.skipped_urls
+
+
+def _suffixes_read(path):
+    rules = ReductionRules.from_files(path)
+    return rules.version, reduce_host("www.bbc.uk", rules)
+
+
+def _exceptions_read(path):
+    rules = ReductionRules.from_files(path.parent / "suffixes.dat", path)
+    return rules.subdomain_exceptions, reduce_host("cybermetrics.wlv.ac.uk", rules)
+
+
+# each input file: its name, its text, and what a study reads from it
+_INPUTS = {
+    "registry": ("registry.csv",
+                 "site,actor_id,label,sector,category,role\n"
+                 "park.co.uk,park.co.uk,P,Government,SciencePark,\n",
+                 lambda path: load_registry(path).actors()),
+    "link-set": ("links.csv", "source,target,provenance,first_seen\na.com,b.com,Crawl,1\n",
+                 lambda path: read_link_set(path, Direction.OUTLINKS)),
+    "snapshot-index": ("sitea.co.uk.out", "http://x.com/1\nhttp://y.org/\n", _harvested),
+    "filter": ("generic.txt", "# VERSION: 3\nx.com\n", GenericFilterList.from_file),
+    "suffixes": ("suffixes.dat", "uk\n// VERSION: 7\n", _suffixes_read),
+    "exceptions": ("exceptions.txt", "wlv.ac.uk\n", _exceptions_read),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+def test_each_input_reads_the_same_with_a_byte_order_mark(tmp_path, name):
+    # Excel's "CSV UTF-8" export and older Notepad versions write one
+    filename, text, read = _INPUTS[name]
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        d = tmp_path / encoding
+        d.mkdir()
+        (d / "suffixes.dat").write_text("uk\nac.uk\n", encoding="utf-8")
+        (d / filename).write_text(text, encoding=encoding)
+        results.append(read(d / filename))
+    assert results[0] == results[1]

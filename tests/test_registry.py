@@ -187,6 +187,48 @@ def test_load_registry_keys_a_unicode_site_by_its_idna_form(tmp_path):
     assert err.value.line == 3
 
 
+def test_load_registry_names_the_physical_line_a_bad_row_starts_on(tmp_path):
+    # a quoted label holding a line break spans lines 3 and 4
+    p = tmp_path / "reg.csv"
+    p.write_text(
+        "site,actor_id,label,sector,category,role\n"
+        "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+        'uni.ac.uk,uni,"University\nof York",Academia,Academia,University\n'
+        "bad site,x,X,Industry,KnowledgeBasedFirm,\n"
+    )
+    with pytest.raises(ParseError, match="^line 5: bad site key ") as err:
+        load_registry(p)
+    assert err.value.line == 5
+    p.write_text(
+        "site,actor_id,label,sector,category,role\n"
+        "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+        '"bad\nsite",x,X,Industry,KnowledgeBasedFirm,\n'
+    )
+    with pytest.raises(ParseError, match="^line 3: bad site key "):
+        load_registry(p)
+
+
+def test_load_registry_reports_the_first_bad_row_in_file_order(tmp_path):
+    p = tmp_path / "reg.csv"
+    p.write_text(
+        "site,actor_id,label,sector,category,role\n"
+        "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+        "bad site,x,X,Industry,KnowledgeBasedFirm,\n"
+        "short.com,short,S,Industry\n"
+    )
+    with pytest.raises(ParseError, match="^line 3: bad site key ") as err:
+        load_registry(p)
+    assert err.value.line == 3
+    p.write_text(
+        "site,actor_id,label,sector,category,role\n"
+        "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+        "short.com,short,S,Industry\n"
+        "bad site,x,X,Industry,KnowledgeBasedFirm,\n"
+    )
+    with pytest.raises(ParseError, match="^line 3: expected 6 fields, got 4$"):
+        load_registry(p)
+
+
 def test_load_registry_inconsistent_actor_rows(tmp_path):
     p = tmp_path / "reg.csv"
     p.write_text(

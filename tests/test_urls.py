@@ -431,6 +431,48 @@ def test_subdomain_exception_file_line_must_be_a_site_key(tmp_path):
         ReductionRules.from_files(suffixes, exceptions)
 
 
+def test_subdomain_exception_file_reads_a_unicode_entry_as_its_idna_form(tmp_path):
+    suffixes = tmp_path / "suffixes.dat"
+    suffixes.write_text("de\n", encoding="utf-8")
+    exceptions = tmp_path / "exceptions.txt"
+    exceptions.write_text("Bücher.de  # books\n", encoding="utf-8")
+    rules = ReductionRules.from_files(suffixes, exceptions)
+    assert rules.subdomain_exceptions == frozenset({"xn--bcher-kva.de"})
+    host = canonicalize("http://shop.bücher.de/").host
+    assert reduce_host(host, rules).site.value == "shop.xn--bcher-kva.de"
+    exceptions.write_text("ok.de\n\u2603.de\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 2: cannot encode "):
+        ReductionRules.from_files(suffixes, exceptions)
+
+
+# a suffix rule written in Unicode matches the xn-- form canonicalize gives a host
+
+
+def test_unicode_exact_rule_is_keyed_by_its_idna_form():
+    rules = ReductionRules("cn\n公司.cn\n")
+    host = canonicalize("http://www.example.公司.cn/").host
+    assert reduce_host(host, rules) == Reduction(SiteKey("example.xn--55qx5d.cn"))
+    with pytest.raises(ValueError, match="cannot encode "):
+        ReductionRules("cn\n\u2603.cn\n")
+
+
+def test_unicode_wildcard_rule_is_keyed_by_its_idna_form():
+    rules = ReductionRules("jp\n*.神戸.jp\n")
+    host = canonicalize("http://www.shop.town.神戸.jp/").host
+    assert reduce_host(host, rules) == Reduction(SiteKey("shop.town.xn--0ou382c.jp"))
+
+
+def test_unicode_exception_rule_is_keyed_by_its_idna_form():
+    rules = ReductionRules("jp\n*.神戸.jp\n!市役所.神戸.jp\n")
+    host = canonicalize("http://www.市役所.神戸.jp/").host
+    assert reduce_host(host, rules).site.value == canonicalize("http://市役所.神戸.jp/").host
+
+
+def test_bundled_lists_report_their_versions():
+    assert ReductionRules.bundled().version == "20240601"
+    assert GenericFilterList.bundled().version == "20240601"
+
+
 # Independent oracle: a second, hand-rolled matcher that enumerates suffix
 # candidates from the host side instead of iterating rules.
 
