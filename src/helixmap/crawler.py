@@ -60,7 +60,7 @@ from html import unescape
 from urllib.parse import urlsplit
 
 from . import __version__
-from .harvest import Direction, LinkRecord, LinkSet, SourceTag
+from .harvest import Direction, LinkSet, SourceTag
 from .urls import (
     CanonicalUrl,
     MalformedUrl,
@@ -624,6 +624,7 @@ def crawl_outlinks(
                     queue.append((link_url, depth + 1))
     finally:
         fetcher.close()
-    tags = frozenset({SourceTag.CRAWL})
-    links = LinkSet(Direction.OUTLINKS, (LinkRecord(site, target, tags, now) for target in targets))
+    links = LinkSet(Direction.OUTLINKS)
+    for target in targets:
+        links.add(site, target, SourceTag.CRAWL, now)
     return CrawlResult(links=links, report=report)

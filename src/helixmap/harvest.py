@@ -3,19 +3,19 @@
 Three kinds of evidence feed an interlinking study: a crawl over the
 actors' own pages, an inlink index and an outlink index (the role
 commercial search engines used to play). Each observation is reduced to a
-directed ``source site -> target site`` record carrying provenance tags,
-and records are deduplicated per (source, target) pair.
+directed ``source site -> target site`` row carrying provenance tags, and
+rows are deduplicated per (source, target) pair.
 
-A ``LinkSet`` stores each record in its CSV form: the (source, target)
-pair of site-key texts maps to a (provenance label, ``first_seen``) tuple.
-Reading, filtering, merging and writing a set work on those values alone;
-``LinkRecord`` objects are made only while a caller iterates a set or asks
-it for records.
+A ``LinkSet`` stores each row in its CSV form: the (source, target) pair
+of site-key texts maps to a (provenance label, ``first_seen``) tuple.
+Producers add rows; reading, filtering, merging and writing a set work on
+those values alone. ``LinkRecord`` objects are made only while a caller
+iterates a set or asks it for records.
 
-Index backends implement the small LinkIndex interface. One ships: a
-snapshot index, a directory of per-site link lists, which is the form a
-study's exported inlink and outlink lists take. The module opens no
-socket; fetching pages is the crawler's.
+The inlink and outlink evidence comes from a ``SnapshotLinkIndex``: a
+directory of per-site link lists, the form a study's exported inlink and
+outlink lists take. The module opens no socket; fetching pages is the
+crawler's.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, starmap
 from pathlib import Path
-from typing import Iterable, Iterator, KeysView
+from typing import Iterator, KeysView
 
 from .urls import (
     GenericFilterList,
@@ -36,6 +36,7 @@ from .urls import (
     ReductionRules,
     SiteKey,
     UnsupportedScheme,
+    _utf8_csv,
     canonicalize,
     reduce_host,
 )
@@ -59,7 +60,7 @@ class DirectionMismatch(ValueError):
 
 
 class IndexUnavailable(RuntimeError):
-    """The configured link index cannot be reached, or its answer is unusable."""
+    """A link index cannot answer: no snapshot directory, or no answer for a site."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,10 +69,6 @@ class LinkRecord:
     target: SiteKey
     provenance: frozenset[SourceTag]
     first_seen: int
-
-    def __post_init__(self):
-        if not self.provenance:
-            raise ValueError("link record without provenance")
 
     @property
     def key(self) -> tuple[str, str]:
@@ -113,15 +110,15 @@ class LinkSet:
     for output that must be deterministic.
     """
 
-    def __init__(self, direction: Direction, records: Iterable[LinkRecord] = ()):
+    def __init__(self, direction: Direction):
         self.direction = direction
         self._records: dict[tuple[str, str], tuple[str, int]] = {}
-        for record in records:
-            self.add(record)
 
-    def add(self, record: LinkRecord) -> None:
-        key = record.key
-        value = (_LABELS[record.provenance], record.first_seen)
+    def add(self, source: SiteKey, target: SiteKey, tag: SourceTag, first_seen: int) -> None:
+        """Add a row; one already held for the pair takes the union of the
+        tags and the earlier ``first_seen``."""
+        key = (source.value, target.value)
+        value = (tag.value, first_seen)
         old = self._records.setdefault(key, value)
         if old is not value:
             self._records[key] = _merged(old, value)
@@ -163,26 +160,10 @@ def merge_link_sets(a: LinkSet, b: LinkSet) -> LinkSet:
     return merged
 
 
-# --- index adapters ---------------------------------------------------------
+# --- the snapshot index -----------------------------------------------------
 
 
-class LinkIndex:
-    """Interface to a link-evidence backend (inlink/outlink lookups).
-
-    A backend that cannot answer for a site raises ``OSError`` (a file
-    that cannot be read), ``UnicodeError`` (one that is not UTF-8) or
-    ``IndexUnavailable`` (a backend that is gone or answers unusably);
-    ``harvest_index`` records the site as failed and goes on.
-    """
-
-    def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
-        raise NotImplementedError
-
-    def outlinks_of(self, site: SiteKey, limit: int) -> list[str]:
-        raise NotImplementedError
-
-
-class SnapshotLinkIndex(LinkIndex):
+class SnapshotLinkIndex:
     """Directory of per-site link lists: ``<sitekey>.in`` / ``<sitekey>.out``,
     one URL per line. Blank lines and ``#`` comment lines are skipped, and a
     UTF-8 byte-order mark is ignored. A missing file means no recorded links
@@ -226,30 +207,29 @@ class HarvestResult:
 
 def harvest_index(
     sites: list[SiteKey],
-    index: LinkIndex,
+    index: SnapshotLinkIndex,
     direction: Direction,
     rules: ReductionRules,
     limit: int = 1000,
     now: int | None = None,
 ) -> HarvestResult:
-    """Query the index for every site, reducing results to site-key records.
+    """Add one row per URL the index lists for a site, each URL reduced to
+    its site key; a URL that does not parse, or is not http(s), is skipped.
 
-    Per-site transport and index failures are isolated: the failing site is
-    recorded and the harvest continues. Any other exception is a bug and
-    propagates. Self-pairs (source equals target after reduction)
-    are retained here; the network builder removes them later.
+    A site whose list raises ``OSError``, ``UnicodeError`` or
+    ``IndexUnavailable`` is recorded as failed, and the harvest goes on; any
+    other exception is a bug and propagates. Self-pairs are kept here; the
+    network builder removes them.
     """
     if now is None:
         now = int(time.time())
-    tag = SourceTag.INLINK_INDEX if direction is Direction.INLINKS else SourceTag.OUTLINK_INDEX
-    tags = frozenset({tag})
+    inbound = direction is Direction.INLINKS
+    tag = SourceTag.INLINK_INDEX if inbound else SourceTag.OUTLINK_INDEX
+    query = index.inlinks_of if inbound else index.outlinks_of
     result = HarvestResult(links=LinkSet(direction))
     for site in sites:
         try:
-            if direction is Direction.INLINKS:
-                urls = index.inlinks_of(site, limit)
-            else:
-                urls = index.outlinks_of(site, limit)
+            urls = query(site, limit)
         except (OSError, UnicodeError, IndexUnavailable) as exc:
             log.warning("index query failed for %s: %s", site.value, exc)
             result.failed_sites.append(site)
@@ -261,13 +241,10 @@ def harvest_index(
                 continue
             if reduced.flag is not None:
                 result.flags[reduced.flag] = result.flags.get(reduced.flag, 0) + 1
-            if direction is Direction.INLINKS:
-                source, target = reduced.site, site
+            if inbound:
+                result.links.add(reduced.site, site, tag, now)
             else:
-                source, target = site, reduced.site
-            result.links.add(
-                LinkRecord(source=source, target=target, provenance=tags, first_seen=now)
-            )
+                result.links.add(site, reduced.site, tag, now)
     return result
 
 
@@ -338,9 +315,9 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
       and without repeats, as ``provenance_label`` writes them;
     - ``first_seen``: ASCII digits without a leading zero.
 
-    A row that breaks a rule raises ``ValueError("<path>:<line>: ...")``.
-    Rows repeating a (source, target) pair merge as ``LinkSet.add`` merges
-    them.
+    A row that breaks a rule, or a byte that is not UTF-8, raises
+    ``ValueError("<path>:<line>: ...")``. Rows repeating a (source, target)
+    pair merge as ``LinkSet.add`` merges them.
 
     Rows go straight into the set's storage; no ``LinkRecord`` is built.
     Each distinct site text is checked as a ``SiteKey`` once and stored as
@@ -352,7 +329,7 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
     records = links._records
     sites: dict[str, str] = {}  # site text -> the first string read for it
     labels: dict[str, str] = {}  # provenance text -> its shared label
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _utf8_csv(path, lambda line, message: ValueError(f"{path}:{line}: {message}")) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LINKSET_HEADER:

@@ -173,9 +173,6 @@ def dichotomize(net: InterlinkNetwork) -> InterlinkNetwork:
 
 def remove_self_links(net: InterlinkNetwork) -> InterlinkNetwork:
     """Drop every (x -> x) edge; stage is preserved."""
-    if net.stage is Stage.PRUNED:
-        # already guaranteed self-free; keep the operation idempotent
-        return net
     return InterlinkNetwork(
         nodes=net.nodes,
         edges=net.edges - {edge for edge in net.edges if edge[0] == edge[1]},

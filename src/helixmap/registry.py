@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .urls import SiteKey
+from .urls import SiteKey, _utf8_csv
 
 
 class Sector(Enum):
@@ -186,11 +186,12 @@ def load_registry(path: str | Path) -> Registry:
 
     The first bad row in file order stops the load with a ``ParseError``
     naming the physical line on which that row starts, so a quoted cell
-    holding a line break does not shift the lines of the rows after it.
+    holding a line break does not shift the lines of the rows after it. A
+    byte that is not UTF-8 is a ``ParseError`` naming its line.
     """
     fields: dict[str, tuple] = {}  # actor id -> (label, sector, category, role)
     sites: dict[str, list[SiteKey]] = {}
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _utf8_csv(path, ParseError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -44,10 +44,12 @@ from __future__ import annotations
 import ipaddress
 import re
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Iterator, TextIO
 from urllib.parse import urlsplit
 
 import idna
@@ -457,6 +459,27 @@ def _read_site_list(text: str) -> tuple[str, set[str]]:
         if entry:
             entries.add(entry)
     return version, entries
+
+
+@contextmanager
+def _utf8_csv(path: str | Path, error: Callable[[int, str], Exception]) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text for a ``csv`` reader, a byte-order mark
+    ignored. A byte that is not UTF-8 raises ``error(line, message)`` naming
+    the physical line, counted from 1, that holds the first one."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the read's error has an offset into the chunk it decoded, not
+            # into the file: decode the whole file's bytes for the line
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # the bytes up to the bad one, which is no line break, end on its line
+                line = len(data[: exc.start + 1].splitlines())
+                raise error(line, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+            raise
 
 
 def _bundled(name: str) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag
+from helixmap.harvest import Direction, LinkSet, SourceTag
 from helixmap.registry import Actor, Registry, Sector, TableCategory
 from helixmap.urls import SiteKey
 
@@ -54,14 +54,7 @@ def random_instance(rng: random.Random):
     def to_linkset(pairs, direction, tag):
         links = LinkSet(direction)
         for source, target in pairs:
-            links.add(
-                LinkRecord(
-                    source=SiteKey(source),
-                    target=SiteKey(target),
-                    provenance=frozenset({tag}),
-                    first_seen=0,
-                )
-            )
+            links.add(SiteKey(source), SiteKey(target), tag, 0)
         return links
 
     inlinks = to_linkset(in_pairs, Direction.INLINKS, SourceTag.INLINK_INDEX)

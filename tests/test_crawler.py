@@ -145,6 +145,17 @@ SITES = {
         "/": '<a href="/x.html">x</a>',
         "/x.html": '<a href="http://ext.org/">e</a>',
     },
+    # its links take branches a crawl seldom does: paths the request must
+    # percent-encode, a redirect (/mail.html) to a URL canonicalize refuses,
+    # and an absolute href canonicalize refuses on every page
+    "odd.com": {
+        "/": ('<a href="/a b/ü.html">u</a> <a href="/100%.html">p</a> '
+              '<a href="/mail.html">m</a> <a href="/after.html">a</a> '
+              '<a href="http://exa mple.com/">x</a>'),
+        "/a%20b/%C3%BC.html": '<a href="http://encoded.org/">e</a> <a href="http://exa mple.com/">x</a>',
+        "/100%25.html": "",
+        "/after.html": '<a href="http://after.org/">a</a>',
+    },
     # a site whose crawl sends requests ahead: after "/" a page is read while
     # the queue holds more, among them a redirect (/old.html), a path
     # robots.txt disallows, a 404 and a page that is not HTML (/doc.txt)
@@ -172,6 +183,8 @@ RAW = {
                                    + b"%x\r\n" % len(_LINK) + _LINK + b"\r\n"),
     ("cut.com", "/stall.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
                                  b"Content-Length: 500\r\n\r\n" + _LINK),
+    ("odd.com", "/mail.html"): (b"HTTP/1.1 302 Found\r\nLocation: mailto:x@y.org\r\n"
+                                b"Content-Length: 0\r\nConnection: close\r\n\r\n"),
     ("zipped.com", "/z.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
                                 b"Content-Encoding: gzip\r\n"
                                 b"Content-Length: %d\r\n\r\n" % len(_ZIPPED) + _ZIPPED),
@@ -493,9 +506,9 @@ def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
     added = []
     real = harvest.LinkSet.add
 
-    def counting(self, record):
-        added.append(record.key)
-        return real(self, record)
+    def counting(self, source, target, tag, first_seen):
+        added.append((source.value, target.value, tag, first_seen))
+        return real(self, source, target, tag, first_seen)
 
     monkeypatch.setattr(harvest.LinkSet, "add", counting)
     policy = CrawlPolicy(delay_per_host=0, max_depth=5, timeout=5)
@@ -518,6 +531,7 @@ def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
         added.clear()
         result = crawl_outlinks(SiteKey(site), policy, RULES, host_map=host_map, now=7)
         assert len(added) == len(result.links), site
+        assert added == [(site, target, SourceTag.CRAWL, 7) for target in targets]
         # the sites in the order they were first linked to
         assert list(result.links) == [
             LinkRecord(SiteKey(site), SiteKey(target), frozenset({SourceTag.CRAWL}), 7)
@@ -560,6 +574,28 @@ def test_an_answer_in_a_content_coding_is_a_page_error(host_map):
     assert ("http://zipped.com/z.html", "200") in _requests(result)
     assert result.report.pages_fetched == 2
     assert {record.key for record in result.links} == {("zipped.com", "after.org")}
+
+
+def test_a_redirect_to_a_url_canonicalize_refuses_is_a_page_error(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("odd.com"), policy, RULES, host_map=host_map)
+    # the error carries the status of the redirect
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://odd.com/mail.html", "unsupported scheme 'mailto' in 'mailto:x@y.org'", 302),
+    ]
+    # and the crawl goes on
+    assert _requests(result)[-2:] == [("http://odd.com/mail.html", "302"),
+                                      ("http://odd.com/after.html", "200")]
+    assert result.report.pages_fetched == 4
+    assert ("odd.com", "after.org") in {record.key for record in result.links}
+
+
+def test_an_absolute_href_canonicalize_refuses_is_a_skipped_link(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("odd.com"), policy, RULES, host_map=host_map)
+    # http://exa mple.com/ is on "/" and on /a b/ü.html; each occurrence counts
+    assert result.report.skipped_links == 2
+    assert {record.target.value for record in result.links} == {"encoded.org", "after.org"}
 
 
 class _HostRecorder(BaseHTTPRequestHandler):
@@ -899,3 +935,18 @@ def test_a_crawl_that_raises_with_a_request_in_flight_closes_its_sockets(monkeyp
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert [path for _, path, _ in server.requests][-1] == "/old.html"
     assert server.dropped == ["/old.html"]
+
+
+def test_a_request_target_is_percent_encoded():
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    with _serving(_RecordingHandler, _RecordingServer) as server:
+        result = crawl_outlinks(SiteKey("odd.com"), policy, RULES,
+                                host_map={"odd.com": f"127.0.0.1:{server.server_address[1]}"})
+    # the space and the ü as UTF-8 octets, and a "%" that starts no
+    # percent-encoding; the log keeps each URL as canonicalize gives it
+    assert [path for _, path, _ in server.requests] == [
+        "/robots.txt", "/", "/a%20b/%C3%BC.html", "/100%25.html", "/mail.html", "/after.html",
+    ]
+    assert _requests(result)[2:4] == [("http://odd.com/a b/ü.html", "200"),
+                                      ("http://odd.com/100%.html", "200")]
+    assert ("odd.com", "encoded.org") in {record.key for record in result.links}

@@ -14,7 +14,6 @@ from helixmap.harvest import (
     DirectionMismatch,
     HarvestResult,
     IndexUnavailable,
-    LinkIndex,
     LinkRecord,
     LinkSet,
     SnapshotLinkIndex,
@@ -37,8 +36,14 @@ def _record(source, target, tags, seen=0):
     return LinkRecord(SiteKey(source), SiteKey(target), frozenset(tags), seen)
 
 
-def _set(direction, *records):
-    return LinkSet(direction, records)
+def _set(direction, *rows):
+    """A set of the rows (source, target, tags, first_seen), each added once
+    per tag, as producers that saw a link by several sources add it."""
+    links = LinkSet(direction)
+    for source, target, tags, seen in rows:
+        for tag in tags:
+            links.add(SiteKey(source), SiteKey(target), tag, seen)
+    return links
 
 
 # --- LinkSet and merge ------------------------------------------------------
@@ -47,8 +52,8 @@ def _set(direction, *records):
 def test_linkset_dedups_by_source_target():
     links = _set(
         Direction.OUTLINKS,
-        _record("a.com", "b.com", {SourceTag.CRAWL}, 5),
-        _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 3),
+        ("a.com", "b.com", {SourceTag.CRAWL}, 5),
+        ("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 3),
     )
     assert list(links) == [
         _record("a.com", "b.com", {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}, 3),
@@ -57,11 +62,11 @@ def test_linkset_dedups_by_source_target():
 
 def test_merge_unions_keys_and_provenance():
     a = _set(Direction.OUTLINKS,
-             _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}),
-             _record("a.com", "c.com", {SourceTag.OUTLINK_INDEX}))
+             ("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 0),
+             ("a.com", "c.com", {SourceTag.OUTLINK_INDEX}, 0))
     b = _set(Direction.OUTLINKS,
-             _record("a.com", "b.com", {SourceTag.CRAWL}),
-             _record("a.com", "d.com", {SourceTag.CRAWL}))
+             ("a.com", "b.com", {SourceTag.CRAWL}, 0),
+             ("a.com", "d.com", {SourceTag.CRAWL}, 0))
     merged = merge_link_sets(a, b)
     assert [(r.key, r.provenance) for r in merged] == [
         (("a.com", "b.com"), {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}),
@@ -76,7 +81,7 @@ def test_merge_direction_mismatch():
 
 
 def test_merge_idempotent():
-    s = _set(Direction.OUTLINKS, _record("a.com", "b.com", {SourceTag.CRAWL}))
+    s = _set(Direction.OUTLINKS, ("a.com", "b.com", {SourceTag.CRAWL}, 0))
     assert merge_link_sets(s, s) == s
 
 
@@ -92,7 +97,7 @@ def test_merge_algebra_matches_naive_union(xs, ys, zs):
     def build(pairs, tag):
         return _set(
             Direction.OUTLINKS,
-            *[_record(f"{a}.com", f"{b}.org", {tag}) for a, b in pairs],
+            *[(f"{a}.com", f"{b}.org", {tag}, 0) for a, b in pairs],
         )
 
     a = build(xs, SourceTag.OUTLINK_INDEX)
@@ -116,9 +121,9 @@ def test_merge_cardinality_identity():
     only_b = [("b.com", f"t{i}.com") for i in range(3)]
     shared = [("s.com", f"t{i}.com") for i in range(2)]
     a = _set(Direction.OUTLINKS,
-             *[_record(s, t, {SourceTag.OUTLINK_INDEX}) for s, t in only_a + shared])
+             *[(s, t, {SourceTag.OUTLINK_INDEX}, 0) for s, t in only_a + shared])
     b = _set(Direction.OUTLINKS,
-             *[_record(s, t, {SourceTag.CRAWL}) for s, t in only_b + shared])
+             *[(s, t, {SourceTag.CRAWL}, 0) for s, t in only_b + shared])
     merged = merge_link_sets(a, b)
     assert len(merged) == len(only_a) + len(only_b) + len(shared)
     both = [r for r in merged if len(r.provenance) == 2]
@@ -188,7 +193,7 @@ def test_harvest_limit(snapshot_dir):
 
 
 def test_harvest_isolates_per_site_failures(snapshot_dir):
-    class FlakyIndex(LinkIndex):
+    class FlakyIndex:
         def __init__(self, inner):
             self.inner = inner
 
@@ -206,7 +211,7 @@ def test_harvest_isolates_per_site_failures(snapshot_dir):
     assert len(result.links) == 3
 
 
-class _RaisingIndex(LinkIndex):
+class _RaisingIndex:
     def __init__(self, error: Exception):
         self.error = error
 
@@ -245,9 +250,9 @@ def test_filter_generic_drops_either_endpoint():
     filt = GenericFilterList(frozenset({"google.com"}))
     links = _set(
         Direction.OUTLINKS,
-        _record("a.com", "google.com", {SourceTag.CRAWL}),
-        _record("google.com", "b.com", {SourceTag.CRAWL}),
-        _record("a.com", "b.com", {SourceTag.CRAWL}),
+        ("a.com", "google.com", {SourceTag.CRAWL}, 0),
+        ("google.com", "b.com", {SourceTag.CRAWL}, 0),
+        ("a.com", "b.com", {SourceTag.CRAWL}, 0),
     )
     kept, dropped = filter_generic(links, filt)
     assert dropped == 2
@@ -278,8 +283,8 @@ def test_filter_generic_matches_bruteforce(seed):
 def test_link_set_csv_round_trip(tmp_path):
     links = _set(
         Direction.OUTLINKS,
-        _record("b.com", "a.com", {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}, 7),
-        _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 9),
+        ("b.com", "a.com", {SourceTag.CRAWL, SourceTag.OUTLINK_INDEX}, 7),
+        ("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 9),
     )
     path = tmp_path / "links.csv"
     write_link_set(links, path)
@@ -292,15 +297,15 @@ def test_link_set_csv_round_trip(tmp_path):
 
 
 def test_write_link_set_ignores_insertion_order(tmp_path):
-    records = [
-        _record("b.com", "a.com", {SourceTag.CRAWL}, 1),
-        _record("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 2),
-        _record("a.com", "c.com", {SourceTag.CRAWL}, 3),
+    rows = [
+        ("b.com", "a.com", {SourceTag.CRAWL}, 1),
+        ("a.com", "b.com", {SourceTag.OUTLINK_INDEX}, 2),
+        ("a.com", "c.com", {SourceTag.CRAWL}, 3),
     ]
-    forward = LinkSet(Direction.OUTLINKS, records)
-    backward = LinkSet(Direction.OUTLINKS, reversed(records))
+    forward = _set(Direction.OUTLINKS, *rows)
+    backward = _set(Direction.OUTLINKS, *reversed(rows))
     # iteration keeps insertion order; only the writer sorts
-    assert [r.key for r in backward] == [r.key for r in reversed(records)]
+    assert [r.key for r in backward] == [(s, t) for s, t, _, _ in reversed(rows)]
     write_link_set(forward, tmp_path / "forward.csv")
     write_link_set(backward, tmp_path / "backward.csv")
     assert (tmp_path / "forward.csv").read_bytes() == (tmp_path / "backward.csv").read_bytes()
@@ -349,6 +354,18 @@ def test_read_link_set_rejects_malformed_row_after_valid_ones(tmp_path, row):
         read_link_set(path, Direction.OUTLINKS)
 
 
+def test_read_link_set_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # past the reader's first 8 KiB, where the offset its decoder reports is
+    # one into a later chunk, not into the file
+    path = tmp_path / "links.csv"
+    rows = "".join(f"s{i}.com,t{i}.org,Crawl,{i}\n" for i in range(600))
+    data = ("source,target,provenance,first_seen\n" + rows + "café.com,b.com,Crawl,1\n")
+    path.write_bytes(data.encode("cp1252"))
+    assert data.encode("cp1252").index(b"\xe9") > 8 * 1024
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:602: byte 0xe9 is not UTF-8$"):
+        read_link_set(path, Direction.OUTLINKS)
+
+
 def test_read_link_set_builds_one_site_key_per_site_text(tmp_path, monkeypatch):
     path = tmp_path / "links.csv"
     rows = [f"s{i % 3}.com,s{(i + 1) % 4}.com,{'Crawl' if i % 2 else 'InlinkIndex'},{i}"
@@ -386,7 +403,7 @@ _records = st.lists(
 @given(records=_records)
 @settings(max_examples=100, deadline=None)
 def test_link_set_csv_round_trip_is_exact(tmp_path_factory, records):
-    links = LinkSet(Direction.OUTLINKS, [_record(*r) for r in records])
+    links = _set(Direction.OUTLINKS, *records)
     directory = tmp_path_factory.mktemp("round")
     first, second = directory / "first.csv", directory / "second.csv"
     write_link_set(links, first)
@@ -425,7 +442,7 @@ def test_read_link_set_matches_adding_each_row(tmp_path_factory, rows):
     for name, part in (("all", rows), ("first", rows[:half]), ("second", rows[half:])):
         _write_rows(directory / f"{name}.csv", part)
     read = read_link_set(directory / "all.csv", Direction.INLINKS)
-    added = LinkSet(Direction.INLINKS, [_record(*row) for row in rows])
+    added = _set(Direction.INLINKS, *rows)
     assert read == added
     assert list(read) == list(added)  # the same records in the same order
     halves = merge_link_sets(read_link_set(directory / "first.csv", Direction.INLINKS),

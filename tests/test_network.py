@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helixmap.network as network_module
 import oracle
-from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag
+from helixmap.harvest import Direction, LinkSet, SourceTag
 from helixmap.network import (
     InterlinkNetwork,
     SeedMissing,
@@ -48,9 +48,7 @@ def _reg(site_map: dict[str, list[str]], seed: str) -> Registry:
 def _links(pairs, direction=Direction.OUTLINKS, tag=SourceTag.OUTLINK_INDEX):
     links = LinkSet(direction)
     for source, target in pairs:
-        links.add(
-            LinkRecord(SiteKey(source), SiteKey(target), frozenset({tag}), 0)
-        )
+        links.add(SiteKey(source), SiteKey(target), tag, 0)
     return links
 
 
@@ -179,6 +177,8 @@ def test_prune_removes_seed_out_edges_and_orphans():
     assert pruned.nodes == {"a1", "a2", "park"}
     assert pruned.edges == {("a1", "a2"), ("a2", "park")}
     assert pruned.stage is Stage.PRUNED
+    # a pruned network holds no self-link, so removing them changes nothing
+    assert remove_self_links(pruned) == pruned
 
 
 def test_prune_star_network_collapses_to_nothing():
@@ -250,8 +250,11 @@ def test_pipeline_monotonic_counts(seed):
 def test_order_insensitivity_of_inputs():
     rng = random.Random(99)
     reg, inlinks, outlinks, *_ = random_instance(rng)
-    shuffled_in = LinkSet(inlinks.direction, list(reversed(inlinks.records())))
-    shuffled_out = LinkSet(outlinks.direction, list(reversed(outlinks.records())))
+    shuffled_in, shuffled_out = LinkSet(inlinks.direction), LinkSet(outlinks.direction)
+    for links, shuffled in ((inlinks, shuffled_in), (outlinks, shuffled_out)):
+        for record in reversed(links.records()):
+            for tag in record.provenance:
+                shuffled.add(record.source, record.target, tag, record.first_seen)
     a = build_networks(inlinks, outlinks, reg)
     b = build_networks(shuffled_in, shuffled_out, reg)
     assert a.pruned.nodes == b.pruned.nodes

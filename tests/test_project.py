@@ -53,6 +53,28 @@ def _third_party_imports(source: str) -> set[str]:
     return names - set(sys.stdlib_module_names) - {"__future__", "helixmap"}
 
 
+def _callers(source: str, callee: str) -> list[str]:
+    """The dotted names of the classes and functions in ``source`` that call
+    ``callee`` by its name, plain or as an attribute, once per call;
+    ``<module>`` for a call outside them."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
 def test_dependency_readers():
     toml = ('[project]\nname = "x"\ndependencies = [\n    "idna>=3",\n    "Foo-Bar[x]~=1",\n]\n\n'
             '[project.optional-dependencies]\ntest = [\n    "pytest>=7",\n]\n')
@@ -94,6 +116,19 @@ def test_no_module_imports_a_concurrency_layer():
     for path in (ROOT / "src" / "helixmap").glob("*.py"):
         imported = {name.partition(".")[0] for name in _imports(path.read_text(encoding="utf-8"))}
         assert imported & layers == set(), path.name
+
+
+def test_only_a_link_set_builds_link_records():
+    source = ("X()\ndef f():\n    return [X(i) for i in y]\n"
+              "class C:\n    def g(self):\n        h(m.X())\n    x = X\n")
+    assert _callers(source, "X") == ["<module>", "f", "C.g"]
+    # producers add rows to a LinkSet; a record is made only to read one back
+    builders = [
+        f"{path.stem}.{caller}"
+        for path in sorted((ROOT / "src" / "helixmap").glob("*.py"))
+        for caller in _callers(path.read_text(encoding="utf-8"), "LinkRecord")
+    ]
+    assert builders == ["harvest.LinkSet._record"]
 
 
 def test_script_table_reader():

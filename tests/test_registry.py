@@ -229,6 +229,19 @@ def test_load_registry_reports_the_first_bad_row_in_file_order(tmp_path):
         load_registry(p)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_registry_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    # Excel's plain "CSV" export writes Windows-1252, where é is byte 0xe9
+    p = tmp_path / "reg.csv"
+    text = ("site,actor_id,label,sector,category,role\n"
+            "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+            "uni.ac.uk,uni,Café Uni,Academia,Academia,University\n")
+    p.write_bytes(text.replace("\n", newline).encode("cp1252"))
+    with pytest.raises(ParseError, match="^line 3: byte 0xe9 is not UTF-8$") as err:
+        load_registry(p)
+    assert err.value.line == 3
+
+
 def test_load_registry_inconsistent_actor_rows(tmp_path):
     p = tmp_path / "reg.csv"
     p.write_text(

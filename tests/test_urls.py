@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracle
 from helixmap import urls
 from helixmap.crawler import extract_hrefs
-from helixmap.harvest import Direction, LinkRecord, LinkSet, SourceTag, filter_generic
+from helixmap.harvest import Direction, LinkSet, SourceTag, filter_generic
 from helixmap.urls import (
     CanonicalUrl,
     GenericFilterList,
@@ -624,9 +624,9 @@ def _filtered(site: SiteKey, filt: GenericFilterList) -> bool:
     """Whether ``filter_generic`` drops the records that name ``site`` as
     source and as target; the other endpoint is on no denylist."""
     other = SiteKey("actor1.co.uk")
-    tags = frozenset({SourceTag.CRAWL})
-    links = LinkSet(Direction.OUTLINKS, [LinkRecord(site, other, tags, 0),
-                                         LinkRecord(other, site, tags, 0)])
+    links = LinkSet(Direction.OUTLINKS)
+    links.add(site, other, SourceTag.CRAWL, 0)
+    links.add(other, site, SourceTag.CRAWL, 0)
     kept, dropped = filter_generic(links, filt)
     assert dropped in (0, 2) and len(kept) + dropped == 2
     return dropped == 2
