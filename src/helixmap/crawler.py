@@ -317,16 +317,26 @@ def _body(response: http.client.HTTPResponse) -> bytes:
     return b"".join(chunks)
 
 
+# a sent GET: the time it was sent, the connection it went over, the
+# transport error that stopped it or None, and whether the connection had
+# carried a request before
+_Request = tuple[float, http.client.HTTPConnection, Exception | None, bool]
+# what a reused connection that the server closed before answering raises
+_UNANSWERED = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
 class Fetcher:
     """HTTP fetcher with manual redirect handling and host-map support.
 
     GETs go over one keep-alive ``http.client`` connection per origin
-    (scheme, address, port), open until ``close``. A request is sent once:
-    no retry, and no proxy variable or ``~/.netrc`` is read. HTTPS is
-    verified with the default ``ssl`` context. ``policy.timeout`` bounds
-    each socket operation. A connection carries the next request only after
-    its answer was read to the end; one that the server closed while it was
-    idle is opened again first.
+    (scheme, address, port), open until ``close``; no proxy variable or
+    ``~/.netrc`` is read. HTTPS is verified with the default ``ssl``
+    context. ``policy.timeout`` bounds each socket operation. A connection
+    carries the next request only after its answer was read to the end; one
+    that the server closed while it was idle is opened again first. A GET
+    is sent once more only when a reused connection closes before its
+    answer's status line comes, and then on a new connection; the second
+    send waits for its host's slot and is logged as every request is.
 
     A fetch either sends its first request or reads the answer to the one
     sent ahead for its URL by ``_send_ahead``, which the crawl calls before
@@ -353,10 +363,8 @@ class Fetcher:
             split = urlsplit(f"//{address}")
             self.addresses[host] = (split.hostname, split.port)
         self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
-        # the request sent ahead of its fetch: (URL, time sent, connection,
-        # the error that stopped its send or None)
-        self._ahead: tuple[CanonicalUrl, float, http.client.HTTPConnection,
-                           Exception | None] | None = None
+        # the request sent ahead of its fetch, and its URL
+        self._ahead: tuple[CanonicalUrl, _Request] | None = None
         # an unclosed fetcher closes its connections when it is collected
         self._finalizer = weakref.finalize(self, _close_all, self._connections)
 
@@ -382,25 +390,64 @@ class Fetcher:
     def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
         self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
 
-    def _send(self, url: CanonicalUrl) -> tuple[float, http.client.HTTPConnection, Exception | None]:
-        """Wait for the slot of ``url``'s host, then send its GET: the time
-        it was sent, the connection it went over, and the transport error
-        that stopped it, if one did."""
+    def _send(self, url: CanonicalUrl) -> _Request:
+        """Wait for the slot of ``url``'s host, then send its GET."""
         self.throttle.wait(url.host)
         sent = time.time()
         connection = self._connection(url)
+        reused = connection.sock is not None
         target = url.path if url.query is None else f"{url.path}?{url.query}"
         try:
             connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
                                headers={**HTTP_HEADERS, "Host": url.authority})
         except (OSError, http.client.HTTPException) as exc:
-            return sent, connection, exc
-        return sent, connection, None
+            return sent, connection, exc, reused
+        return sent, connection, None, reused
 
     def _send_ahead(self, url: CanonicalUrl) -> None:
         """Send the GET of ``url`` now, so that the server answers it while
         the caller works; the next ``fetch`` of ``url`` reads the answer."""
-        self._ahead = (url, *self._send(url))
+        self._ahead = (url, self._send(url))
+
+    def _answer(self, url: CanonicalUrl, request: _Request
+                ) -> tuple[http.client.HTTPResponse, bytes] | FetchError:
+        """The answer to ``request``, the GET of ``url``, with its body read
+        to the end; or why there is none. The request is logged with the
+        answer's status, or as an error. An answer left half-read is closed
+        with its connection, so the rest of its body can never be taken for
+        the start of the next answer.
+
+        A server may close a kept-alive connection just as a request goes
+        out on it. So a GET that a reused connection dropped before any
+        status line came is sent once more, on a new connection, as RFC
+        9112 §9.3.1 allows for an idempotent request; one sent on a new
+        connection is not.
+        """
+        sent, connection, error, reused = request
+        response = None
+        try:
+            if error is not None:
+                raise error
+            response = connection.getresponse()
+            body = _body(response)
+        except UnreadableBody as exc:
+            self._log(sent, url, str(response.status))
+            return FetchError(str(url), str(exc), response.status)
+        except (OSError, http.client.HTTPException) as exc:
+            self._log(sent, url, "error")
+            if not (reused and response is None and isinstance(exc, _UNANSWERED)):
+                return FetchError(str(url), str(exc), None)
+        else:
+            self._log(sent, url, str(response.status))
+            return response, body
+        finally:
+            if response is None or not response.isclosed():
+                # an answer that ends its connection (HTTP/1.0, say) has
+                # left it and holds the socket itself: close both
+                connection.close()
+                if response is not None:
+                    response.close()
+        return self._answer(url, self._send(url))
 
     def fetch(self, url: CanonicalUrl) -> tuple[CanonicalUrl, str, str] | FetchError:
         """GET one page: (final_url, content_type, body), or why it failed.
@@ -409,43 +456,25 @@ class Fetcher:
         and logged against its own host, stamped with the time it was sent.
         Every request carries ``HTTP_HEADERS`` and the URL's authority as
         ``Host``. Every answer's body is read, up to MAX_PAGE_BYTES; the
-        page's is decoded in the charset ``body_charset`` picks. An answer
-        left half-read is closed with its connection, so the rest of its
-        body can never be taken for the start of the next answer.
+        page's is decoded in the charset ``body_charset`` picks.
 
         The first request is the one sent ahead for ``url``, if there is
         one; a request sent ahead for another URL is closed with its
         connection, its answer unread.
         """
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None and ahead[0] != url:
-            ahead[2].close()
-            ahead = None
+        ahead_url, request = self._ahead or (None, None)
+        self._ahead = None
+        if request is not None and ahead_url != url:
+            request[1].close()  # its connection
+            request = None
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
-            sent, connection, error = self._send(current) if ahead is None else ahead[1:]
-            ahead = None
-            response = None
-            try:
-                if error is not None:
-                    raise error
-                response = connection.getresponse()
-                status = response.status
-                body = _body(response)
-            except UnreadableBody as exc:
-                self._log(sent, current, str(status))
-                return FetchError(str(current), str(exc), status)
-            except (OSError, http.client.HTTPException) as exc:
-                self._log(sent, current, "error")
-                return FetchError(str(current), str(exc), None)
-            finally:
-                if response is None or not response.isclosed():
-                    # an answer that ends its connection (HTTP/1.0, say) has
-                    # left it and holds the socket itself: close both
-                    connection.close()
-                    if response is not None:
-                        response.close()
-            self._log(sent, current, str(status))
+            answer = self._answer(current, request or self._send(current))
+            request = None
+            if isinstance(answer, FetchError):
+                return answer
+            response, body = answer
+            status = response.status
             if status in REDIRECT_STATUSES:
                 location = response.getheader("Location")
                 if not location:

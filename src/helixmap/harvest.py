@@ -25,7 +25,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from pathlib import Path
 from typing import Iterator, KeysView
 
@@ -283,12 +283,29 @@ LINKSET_HEADER = ["source", "target", "provenance", "first_seen"]
 
 def write_link_set(links: LinkSet, path: str | Path) -> None:
     """CSV form: source,target,provenance,first_seen with "+"-joined tags,
-    rows sorted by (source, target), written from the stored values."""
+    rows sorted by (source, target), written from the stored values.
+
+    Quoting is RFC 4180's, kept minimal as ``csv.writer`` keeps it by
+    default: a field holding "," or '"' is written in double quotes with
+    each '"' doubled, and any other field as it is. Only a site text can
+    hold either, and none holds a line break, as a site key holds no white
+    space; each distinct site is quoted once, however many rows name it.
+    """
     records = links._records
+    cells = {site: _csv_field(site) for site in set(chain.from_iterable(records))}
+    keys = sorted(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LINKSET_HEADER)
-        writer.writerows(key + records[key] for key in sorted(records))
+        fh.write(",".join(LINKSET_HEADER) + "\n")
+        fh.writelines(
+            f"{cells[source]},{cells[target]},{label},{first_seen}\n"
+            for (source, target), (label, first_seen) in zip(keys, map(records.__getitem__, keys))
+        )
+
+
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _canonical_label(text: str) -> str:

@@ -28,6 +28,7 @@ the network rather than recounting the edges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -115,13 +116,9 @@ class InterlinkNetwork:
 
 def degree_counts(edges: frozenset[tuple[str, str]]) -> dict[str, tuple[int, int]]:
     """Per-node (in_degree, out_degree) over the directed edges."""
-    degrees: dict[str, tuple[int, int]] = {}
-    for source, target in edges:
-        din, dout = degrees.get(source, (0, 0))
-        degrees[source] = (din, dout + 1)
-        din, dout = degrees.get(target, (0, 0))
-        degrees[target] = (din + 1, dout)
-    return degrees
+    ins = Counter(map(itemgetter(1), edges))
+    outs = Counter(map(itemgetter(0), edges))
+    return {node: (ins[node], outs[node]) for node in ins.keys() | outs.keys()}
 
 
 def restrict_to_actors(links: LinkSet, reg: Registry) -> tuple[frozenset[tuple[str, str]], int]:

@@ -203,8 +203,8 @@ class ReductionRules:
     ) -> "ReductionRules":
         exceptions = None
         if exceptions_path is not None:
-            exceptions = _read_site_list(Path(exceptions_path).read_text(encoding="utf-8-sig"))[1]
-        return cls(Path(suffix_path).read_text(encoding="utf-8-sig"), exceptions)
+            exceptions = _read_site_list(_read_utf8(exceptions_path))[1]
+        return cls(_read_utf8(suffix_path), exceptions)
 
     @classmethod
     def bundled(cls, subdomain_exceptions: set[str] | None = None) -> "ReductionRules":
@@ -431,7 +431,7 @@ class GenericFilterList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GenericFilterList":
-        return cls.from_text(Path(path).read_text(encoding="utf-8-sig"))
+        return cls.from_text(_read_utf8(path))
 
     @classmethod
     def bundled(cls) -> "GenericFilterList":
@@ -461,25 +461,40 @@ def _read_site_list(text: str) -> tuple[str, set[str]]:
     return version, entries
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The text of ``path`` read as UTF-8, a byte-order mark ignored. A byte
+    that is not UTF-8 raises ``ValueError("<path>:<line>: ...")``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise _not_utf8(data, lambda line, message: ValueError(f"{path}:{line}: {message}")) from None
+
+
 @contextmanager
 def _utf8_csv(path: str | Path, error: Callable[[int, str], Exception]) -> Iterator[TextIO]:
     """``path`` open as UTF-8 text for a ``csv`` reader, a byte-order mark
-    ignored. A byte that is not UTF-8 raises ``error(line, message)`` naming
-    the physical line, counted from 1, that holds the first one."""
+    ignored. A byte that is not UTF-8 raises ``error(line, message)``."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
-        except UnicodeDecodeError:
+        except UnicodeDecodeError as exc:
             # the read's error has an offset into the chunk it decoded, not
             # into the file: decode the whole file's bytes for the line
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                # the bytes up to the bad one, which is no line break, end on its line
-                line = len(data[: exc.start + 1].splitlines())
-                raise error(line, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
-            raise
+            raise (_not_utf8(Path(path).read_bytes(), error) or exc) from None
+
+
+def _not_utf8(data: bytes, error: Callable[[int, str], Exception]) -> Exception | None:
+    """``error(line, message)`` for the first byte of ``data`` that is not
+    UTF-8, naming the physical line, counted from 1, that holds it; None
+    when every byte is."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes up to the bad one, which is no line break, end on its line
+        line = len(data[: exc.start + 1].splitlines())
+        return error(line, f"byte 0x{data[exc.start]:02x} is not UTF-8")
+    return None
 
 
 def _bundled(name: str) -> str:

@@ -785,6 +785,9 @@ class _RecordingServer(ThreadingHTTPServer):
         self.early = 0  # requests sent on a connection before its last one was answered
         self.dropped = []  # paths of the requests whose connection closed unanswered
         self.hold = {}  # path -> seconds its answer is held back, else HOLD_SECONDS
+        # paths whose next request is read and its connection then closed
+        # unanswered, though the answers before it left the connection open
+        self.hang_up = set()
 
 
 class _RecordingHandler(_Handler):
@@ -800,6 +803,10 @@ class _RecordingHandler(_Handler):
         server = self.server
         with server.lock:
             server.requests.append((self.headers["Host"], self.path, self.client_address))
+            if self.path in server.hang_up:
+                server.hang_up.discard(self.path)
+                self.close_connection = True
+                return
             server.unanswered += 1
             server.most_unanswered = max(server.most_unanswered, server.unanswered)
         held = select.select([self.connection], [], [],
@@ -950,3 +957,62 @@ def test_a_request_target_is_percent_encoded():
     assert _requests(result)[2:4] == [("http://odd.com/a b/ü.html", "200"),
                                       ("http://odd.com/100%.html", "200")]
     assert ("odd.com", "encoded.org") in {record.key for record in result.links}
+
+
+class _CountingThrottle(HostThrottle):
+    """A throttle without delay that counts the slots it gives."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.slots = 0
+
+    def wait(self, host):
+        self.slots += 1
+        super().wait(host)
+
+
+def test_a_request_sent_ahead_on_a_connection_the_server_then_closes_is_sent_again():
+    # the server answers /a.html with a Content-Length and no "Connection:
+    # close", reads /old.html, sent ahead on that connection while /a.html
+    # is scanned, and closes the connection without answering it
+    policy = CrawlPolicy(delay_per_host=0, timeout=5, max_depth=5, max_pages_per_site=6)
+    throttle = _CountingThrottle()
+    with _serving(_RecordingHandler, _RecordingServer) as server:
+        server.hang_up.add("/old.html")
+        result = crawl_outlinks(SiteKey("ahead.com"), policy, RULES,
+                                host_map=_recorded(server), throttle=throttle, now=7)
+    requests = [(path, peer) for _, path, peer in server.requests]
+    assert [path for path, _ in requests] == [
+        "/robots.txt", "/", "/a.html", "/old.html", "/old.html", "/new.html",
+        "/missing.html", "/doc.txt", "/c.html"]
+    # the GET goes again on a new connection, which carries the rest
+    peers = [peer for _, peer in requests]
+    assert len(set(peers[:4])) == len(set(peers[4:])) == 1
+    assert peers[3] != peers[4]
+    # it waited for its slot, and both sends are logged
+    assert throttle.slots == len(requests)
+    assert _requests(result)[3:6] == [("http://ahead.com/old.html", "error"),
+                                      ("http://ahead.com/old.html", "301"),
+                                      ("http://ahead.com/new.html", "200")]
+    report = result.report
+    assert [(e.url, e.status) for e in report.errors] == [("http://ahead.com/missing.html", 404)]
+    assert report.pages_fetched == 5
+    assert [record.target.value for record in result.links] == ["ext.org", "other.org"]
+
+
+def test_a_request_on_a_new_connection_the_server_closes_unanswered_is_not_sent_again():
+    throttle = _CountingThrottle()
+    with _serving(_RecordingHandler, _RecordingServer) as server:
+        server.hang_up.add("/c.html")
+        report = CrawlReport()
+        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), throttle, report,
+                          host_map=_recorded(server))
+        try:
+            fetched = fetcher.fetch(canonicalize("http://ahead.com/c.html"))
+        finally:
+            fetcher.close()
+    assert (fetched.url, fetched.status) == ("http://ahead.com/c.html", None)
+    assert "without response" in fetched.cause
+    assert [(e.url, e.status) for e in report.log] == [("http://ahead.com/c.html", "error")]
+    assert [path for _, path, _ in server.requests] == ["/c.html"]
+    assert throttle.slots == 1

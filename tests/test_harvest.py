@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import random
 import re
@@ -411,6 +412,30 @@ def test_link_set_csv_round_trip_is_exact(tmp_path_factory, records):
     assert read == links
     write_link_set(read, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+# site texts holding what csv quotes ("," and '"') and punctuation it does not
+_quoted_sites = st.text(alphabet="ab.-,\"'!*0", min_size=1, max_size=6)
+
+
+@given(rows=st.lists(
+    st.tuples(_quoted_sites, _quoted_sites,
+              st.sets(st.sampled_from(SourceTag), min_size=1), st.integers(0, 2**40)),
+    max_size=30,
+))
+@settings(max_examples=200, deadline=None)
+def test_write_link_set_writes_what_csv_writer_writes(tmp_path_factory, rows):
+    links = _set(Direction.INLINKS, *rows)
+    directory = tmp_path_factory.mktemp("quoted")
+    written, expected = directory / "written.csv", directory / "expected.csv"
+    write_link_set(links, written)
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["source", "target", "provenance", "first_seen"])
+        writer.writerows((r.source.value, r.target.value, provenance_label(r.provenance),
+                          r.first_seen) for r in links.records())
+    assert written.read_bytes() == expected.read_bytes()
+    assert read_link_set(written, Direction.INLINKS) == links
 
 
 _rows = st.lists(

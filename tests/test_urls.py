@@ -667,6 +667,32 @@ def test_filter_reads_a_unicode_entry_as_its_idna_form():
         GenericFilterList.from_text("ok.com\n\u2603.com\n")
 
 
+# the suffix file holds its bad byte past the first 8 KiB, which a chunked
+# decoder would report at an offset into a later chunk
+_RULES = "".join(f"r{i}.uk\n" for i in range(1200))
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("filter", "# VERSION: 1\nok.com\ncafé.com\n", 3),
+    ("suffixes", f"// VERSION: 1\nuk\n{_RULES}café\n", 1203),
+    ("exceptions", "# kept sub-domains\nwlv.ac.uk\ncafé.ac.uk\n", 3),
+])
+def test_a_site_list_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, name, text, line):
+    paths = {"filter": tmp_path / "filter.txt", "suffixes": tmp_path / "suffixes.dat",
+             "exceptions": tmp_path / "exceptions.txt"}
+    paths["suffixes"].write_text("uk\nac.uk\n", encoding="utf-8")
+    paths["exceptions"].write_text("wlv.ac.uk\n", encoding="utf-8")
+    path = paths[name]
+    path.write_bytes(text.encode("latin-1"))
+    if name == "suffixes":
+        assert text.encode("latin-1").index(b"\xe9") > 8 * 1024
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: byte 0xe9 is not UTF-8$"):
+        if name == "filter":
+            GenericFilterList.from_file(path)
+        else:
+            ReductionRules.from_files(paths["suffixes"], paths["exceptions"])
+
+
 @pytest.mark.parametrize("text", ["foo bar.com\n", "ok.com\nfoo\tbar.com\n"])
 def test_filter_rejects_entries_holding_whitespace(text):
     # no site key holds whitespace, so such an entry could never match
