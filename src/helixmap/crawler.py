@@ -68,6 +68,7 @@ from .urls import (
     SiteKey,
     UnsupportedScheme,
     canonicalize,
+    input_lines,
     reduce_host,
 )
 
@@ -507,7 +508,8 @@ def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.Ro
                               port=entry.port, path="/robots.txt")
     fetched = fetcher.fetch(robots_url)
     if not isinstance(fetched, FetchError):
-        parser.parse(fetched[2].splitlines())
+        with input_lines(fetched[2]) as lines:
+            parser.parse(lines)
     elif fetched.status is not None and 300 <= fetched.status < 500:
         parser.parse([])
     else:

@@ -15,7 +15,8 @@ iterates a set or asks it for records.
 The inlink and outlink evidence comes from a ``SnapshotLinkIndex``: a
 directory of per-site link lists, the form a study's exported inlink and
 outlink lists take. The module opens no socket; fetching pages is the
-crawler's.
+crawler's. ``urls.input_lines``, whose docstring states the input-file
+contract, reads index lists and link sets.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from typing import Iterator, KeysView
 
 from .urls import (
     GenericFilterList,
+    InputError,
     MalformedUrl,
     ReductionFlag,
     ReductionRules,
     SiteKey,
     UnsupportedScheme,
-    _utf8_csv,
     canonicalize,
+    input_lines,
     reduce_host,
 )
 
@@ -165,8 +167,8 @@ def merge_link_sets(a: LinkSet, b: LinkSet) -> LinkSet:
 
 class SnapshotLinkIndex:
     """Directory of per-site link lists: ``<sitekey>.in`` / ``<sitekey>.out``,
-    one URL per line. Blank lines and ``#`` comment lines are skipped, and a
-    UTF-8 byte-order mark is ignored. A missing file means no recorded links
+    one URL per line, each read by ``urls.input_lines``. Blank lines and
+    ``#`` comment lines are skipped. A missing file means no recorded links
     for that site."""
 
     def __init__(self, directory: str | Path):
@@ -178,12 +180,8 @@ class SnapshotLinkIndex:
         path = self.directory / f"{site.value}.{suffix}"
         if not path.is_file():
             return []
-        lines = [
-            line.strip()
-            for line in path.read_text(encoding="utf-8-sig").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-        return lines[:limit]
+        with input_lines(path) as lines:
+            return [url for url in map(str.strip, lines) if url and url[0] != "#"][:limit]
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
         return self._read(site, "in", limit)
@@ -216,10 +214,10 @@ def harvest_index(
     """Add one row per URL the index lists for a site, each URL reduced to
     its site key; a URL that does not parse, or is not http(s), is skipped.
 
-    A site whose list raises ``OSError``, ``UnicodeError`` or
-    ``IndexUnavailable`` is recorded as failed, and the harvest goes on; any
-    other exception is a bug and propagates. Self-pairs are kept here; the
-    network builder removes them.
+    A site whose list raises ``OSError``, ``InputError`` (a list that is
+    not UTF-8) or ``IndexUnavailable`` is recorded as failed, and the
+    harvest goes on; any other exception is a bug and propagates.
+    Self-pairs are kept here; the network builder removes them.
     """
     if now is None:
         now = int(time.time())
@@ -230,7 +228,7 @@ def harvest_index(
     for site in sites:
         try:
             urls = query(site, limit)
-        except (OSError, UnicodeError, IndexUnavailable) as exc:
+        except (OSError, InputError, IndexUnavailable) as exc:
             log.warning("index query failed for %s: %s", site.value, exc)
             result.failed_sites.append(site)
             continue
@@ -332,9 +330,9 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
       and without repeats, as ``provenance_label`` writes them;
     - ``first_seen``: ASCII digits without a leading zero.
 
-    A row that breaks a rule, or a byte that is not UTF-8, raises
-    ``ValueError("<path>:<line>: ...")``. Rows repeating a (source, target)
-    pair merge as ``LinkSet.add`` merges them.
+    The file is read by ``urls.input_lines``, and a row that breaks a rule
+    raises an ``InputError`` naming its line. Rows repeating a (source,
+    target) pair merge as ``LinkSet.add`` merges them.
 
     Rows go straight into the set's storage; no ``LinkRecord`` is built.
     Each distinct site text is checked as a ``SiteKey`` once and stored as
@@ -342,43 +340,47 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
     provenance text is checked once and stored as the one shared label
     string.
     """
+    path = Path(path)
     links = LinkSet(direction)
     records = links._records
     sites: dict[str, str] = {}  # site text -> the first string read for it
     labels: dict[str, str] = {}  # provenance text -> its shared label
-    with _utf8_csv(path, lambda line, message: ValueError(f"{path}:{line}: {message}")) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LINKSET_HEADER:
-            raise ValueError(f"{path}: bad link-set header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(row)}")
-            source, target, tags_text, first_seen = row
-            try:
+    try:
+        with input_lines(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != LINKSET_HEADER:
+                raise InputError(path, 1, f"bad link-set header {header!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise InputError(path, line_no, f"expected 4 fields, got {len(row)}")
+                source, target, tags_text, first_seen = row
                 try:
-                    source = sites[source]
-                except KeyError:
-                    sites[source] = SiteKey(source).value
-                try:
-                    target = sites[target]
-                except KeyError:
-                    sites[target] = SiteKey(target).value
-                try:
-                    label = labels[tags_text]
-                except KeyError:
-                    label = labels[tags_text] = _canonical_label(tags_text)
-                if not (first_seen.isascii() and first_seen.isdigit()):
-                    raise ValueError(f"first_seen {first_seen!r} is not ASCII digits")
-                if first_seen[0] == "0" and len(first_seen) > 1:
-                    raise ValueError(f"first_seen {first_seen!r} has a leading zero")
-                key = (source, target)
-                value = (label, int(first_seen))
-                old = records.setdefault(key, value)
-                if old is not value:
-                    records[key] = _merged(old, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+                    try:
+                        source = sites[source]
+                    except KeyError:
+                        sites[source] = SiteKey(source).value
+                    try:
+                        target = sites[target]
+                    except KeyError:
+                        sites[target] = SiteKey(target).value
+                    try:
+                        label = labels[tags_text]
+                    except KeyError:
+                        label = labels[tags_text] = _canonical_label(tags_text)
+                    if not (first_seen.isascii() and first_seen.isdigit()):
+                        raise ValueError(f"first_seen {first_seen!r} is not ASCII digits")
+                    if first_seen[0] == "0" and len(first_seen) > 1:
+                        raise ValueError(f"first_seen {first_seen!r} has a leading zero")
+                    key = (source, target)
+                    value = (label, int(first_seen))
+                    old = records.setdefault(key, value)
+                    if old is not value:
+                        records[key] = _merged(old, value)
+                except ValueError as exc:
+                    raise InputError(path, line_no, str(exc)) from exc
+    except csv.Error as exc:  # a field past csv's size limit, say
+        raise InputError(path, reader.line_num, str(exc)) from None
     return links

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .urls import SiteKey, _utf8_csv
+from .urls import InputError, SiteKey, input_lines
 
 
 class Sector(Enum):
@@ -83,10 +83,8 @@ class RegistryError(ValueError):
     """Base class for registry construction failures."""
 
 
-class ParseError(RegistryError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class ParseError(RegistryError, InputError):
+    """A classification file that cannot be read: ``<path>:<line>: <reason>``."""
 
 
 class DuplicateSite(RegistryError):
@@ -184,43 +182,52 @@ def load_registry(path: str | Path) -> Registry:
     ``SiteKey.parse``, so a name written in Unicode is keyed by its
     ``xn--`` form, as a crawled or harvested host is.
 
-    The first bad row in file order stops the load with a ``ParseError``
-    naming the physical line on which that row starts, so a quoted cell
-    holding a line break does not shift the lines of the rows after it. A
-    byte that is not UTF-8 is a ``ParseError`` naming its line.
+    The file is read by ``urls.input_lines``. The first bad row in file
+    order stops the load with a ``ParseError`` naming the physical line on
+    which that row starts, so a quoted cell holding a line break does not
+    shift the lines of the rows after it; so does a byte that is not UTF-8.
     """
+    path = Path(path)
     fields: dict[str, tuple] = {}  # actor id -> (label, sector, category, role)
     sites: dict[str, list[SiteKey]] = {}
-    with _utf8_csv(path, ParseError) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, "empty classification file")
-        if [h.strip() for h in header] != REGISTRY_HEADER:
-            raise ParseError(1, f"bad header {header!r}; expected {REGISTRY_HEADER!r}")
-        end = reader.line_num  # the physical line the last row read ends on
-        for raw in reader:
-            line_no, end = end + 1, reader.line_num
-            cells = [cell.strip() for cell in raw]
-            if not any(cells):
-                continue
-            if len(cells) != len(REGISTRY_HEADER):
-                raise ParseError(line_no, f"expected {len(REGISTRY_HEADER)} fields, got {len(cells)}")
-            site, actor_id, label, sector, category, role = cells
-            # each value's own type refuses a bad cell
-            try:
-                key = SiteKey.parse(site)
-                if not actor_id:
-                    raise ValueError("empty actor_id")
-                row = (label, Sector(sector), TableCategory(category),
-                       FrameworkRole(role) if role else None)
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from None
-            known = fields.setdefault(actor_id, row)
-            if known != row:
-                name, old, new = next(d for d in zip(REGISTRY_HEADER[2:], known, row) if d[1] != d[2])
-                raise ParseError(line_no, f"actor {actor_id!r} redefines {name} ({old} != {new})")
-            sites.setdefault(actor_id, []).append(key)
+    try:
+        with input_lines(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(path, 1, "empty classification file")
+            if [h.strip() for h in header] != REGISTRY_HEADER:
+                raise InputError(path, 1, f"bad header {header!r}; expected {REGISTRY_HEADER!r}")
+            end = reader.line_num  # the physical line the last row read ends on
+            for raw in reader:
+                line_no, end = end + 1, reader.line_num
+                cells = [cell.strip() for cell in raw]
+                if not any(cells):
+                    continue
+                if len(cells) != len(REGISTRY_HEADER):
+                    raise InputError(path, line_no,
+                                     f"expected {len(REGISTRY_HEADER)} fields, got {len(cells)}")
+                site, actor_id, label, sector, category, role = cells
+                # each value's own type refuses a bad cell
+                try:
+                    key = SiteKey.parse(site)
+                    if not actor_id:
+                        raise ValueError("empty actor_id")
+                    row = (label, Sector(sector), TableCategory(category),
+                           FrameworkRole(role) if role else None)
+                except ValueError as exc:
+                    raise InputError(path, line_no, str(exc)) from None
+                known = fields.setdefault(actor_id, row)
+                if known != row:
+                    name, old, new = next(d for d in zip(REGISTRY_HEADER[2:], known, row)
+                                          if d[1] != d[2])
+                    raise InputError(path, line_no,
+                                     f"actor {actor_id!r} redefines {name} ({old} != {new})")
+                sites.setdefault(actor_id, []).append(key)
+    except csv.Error as exc:  # a field past csv's size limit, say
+        raise ParseError(path, reader.line_num, str(exc)) from None
+    except InputError as exc:
+        raise ParseError(path, exc.line, exc.reason) from None
     return Registry(Actor(actor_id, frozenset(sites[actor_id]), *row)
                     for actor_id, row in fields.items())
 

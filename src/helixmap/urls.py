@@ -6,12 +6,14 @@ then reduced to a *site key*: the registrable domain of the host (e.g.
 ``wlv.ac.uk``), or a configured sub-domain when a study keeps the
 sub-sites of one registrable domain apart (e.g. ``cybermetrics.wlv.ac.uk``).
 
-A site key is non-empty, lower-case ASCII text without whitespace, as every
-reduced host is. ``SiteKey`` alone holds that rule, and every site read from
-a file is built as one, so a site that no host can reduce to is refused.
-Every site list (the registry, the generic filter and the sub-domain
-exceptions) reads a site written in Unicode through ``SiteKey.parse``, in
-the ``xn--`` form of its host; so is a suffix rule written in Unicode.
+A site key is what a reduced host can be: lower-case ASCII text with no
+empty label, holding no code point ``canonicalize`` refuses in a host but
+the ``:`` of an IPv6 literal. ``SiteKey`` alone holds that rule, and every
+site read from a file is built as one, so a site that no host can reduce
+to is refused. Every site list (the registry, the generic filter and the
+sub-domain exceptions) reads a site written in Unicode through
+``SiteKey.parse``, in the ``xn--`` form of its host; so is a suffix rule
+written in Unicode. ``input_lines`` reads every study file.
 
 Canonicalization rules:
 
@@ -41,15 +43,16 @@ and flagged rather than dropped, so the analyst decides their fate.
 
 from __future__ import annotations
 
+import io
 import ipaddress
 import re
 import string
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from ipaddress import IPv6Address
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import TextIO
 from urllib.parse import urlsplit
 
 import idna
@@ -101,15 +104,15 @@ class CanonicalUrl:
 @dataclass(frozen=True, order=True, slots=True)
 class SiteKey:
     """An actor-level web identity: a registrable domain, a kept sub-domain
-    or an IP literal, as non-empty, lower-case ASCII text without
-    whitespace."""
+    or an IP literal, as lower-case ASCII text with no empty label and no
+    forbidden domain code point but the ``:`` of an IPv6 literal."""
 
     value: str
 
     def __post_init__(self):
-        # split() is [value] only for non-empty text without whitespace
         value = self.value
-        if not value.isascii() or value.split() != [value] or value != value.lower():
+        if (not value.isascii() or value != value.lower() or ".." in f".{value}."
+                or _FORBIDDEN_HOST_CHARS.search(value) and not _ipv6_literal(value)):
             raise ValueError(f"bad site key {value!r}")
 
     @classmethod
@@ -123,6 +126,14 @@ class SiteKey:
         if not text.isascii():
             text = _encoded_idn(text, text)
         return cls(text)
+
+
+def _ipv6_literal(text: str) -> bool:
+    """Whether ``text`` is an IPv6 address without a zone identifier."""
+    try:
+        return IPv6Address(text).scope_id is None
+    except ValueError:
+        return False
 
 
 class ReductionFlag(Enum):
@@ -143,7 +154,8 @@ class Reduction:
 class ReductionRules:
     """Public-suffix snapshot plus the set of sub-domain exception domains.
 
-    The suffix snapshot uses the standard one-rule-per-line text form:
+    The suffix snapshot, given as text or as the ``Path`` of its file and
+    read by ``input_lines``, uses the standard one-rule-per-line text form:
     ``//`` comments, ``*`` wildcard labels, ``!`` exception rules. Rules are
     kept as plain suffix strings in three sets: exact rules, wildcard bases
     (``*.b.c`` is kept as ``b.c``) and exceptions (``!a.b.c`` as ``a.b.c``).
@@ -157,54 +169,54 @@ class ReductionRules:
     The sub-domain exceptions file lists one registrable domain per line
     whose sub-domains are to be kept as distinct site keys; ``#`` starts a
     comment, and an entry written in Unicode is read by ``SiteKey.parse``.
-    Each exception must be a site key (lower-case, no whitespace) and a
-    registrable domain, or the rules raise ``ValueError``.
+    Each exception must be a site key and a registrable domain, or the rules
+    raise ``ValueError``.
     """
 
-    def __init__(self, suffix_text: str, subdomain_exceptions: set[str] | None = None):
+    def __init__(self, suffixes: str | Path, subdomain_exceptions: set[str] | None = None):
         self.version = "unversioned"
-        self._exact: set[str] = set()
-        self._wildcards: set[str] = set()
-        self._exceptions: set[str] = set()
-        for line in suffix_text.splitlines():
-            line = line.strip()
-            if line.startswith("//"):
-                comment = line[2:].strip()
-                if comment.upper().startswith("VERSION:"):
-                    self.version = comment.split(":", 1)[1].strip()
-                continue
-            if not line:
-                continue
-            rule = line.split()[0].lower()
-            if rule.startswith("!"):
-                rules, rule = self._exceptions, rule[1:]
-            elif rule.startswith("*."):
-                rules, rule = self._wildcards, rule[2:]
-            else:
-                rules = self._exact
-            rules.add(rule if rule.isascii() else _encoded_idn(rule, line))
+        self._exact, self._wildcards, self._exceptions = set(), set(), set()
+        try:
+            with input_lines(suffixes) as lines:
+                for line_no, line in enumerate(lines, start=1):
+                    words = line.lower().split()  # a rule is a line's first word
+                    if not words:
+                        continue
+                    rule = words[0]
+                    if rule[:2] == "//":
+                        comment = line.strip()[2:].strip()
+                        if comment.upper().startswith("VERSION:"):
+                            self.version = comment.split(":", 1)[1].strip()
+                        continue
+                    if rule[0] == "!":
+                        rules, rule = self._exceptions, rule[1:]
+                    elif rule[:2] == "*.":
+                        rules, rule = self._wildcards, rule[2:]
+                    else:
+                        rules = self._exact
+                    rules.add(rule if rule.isascii() else _encoded_idn(rule, line.strip()))
+        except MalformedUrl as exc:
+            raise InputError(suffixes, line_no, str(exc)) from None
         if not (self._exact or self._wildcards):
-            raise ValueError("suffix snapshot contains no rules")
-
+            raise InputError(suffixes, 1, "suffix snapshot contains no rules")
         # each exception is a site key, so that a host can match it
         self.subdomain_exceptions = frozenset(
-            SiteKey(domain).value for domain in sorted(subdomain_exceptions or ())
-        )
-        for domain in self.subdomain_exceptions:
-            labels = domain.split(".")
-            if self.registrable_length(labels) != len(labels):
-                raise ValueError(
-                    f"subdomain exception {domain!r} is not a registrable domain"
-                )
+            self._kept(SiteKey(domain).value) for domain in sorted(subdomain_exceptions or ()))
 
     @classmethod
-    def from_files(
-        cls, suffix_path: str | Path, exceptions_path: str | Path | None = None
-    ) -> "ReductionRules":
-        exceptions = None
+    def from_files(cls, suffix_path: str | Path,
+                   exceptions_path: str | Path | None = None) -> "ReductionRules":
+        rules = cls(Path(suffix_path))
         if exceptions_path is not None:
-            exceptions = _read_site_list(_read_utf8(exceptions_path))[1]
-        return cls(_read_utf8(suffix_path), exceptions)
+            rules.subdomain_exceptions = _read_site_list(Path(exceptions_path), rules)[0]
+        return rules
+
+    def _kept(self, domain: str) -> str:
+        """``domain``, if it is a registrable domain; else ValueError."""
+        labels = domain.split(".")
+        if self.registrable_length(labels) != len(labels):
+            raise ValueError(f"subdomain exception {domain!r} is not a registrable domain")
+        return domain
 
     @classmethod
     def bundled(cls, subdomain_exceptions: set[str] | None = None) -> "ReductionRules":
@@ -309,11 +321,10 @@ def _normalize_host(host: str, raw: str) -> str:
     if not host:
         raise MalformedUrl(f"empty host in {raw!r}")
     if ":" in host:
-        # bracketed IPv6 literal; urlsplit has stripped the brackets
-        try:
-            ipaddress.ip_address(host)
-        except ValueError as exc:
-            raise MalformedUrl(f"bad IPv6 literal in {raw!r}") from exc
+        # bracketed IPv6 literal; urlsplit has stripped the brackets. As the
+        # WHATWG URL standard does, a zone identifier ("%" on) is refused
+        if not _ipv6_literal(host):
+            raise MalformedUrl(f"bad IPv6 literal in {raw!r}")
         return host
     if any(not label for label in host.split(".")):
         raise MalformedUrl(f"empty host label in {raw!r}")
@@ -414,8 +425,8 @@ class GenericFilterList:
     tourist information, public transport) excluded from actor networks.
     ``harvest.filter_generic`` drops a record when its source or target
     site key exactly matches an entry, so each entry must be a site key.
-    ``from_text`` reads one entry a line, with ``#`` comments, and an entry
-    written in Unicode by ``SiteKey.parse``."""
+    ``from_text`` and ``from_file`` read a list by ``input_lines``, one
+    entry a line with ``#`` comments, each entry by ``SiteKey.parse``."""
 
     entries: frozenset[str]
     version: str = "unversioned"
@@ -426,75 +437,87 @@ class GenericFilterList:
 
     @classmethod
     def from_text(cls, text: str) -> "GenericFilterList":
-        version, entries = _read_site_list(text)
-        return cls(entries=frozenset(entries), version=version)
+        return cls(*_read_site_list(text))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GenericFilterList":
-        return cls.from_text(_read_utf8(path))
+        return cls(*_read_site_list(Path(path)))
 
     @classmethod
     def bundled(cls) -> "GenericFilterList":
         return cls.from_text(_bundled("generic_filter_default.txt"))
 
 
-def _read_site_list(text: str) -> tuple[str, set[str]]:
-    """The ``# VERSION:`` and the lower-cased entries of a site list, one a
-    line, ``#`` starting a comment. ``SiteKey.parse`` reads a Unicode entry,
-    naming its line if it cannot; the list's own ``SiteKey`` checks the rest."""
+def _read_site_list(source: str | Path,
+                    rules: ReductionRules | None = None) -> tuple[frozenset[str], str]:
+    """The entries and the ``# VERSION:`` of a site list read by
+    ``input_lines``: one a line, ``#`` starting a comment, each read by
+    ``SiteKey.parse`` and, given ``rules``, a registrable domain under them."""
     version, entries = "unversioned", set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            comment = stripped[1:].strip()
-            if comment.upper().startswith("VERSION:"):
-                version = comment.split(":", 1)[1].strip()
-            continue
-        entry = stripped.split("#", 1)[0].strip().lower()
-        if not entry.isascii():
+    with input_lines(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                comment = stripped[1:].strip()
+                if comment.upper().startswith("VERSION:"):
+                    version = comment.split(":", 1)[1].strip()
+                continue
+            entry = stripped.split("#", 1)[0].strip()
+            if entry:
+                try:
+                    entry = SiteKey.parse(entry).value
+                    entries.add(entry if rules is None else rules._kept(entry))
+                except ValueError as exc:
+                    raise InputError(source, line_no, str(exc)) from None
+    return frozenset(entries), version
+
+
+class InputError(ValueError):
+    """A study input that cannot be read, naming the physical line at fault:
+    ``<path>:<line>: <reason>`` for a file, ``line <line>: <reason>`` for text."""
+
+    def __init__(self, source: str | Path, line: int, reason: str):
+        self.path = source if isinstance(source, Path) else None
+        self.line, self.reason = line, reason
+        super().__init__(f"{source}:{line}: {reason}" if self.path else f"line {line}: {reason}")
+
+
+class input_lines:
+    """``with input_lines(source) as lines:`` reads the file at a ``Path``,
+    or the text of a ``str``, as a stream of physical lines, each with its
+    line break. Every study file (the registry, link sets, index lists, the
+    generic filter, suffix lists and sub-domain exceptions) and robots.txt
+    body is read by this one contract:
+
+    - a file is UTF-8, and a leading byte-order mark is ignored;
+    - a line ends only at LF, CRLF or CR (RFC 9309 §2.2's EOL, and the
+      lines ``csv`` counts), so a form feed, U+0085 or U+2028 is in a line;
+    - an error is an ``InputError``, ``<path>:<line>: <reason>``, naming the
+      physical line counted from 1 (``line <line>: <reason>`` for text); a
+      byte that is not UTF-8 is one.
+    """
+
+    def __init__(self, source: str | Path):
+        self.source = source
+        self.stream = (io.StringIO(source.removeprefix("\ufeff"), newline="")
+                       if isinstance(source, str) else open(source, encoding="utf-8-sig", newline=""))
+
+    def __enter__(self) -> TextIO:
+        return self.stream
+
+    def __exit__(self, kind, error, traceback) -> None:
+        self.stream.close()
+        if isinstance(error, UnicodeDecodeError):
+            # the stream's offset is into the chunk it decoded: find the byte
+            # in the file. Bytes split only at LF, CRLF and CR, and those up
+            # to the bad byte, which is no line break, end on its line
+            data = self.source.read_bytes()
             try:
-                entry = SiteKey.parse(entry).value
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-        if entry:
-            entries.add(entry)
-    return version, entries
-
-
-def _read_utf8(path: str | Path) -> str:
-    """The text of ``path`` read as UTF-8, a byte-order mark ignored. A byte
-    that is not UTF-8 raises ``ValueError("<path>:<line>: ...")``."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        raise _not_utf8(data, lambda line, message: ValueError(f"{path}:{line}: {message}")) from None
-
-
-@contextmanager
-def _utf8_csv(path: str | Path, error: Callable[[int, str], Exception]) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text for a ``csv`` reader, a byte-order mark
-    ignored. A byte that is not UTF-8 raises ``error(line, message)``."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            # the read's error has an offset into the chunk it decoded, not
-            # into the file: decode the whole file's bytes for the line
-            raise (_not_utf8(Path(path).read_bytes(), error) or exc) from None
-
-
-def _not_utf8(data: bytes, error: Callable[[int, str], Exception]) -> Exception | None:
-    """``error(line, message)`` for the first byte of ``data`` that is not
-    UTF-8, naming the physical line, counted from 1, that holds it; None
-    when every byte is."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes up to the bad one, which is no line break, end on its line
-        line = len(data[: exc.start + 1].splitlines())
-        return error(line, f"byte 0x{data[exc.start]:02x} is not UTF-8")
-    return None
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len(data[: exc.start + 1].splitlines())
+                reason = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+                raise InputError(self.source, line, reason) from None
 
 
 def _bundled(name: str) -> str:

@@ -27,5 +27,5 @@ def test_traced_benchmark_installs_on_every_wrapped_name():
     # a subprocess, so that the wrapped modules do not leak into other tests
     code = INSTALL.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, encoding="utf-8")
     assert done.returncode == 0, done.stderr

@@ -147,13 +147,16 @@ def snapshot_dir(tmp_path):
     d = tmp_path / "snap"
     d.mkdir()
     (d / "sitea.co.uk.in").write_text(
-        "http://x.com/page1\nhttps://www.y.org/about\nz.net\n"
+        "http://x.com/page1\nhttps://www.y.org/about\nz.net\n",
+        encoding="utf-8",
     )
     (d / "sitea.co.uk.out").write_text(
-        "http://x.com/1\nhttp://x.com/2\n# comment line\nhttp://self.sitea.co.uk/\n"
+        "http://x.com/1\nhttp://x.com/2\n# comment line\nhttp://self.sitea.co.uk/\n",
+        encoding="utf-8",
     )
     (d / "siteb.co.uk.out").write_text(
-        "not a url ://\nhttp://192.0.2.9/\nhttp://weird.internallab/\n"
+        "not a url ://\nhttp://192.0.2.9/\nhttp://weird.internallab/\n",
+        encoding="utf-8",
     )
     return d
 
@@ -244,6 +247,37 @@ def test_missing_site_file_means_no_links(snapshot_dir):
     assert result.failed_sites == []
 
 
+def test_a_line_break_other_than_lf_or_cr_is_part_of_its_url(tmp_path):
+    # str.splitlines would split both lines in two, harvesting the strangers
+    # y.com and q.com, both flagged as unknown suffixes
+    (tmp_path / "sitea.co.uk.out").write_text(
+        "http://a.com/x\u2028y.com\nhttp://b.com/p\x0cq.com\n", encoding="utf-8")
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
+                           Direction.OUTLINKS, RULES, now=1)
+    assert sorted(r.key for r in result.links) == [("sitea.co.uk", "a.com"),
+                                                   ("sitea.co.uk", "b.com")]
+    assert result.flags == {} and result.skipped_urls == 0
+
+
+def test_an_index_url_with_an_ipv6_zone_is_skipped(tmp_path):
+    # its site key would hold a space, which SiteKey refuses
+    (tmp_path / "sitea.co.uk.out").write_text("http://[fe80::1%a b]/\nhttp://x.com/\n",
+                                              encoding="utf-8")
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
+                           Direction.OUTLINKS, RULES, now=1)
+    assert [r.key for r in result.links] == [("sitea.co.uk", "x.com")]
+    assert result.skipped_urls == 1
+
+
+def test_an_index_list_that_is_not_utf8_is_a_failed_site(tmp_path, caplog):
+    path = tmp_path / "sitea.co.uk.out"
+    path.write_bytes("http://x.com/\nhttp://café.com/\n".encode("latin-1"))
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
+                           Direction.OUTLINKS, RULES, now=1)
+    assert result.failed_sites == [SiteKey("sitea.co.uk")] and len(result.links) == 0
+    assert f"{path}:2: byte 0xe9 is not UTF-8" in caplog.text
+
+
 # --- generic filtering and CSV round-trip -------------------------------------
 
 
@@ -289,7 +323,7 @@ def test_link_set_csv_round_trip(tmp_path):
     )
     path = tmp_path / "links.csv"
     write_link_set(links, path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "source,target,provenance,first_seen"
     assert "Crawl+OutlinkIndex" in text
     # rows sorted by (source, target)
@@ -314,7 +348,8 @@ def test_write_link_set_ignores_insertion_order(tmp_path):
 
 def test_read_link_set_rejects_garbage(tmp_path):
     path = tmp_path / "links.csv"
-    path.write_text("source,target,provenance,first_seen\na.com,b.com,NotATag,0\n")
+    path.write_text("source,target,provenance,first_seen\na.com,b.com,NotATag,0\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError):
         read_link_set(path, Direction.OUTLINKS)
 
@@ -367,11 +402,20 @@ def test_read_link_set_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
         read_link_set(path, Direction.OUTLINKS)
 
 
+def test_read_link_set_names_the_line_of_a_field_csv_refuses(tmp_path):
+    # csv refuses a field of more than 128 KiB with its own csv.Error
+    path = tmp_path / "links.csv"
+    path.write_text(_GOOD_ROWS + "a.com,b.com,Crawl," + "1" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: field larger than "):
+        read_link_set(path, Direction.OUTLINKS)
+
+
 def test_read_link_set_builds_one_site_key_per_site_text(tmp_path, monkeypatch):
     path = tmp_path / "links.csv"
     rows = [f"s{i % 3}.com,s{(i + 1) % 4}.com,{'Crawl' if i % 2 else 'InlinkIndex'},{i}"
             for i in range(12)]
-    path.write_text("source,target,provenance,first_seen\n" + "\n".join(rows) + "\n")
+    path.write_text("source,target,provenance,first_seen\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
     checked = []
 
     def counting(text):
@@ -414,8 +458,10 @@ def test_link_set_csv_round_trip_is_exact(tmp_path_factory, records):
     assert first.read_bytes() == second.read_bytes()
 
 
-# site texts holding what csv quotes ("," and '"') and punctuation it does not
-_quoted_sites = st.text(alphabet="ab.-,\"'!*0", min_size=1, max_size=6)
+# site texts holding what csv quotes ("," and '"') and punctuation it does not,
+# in labels that are not empty, as a site key's are
+_quoted_sites = st.lists(st.text(alphabet="ab-,\"'!*0", min_size=1, max_size=3),
+                         min_size=1, max_size=2).map(".".join)
 
 
 @given(rows=st.lists(
@@ -479,14 +525,16 @@ def test_read_link_set_matches_adding_each_row(tmp_path_factory, rows):
 def test_read_link_set_merges_a_repeated_pair(tmp_path):
     path = tmp_path / "links.csv"
     path.write_text("source,target,provenance,first_seen\n"
-                    "a.com,b.com,Crawl,9\nb.com,a.com,Crawl,1\na.com,b.com,InlinkIndex,3\n")
+                    "a.com,b.com,Crawl,9\nb.com,a.com,Crawl,1\na.com,b.com,InlinkIndex,3\n",
+                    encoding="utf-8")
     links = read_link_set(path, Direction.INLINKS)
     assert links.records() == [
         _record("a.com", "b.com", {SourceTag.CRAWL, SourceTag.INLINK_INDEX}, 3),
         _record("b.com", "a.com", {SourceTag.CRAWL}, 1),
     ]
     write_link_set(links, tmp_path / "out.csv")
-    assert (tmp_path / "out.csv").read_text().splitlines()[1] == "a.com,b.com,Crawl+InlinkIndex,3"
+    written = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    assert written.splitlines()[1] == "a.com,b.com,Crawl+InlinkIndex,3"
 
 
 def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from helixmap.registry import (
@@ -98,7 +100,7 @@ firm.com,firm.com,A Firm,Industry,KnowledgeBasedFirm,KnowledgeBasedFirm
 
 def test_load_registry_roundtrip(tmp_path):
     p = tmp_path / "reg.csv"
-    p.write_text(CSV_OK)
+    p.write_text(CSV_OK, encoding="utf-8")
     reg = load_registry(p)
     assert len(reg) == 3
     uni = reg.get("uni.ac.uk")
@@ -117,7 +119,8 @@ def test_load_registry_duplicate_site(tmp_path):
         "site,actor_id,label,sector,category,role\n"
         "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
         "wlv.ac.uk,a1,A1,Academia,Academia,\n"
-        "wlv.ac.uk,a2,A2,Academia,Academia,\n"
+        "wlv.ac.uk,a2,A2,Academia,Academia,\n",
+        encoding="utf-8",
     )
     with pytest.raises(DuplicateSite):
         load_registry(p)
@@ -127,7 +130,8 @@ def test_load_registry_missing_seed(tmp_path):
     p = tmp_path / "reg.csv"
     p.write_text(
         "site,actor_id,label,sector,category,role\n"
-        "wlv.ac.uk,a1,A1,Academia,Academia,\n"
+        "wlv.ac.uk,a1,A1,Academia,Academia,\n",
+        encoding="utf-8",
     )
     with pytest.raises(MissingSeed):
         load_registry(p)
@@ -135,13 +139,14 @@ def test_load_registry_missing_seed(tmp_path):
 
 def test_load_registry_parse_errors(tmp_path):
     p = tmp_path / "reg.csv"
-    p.write_text("not,the,right,header\n")
+    p.write_text("not,the,right,header\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_registry(p)
 
     p.write_text(
         "site,actor_id,label,sector,category,role\n"
-        "a.com,a.com,A,Industry,NoSuchCategory,\n"
+        "a.com,a.com,A,Industry,NoSuchCategory,\n",
+        encoding="utf-8",
     )
     with pytest.raises(ParseError) as err:
         load_registry(p)
@@ -152,9 +157,10 @@ def test_load_registry_parse_errors(tmp_path):
         p.write_text(
             "site,actor_id,label,sector,category,role\n"
             "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
-            f"{cell},uni,U,Academia,Academia,University\n"
+            f"{cell},uni,U,Academia,Academia,University\n",
+            encoding="utf-8",
         )
-        with pytest.raises(ParseError, match="^line 3: bad site key ") as err:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: bad site key ") as err:
             load_registry(p)
         assert err.value.line == 3
 
@@ -163,7 +169,8 @@ def test_load_registry_tolerates_case_and_padding_in_site_cells(tmp_path):
     p = tmp_path / "reg.csv"
     p.write_text(
         "site,actor_id,label,sector,category,role\n"
-        " Park.CO.uk ,park.co.uk,P,Government,SciencePark,\n"
+        " Park.CO.uk ,park.co.uk,P,Government,SciencePark,\n",
+        encoding="utf-8",
     )
     reg = load_registry(p)
     assert resolve(SiteKey("park.co.uk"), reg).id == "park.co.uk"
@@ -182,7 +189,7 @@ def test_load_registry_keys_a_unicode_site_by_its_idna_form(tmp_path):
     assert resolve(SiteKey("xn--bcher-kva.de"), reg).id == "books"
     # a name IDNA cannot encode stops the load on its line
     p.write_text(rows.format("\u2603.com"), encoding="utf-8")
-    with pytest.raises(ParseError, match="^line 3: cannot encode ") as err:
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: cannot encode ") as err:
         load_registry(p)
     assert err.value.line == 3
 
@@ -194,17 +201,19 @@ def test_load_registry_names_the_physical_line_a_bad_row_starts_on(tmp_path):
         "site,actor_id,label,sector,category,role\n"
         "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
         'uni.ac.uk,uni,"University\nof York",Academia,Academia,University\n'
-        "bad site,x,X,Industry,KnowledgeBasedFirm,\n"
+        "bad site,x,X,Industry,KnowledgeBasedFirm,\n",
+        encoding="utf-8",
     )
-    with pytest.raises(ParseError, match="^line 5: bad site key ") as err:
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:5: bad site key ") as err:
         load_registry(p)
     assert err.value.line == 5
     p.write_text(
         "site,actor_id,label,sector,category,role\n"
         "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
-        '"bad\nsite",x,X,Industry,KnowledgeBasedFirm,\n'
+        '"bad\nsite",x,X,Industry,KnowledgeBasedFirm,\n',
+        encoding="utf-8",
     )
-    with pytest.raises(ParseError, match="^line 3: bad site key "):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: bad site key "):
         load_registry(p)
 
 
@@ -214,18 +223,20 @@ def test_load_registry_reports_the_first_bad_row_in_file_order(tmp_path):
         "site,actor_id,label,sector,category,role\n"
         "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
         "bad site,x,X,Industry,KnowledgeBasedFirm,\n"
-        "short.com,short,S,Industry\n"
+        "short.com,short,S,Industry\n",
+        encoding="utf-8",
     )
-    with pytest.raises(ParseError, match="^line 3: bad site key ") as err:
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: bad site key ") as err:
         load_registry(p)
     assert err.value.line == 3
     p.write_text(
         "site,actor_id,label,sector,category,role\n"
         "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
         "short.com,short,S,Industry\n"
-        "bad site,x,X,Industry,KnowledgeBasedFirm,\n"
+        "bad site,x,X,Industry,KnowledgeBasedFirm,\n",
+        encoding="utf-8",
     )
-    with pytest.raises(ParseError, match="^line 3: expected 6 fields, got 4$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: expected 6 fields, got 4$"):
         load_registry(p)
 
 
@@ -237,9 +248,29 @@ def test_load_registry_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newli
             "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
             "uni.ac.uk,uni,Café Uni,Academia,Academia,University\n")
     p.write_bytes(text.replace("\n", newline).encode("cp1252"))
-    with pytest.raises(ParseError, match="^line 3: byte 0xe9 is not UTF-8$") as err:
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: byte 0xe9 is not UTF-8$") as err:
         load_registry(p)
     assert err.value.line == 3
+    assert err.value.path == p
+
+
+def test_load_registry_names_the_line_of_a_field_csv_refuses(tmp_path):
+    # csv refuses a field of more than 128 KiB with its own csv.Error
+    p = tmp_path / "reg.csv"
+    p.write_text(CSV_OK + "a.com,a,\"" + "A" * 200_000 + "\",Industry,KnowledgeBasedFirm,\n",
+                 encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:6: field larger than field limit"):
+        load_registry(p)
+
+
+def test_a_registry_error_names_its_path_and_line(tmp_path):
+    p = tmp_path / "reg.csv"
+    p.write_text(CSV_OK + "bad site,x,X,Industry,KnowledgeBasedFirm,\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_registry(str(p))
+    assert str(err.value) == f"{p}:6: bad site key 'bad site'"
+    assert (err.value.path, err.value.line) == (p, 6)
+    assert isinstance(err.value, RegistryError)
 
 
 def test_load_registry_inconsistent_actor_rows(tmp_path):
@@ -248,7 +279,8 @@ def test_load_registry_inconsistent_actor_rows(tmp_path):
         "site,actor_id,label,sector,category,role\n"
         "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
         "a.com,act,A,Industry,KnowledgeBasedFirm,\n"
-        "b.com,act,A,Industry,ServiceBasedFirm,\n"
+        "b.com,act,A,Industry,ServiceBasedFirm,\n",
+        encoding="utf-8",
     )
     with pytest.raises(ParseError) as err:
         load_registry(p)

@@ -137,6 +137,14 @@ def test_forbidden_host_code_point_rejected(host):
         canonicalize(f"http://{host}/")
 
 
+@pytest.mark.parametrize("raw", ["http://[fe80::1%25eth0]/", "http://[fe80::1%a b]/"])
+def test_ipv6_zone_identifier_rejected(raw):
+    # as the WHATWG URL standard does: a zone's text could put white space
+    # in a site key
+    with pytest.raises(MalformedUrl, match="^bad IPv6 literal "):
+        canonicalize(raw)
+
+
 _hostnames = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8)
     .filter(lambda s: not s.startswith("-") and not s.endswith("-")),
@@ -344,6 +352,21 @@ def test_resolution_matches_the_rfc3986_transcription(raw, base):
         pytest.param("wlv.ac\u00a0uk", id="no-break-space"),
         # canonicalize writes every host in ASCII
         pytest.param("bücher.de", id="unicode"),
+        # a code point canonicalize refuses in a host, a port, an empty label
+        pytest.param("yorksciencepark.co.uk/", id="path"),
+        pytest.param("http://york.ac.uk", id="url"),
+        pytest.param("york.ac.uk:8080", id="port"),
+        pytest.param("../../x", id="parent-directory"),
+        pytest.param("york..ac.uk", id="empty-label"),
+        pytest.param(".york.ac.uk", id="leading-dot"),
+        pytest.param("york.ac.uk.", id="trailing-dot"),
+        pytest.param("a@york.ac.uk", id="userinfo"),
+        pytest.param("york.ac.uk#x", id="fragment"),
+        pytest.param("york%2eac.uk", id="percent"),
+        pytest.param("[2001:db8::1]", id="bracketed-ipv6"),
+        pytest.param("2001:db8::g", id="bad-ipv6"),
+        pytest.param("fe80::1%eth0", id="ipv6-zone"),
+        pytest.param("fe80::1%a b", id="ipv6-zone-with-space"),
     ],
 )
 def test_site_key_refuses_text_no_reduced_host_can_be(text):
@@ -353,7 +376,7 @@ def test_site_key_refuses_text_no_reduced_host_can_be(text):
 
 @pytest.mark.parametrize(
     "text", ["wlv.ac.uk", "cybermetrics.wlv.ac.uk", "192.0.2.7", "2001:db8::1",
-             "xn--mnchen-3ya.de", "intranet.localweb"],
+             "xn--mnchen-3ya.de", "intranet.localweb", "::ffff:192.0.2.7"],
 )
 def test_site_key_accepts_every_kind_of_reduced_host(text):
     assert SiteKey(text).value == text
@@ -441,7 +464,7 @@ def test_subdomain_exception_file_reads_a_unicode_entry_as_its_idna_form(tmp_pat
     host = canonicalize("http://shop.bücher.de/").host
     assert reduce_host(host, rules).site.value == "shop.xn--bcher-kva.de"
     exceptions.write_text("ok.de\n\u2603.de\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^line 2: cannot encode "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(exceptions))}:2: cannot encode "):
         ReductionRules.from_files(suffixes, exceptions)
 
 
@@ -576,7 +599,8 @@ def test_longest_exception_prevails_whatever_the_hash_seed():
     for seed in ("0", "1", "2", "3", "4", "5"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            encoding="utf-8",
         )
         assert out.stdout.strip() == "y.x.a.com", seed
 
@@ -648,7 +672,7 @@ def test_filter_depends_only_on_site_key():
 
 def test_filter_file_parsing(tmp_path):
     p = tmp_path / "filter.txt"
-    p.write_text("# VERSION: 9\nexample.com  # portal\n\n# comment\nother.org\n")
+    p.write_text("# VERSION: 9\nexample.com  # portal\n\n# comment\nother.org\n", encoding="utf-8")
     filt = GenericFilterList.from_file(p)
     assert filt.version == "9"
     assert filt.entries == frozenset({"example.com", "other.org"})
@@ -693,8 +717,41 @@ def test_a_site_list_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, name, t
             ReductionRules.from_files(paths["suffixes"], paths["exceptions"])
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("ok.com\nfoo bar.com\n", 2, "bad site key 'foo bar.com'"),
+    # a form feed does not end a line: the snowman is on line 2, not 3
+    ("ok.com  # a comment\x0cthat goes on\n\u2603.com\n", 2,
+     "cannot encode IDN host in '\u2603.com'"),
+    ("ok.com\x0cother.com\n\u2603.com\n", 1, "bad site key 'ok.com\\x0cother.com'"),
+])
+def test_a_filter_file_error_names_the_file_and_the_physical_line(tmp_path, text, line, reason):
+    path = tmp_path / "filter.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {reason}')}$"):
+        GenericFilterList.from_file(path)
+
+
+def test_a_suffix_rule_idna_cannot_encode_names_the_file_and_line(tmp_path):
+    path = tmp_path / "suffixes.dat"
+    path.write_text("// VERSION: 1\ncn\n\u2603.cn\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: cannot encode IDN host "):
+        ReductionRules.from_files(path)
+    with pytest.raises(ValueError, match="^line 3: cannot encode IDN host "):
+        ReductionRules(path.read_text(encoding="utf-8"))
+
+
+def test_a_subdomain_exception_that_is_no_registrable_domain_names_its_line(tmp_path):
+    suffixes, exceptions = tmp_path / "suffixes.dat", tmp_path / "exceptions.txt"
+    suffixes.write_text("uk\nac.uk\n", encoding="utf-8")
+    exceptions.write_text("wlv.ac.uk\nwww.wlv.ac.uk\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(exceptions))}:2: subdomain exception "):
+        ReductionRules.from_files(suffixes, exceptions)
+
+
 @pytest.mark.parametrize("text", ["foo bar.com\n", "ok.com\nfoo\tbar.com\n"])
 def test_filter_rejects_entries_holding_whitespace(text):
-    # no site key holds whitespace, so such an entry could never match
-    with pytest.raises(ValueError, match="^bad site key "):
+    # no site key holds whitespace, so such an entry could never match; the
+    # error names the entry's line, the last
+    line = text.count("\n")
+    with pytest.raises(ValueError, match=f"^line {line}: bad site key "):
         GenericFilterList.from_text(text)
