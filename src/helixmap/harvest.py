@@ -26,7 +26,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, islice, starmap
 from pathlib import Path
 from typing import Iterator, KeysView
 
@@ -169,7 +169,8 @@ class SnapshotLinkIndex:
     """Directory of per-site link lists: ``<sitekey>.in`` / ``<sitekey>.out``,
     one URL per line, each read by ``urls.input_lines``. Blank lines and
     ``#`` comment lines are skipped. A missing file means no recorded links
-    for that site."""
+    for that site. A query reads a list only as far as its ``limit``-th
+    URL: lines past the limit are neither used nor decoded."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -181,7 +182,8 @@ class SnapshotLinkIndex:
         if not path.is_file():
             return []
         with input_lines(path) as lines:
-            return [url for url in map(str.strip, lines) if url and url[0] != "#"][:limit]
+            urls = (url for url in map(str.strip, lines) if url and url[0] != "#")
+            return list(islice(urls, limit))
 
     def inlinks_of(self, site: SiteKey, limit: int) -> list[str]:
         return self._read(site, "in", limit)
@@ -195,10 +197,11 @@ class SnapshotLinkIndex:
 
 @dataclass
 class HarvestResult:
-    """A harvested link set plus everything that went wrong along the way."""
+    """A harvested link set plus everything that went wrong along the way:
+    ``failed_sites`` maps each site whose query failed to the error's text."""
 
     links: LinkSet
-    failed_sites: list[SiteKey] = field(default_factory=list)
+    failed_sites: dict[SiteKey, str] = field(default_factory=dict)
     skipped_urls: int = 0
     flags: dict[ReductionFlag, int] = field(default_factory=dict)
 
@@ -215,8 +218,9 @@ def harvest_index(
     its site key; a URL that does not parse, or is not http(s), is skipped.
 
     A site whose list raises ``OSError``, ``InputError`` (a list that is
-    not UTF-8) or ``IndexUnavailable`` is recorded as failed, and the
-    harvest goes on; any other exception is a bug and propagates.
+    not UTF-8) or ``IndexUnavailable`` is recorded as failed, with the
+    error's text, and the harvest goes on; any other exception is a bug
+    and propagates.
     Self-pairs are kept here; the network builder removes them.
     """
     if now is None:
@@ -230,7 +234,7 @@ def harvest_index(
             urls = query(site, limit)
         except (OSError, InputError, IndexUnavailable) as exc:
             log.warning("index query failed for %s: %s", site.value, exc)
-            result.failed_sites.append(site)
+            result.failed_sites[site] = str(exc)
             continue
         for raw in urls:
             reduced = _reduce_url(raw, rules)

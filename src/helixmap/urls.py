@@ -6,9 +6,9 @@ then reduced to a *site key*: the registrable domain of the host (e.g.
 ``wlv.ac.uk``), or a configured sub-domain when a study keeps the
 sub-sites of one registrable domain apart (e.g. ``cybermetrics.wlv.ac.uk``).
 
-A site key is what a reduced host can be: lower-case ASCII text with no
-empty label, holding no code point ``canonicalize`` refuses in a host but
-the ``:`` of an IPv6 literal. ``SiteKey`` alone holds that rule, and every
+A site key is what a reduced host can be: lower-case ASCII text of at most
+253 characters with no empty label, holding no code point ``canonicalize``
+refuses in a host but the ``:`` of an IPv6 literal. ``SiteKey`` alone holds that rule, and every
 site read from a file is built as one, so a site that no host can reduce
 to is refused. Every site list (the registry, the generic filter and the
 sub-domain exceptions) reads a site written in Unicode through
@@ -22,14 +22,18 @@ Canonicalization rules:
 - scheme and host are lowercased; hosts holding a WHATWG forbidden domain
   code point (space, ``<``, ``>``, ``%``, ``^``, ``|``, controls) are
   rejected; non-ASCII hosts are converted to punycode by UTS #46
-  non-transitional processing, so ``faß.de`` becomes ``xn--fa-hia.de``,
+  non-transitional processing, so ``faß.de`` becomes ``xn--fa-hia.de``;
+  a host longer than 253 characters (RFC 1035 §2.3.4) is rejected,
 - default ports are dropped, fragments are removed,
 - percent-encodings in the path and query are normalized (RFC 3986
   §6.2.2.2): hex digits are uppercased and encoded unreserved characters
   are decoded, so ``%7e`` becomes ``~`` and ``%2f`` becomes ``%2F``,
-- dot segments (``./``, ``../``) are resolved out of the path,
-- a relative reference is resolved against its base as RFC 3986 section
-  5.2.2 says, on the base's parsed parts, before it is normalized,
+- a relative reference is resolved against its base as RFC 3986 §5.2.2
+  says, on the base's parsed parts,
+- every reference's path takes one rule: dot segments are removed from
+  the path as written (§5.2.4), then its percent-encodings are normalized
+  and dot segments removed again (§6.2.2.3), so ``/a/%2E%2E/../b`` is
+  ``/a/b`` with or without a scheme and host,
 - ``www.`` is never special-cased: it disappears only through registrable
   domain reduction.
 
@@ -76,6 +80,8 @@ _PERCENT_ENCODED = re.compile(r"%[0-9A-Fa-f]{2}")
 _C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
 _TAB_AND_NEWLINE = str.maketrans("", "", "\t\n\r")
 _UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
+# the longest host name RFC 1035 section 2.3.4 allows, in text form
+_MAX_HOST_LENGTH = 253
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,16 @@ class CanonicalUrl:
 @dataclass(frozen=True, order=True, slots=True)
 class SiteKey:
     """An actor-level web identity: a registrable domain, a kept sub-domain
-    or an IP literal, as lower-case ASCII text with no empty label and no
-    forbidden domain code point but the ``:`` of an IPv6 literal."""
+    or an IP literal, as lower-case ASCII text of at most 253 characters
+    with no empty label and no forbidden domain code point but the ``:`` of
+    an IPv6 literal."""
 
     value: str
 
     def __post_init__(self):
         value = self.value
         if (not value.isascii() or value != value.lower() or ".." in f".{value}."
+                or len(value) > _MAX_HOST_LENGTH
                 or _FORBIDDEN_HOST_CHARS.search(value) and not _ipv6_literal(value)):
             raise ValueError(f"bad site key {value!r}")
 
@@ -166,11 +174,11 @@ class ReductionRules:
     exact rule, or whose one-label-shorter suffix is a wildcard base, is the
     public suffix.
 
-    The sub-domain exceptions file lists one registrable domain per line
-    whose sub-domains are to be kept as distinct site keys; ``#`` starts a
-    comment, and an entry written in Unicode is read by ``SiteKey.parse``.
-    Each exception must be a site key and a registrable domain, or the rules
-    raise ``ValueError``.
+    The sub-domain exceptions, given as a set or as a file of one entry a
+    line with ``#`` comments, are registrable domains whose sub-domains are
+    kept as distinct site keys. Each is read by ``SiteKey.parse``, so
+    ``Bücher.de`` is ``xn--bcher-kva.de`` either way, and must be a
+    registrable domain, or the rules raise ``ValueError``.
     """
 
     def __init__(self, suffixes: str | Path, subdomain_exceptions: set[str] | None = None):
@@ -201,7 +209,8 @@ class ReductionRules:
             raise InputError(suffixes, 1, "suffix snapshot contains no rules")
         # each exception is a site key, so that a host can match it
         self.subdomain_exceptions = frozenset(
-            self._kept(SiteKey(domain).value) for domain in sorted(subdomain_exceptions or ()))
+            self._kept(SiteKey.parse(domain).value)
+            for domain in sorted(subdomain_exceptions or ()))
 
     @classmethod
     def from_files(cls, suffix_path: str | Path,
@@ -249,8 +258,10 @@ def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
 
     A relative reference is resolved as RFC 3986 section 5.2.2 says, on
     the base's own parts: a merged path keeps its empty segments, and an
-    empty query (``?``) replaces the base's. Raises MalformedUrl for
-    unparseable input (or a relative reference with no base) and
+    empty query (``?``) replaces the base's. Every kind of reference takes
+    the one path rule of ``_normalize_path``; a query-only reference keeps
+    the base's path. Raises MalformedUrl for unparseable input, a relative
+    reference with no base or a host longer than 253 characters, and
     UnsupportedScheme for non-http(s) schemes. Idempotent: canonicalizing
     the rendering of a canonical URL returns an equal value.
     """
@@ -276,14 +287,11 @@ def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
     elif base is None:
         raise MalformedUrl(f"relative URL {raw!r} without a base")
     elif netloc or raw.startswith("//"):
-        # a network-path reference: the base's scheme and its own authority
-        scheme = base.scheme
-        path = _remove_dot_segments(path)
+        scheme = base.scheme  # a network-path reference: its own authority
     elif path:
         if path[0] != "/":
             path = base.path[: base.path.rfind("/") + 1] + path
-        path = _normalize_path(_remove_dot_segments(path))
-        return CanonicalUrl(base.scheme, base.host, base.port, path, query)
+        return CanonicalUrl(base.scheme, base.host, base.port, _normalize_path(path), query)
     elif "?" in raw.partition("#")[0]:
         return CanonicalUrl(base.scheme, base.host, base.port, base.path, query)
     else:
@@ -332,6 +340,8 @@ def _normalize_host(host: str, raw: str) -> str:
         raise MalformedUrl(f"forbidden code point in host of {raw!r}")
     if not host.isascii():
         host = _encoded_idn(host, raw)
+    if len(host) > _MAX_HOST_LENGTH:
+        raise MalformedUrl(f"host longer than {_MAX_HOST_LENGTH} characters in {raw!r}")
     return host
 
 
@@ -356,43 +366,27 @@ def _normalize_percent(text: str) -> str:
 
 
 def _normalize_path(path: str) -> str:
-    # RFC 3986 sections 6.2.2.2 and 6.2.2.3, and "/" for an empty path
-    return _remove_dot_segments(_normalize_percent(path) or "/")
+    # every reference's: RFC 3986 section 5.2.4 on the path as written, as
+    # 5.2.2 says, then sections 6.2.2.2 and 6.2.2.3, and "/" for an empty path
+    return _remove_dot_segments(_normalize_percent(_remove_dot_segments(path)) or "/")
 
 
 def _remove_dot_segments(path: str) -> str:
-    # RFC 3986 section 5.2.4
-    if "/." not in path and path[:1] != ".":
+    # RFC 3986 section 5.2.4 for a path that is empty or starts with "/":
+    # ".." drops the segment before it, and a path that ends in a dot
+    # segment keeps its trailing "/"
+    if "/." not in path:
         return path  # no segment is "." or ".."
     output: list[str] = []
-    while path:
-        if path.startswith("../"):
-            path = path[3:]
-        elif path.startswith("./"):
-            path = path[2:]
-        elif path.startswith("/./"):
-            path = "/" + path[3:]
-        elif path == "/.":
-            path = "/"
-        elif path.startswith("/../"):
-            path = "/" + path[4:]
+    for segment in path[1:].split("/"):
+        if segment == "..":
             if output:
                 output.pop()
-        elif path == "/..":
-            path = "/"
-            if output:
-                output.pop()
-        elif path in (".", ".."):
-            path = ""
-        else:
-            cut = path.find("/", 1)
-            if cut == -1:
-                output.append(path)
-                path = ""
-            else:
-                output.append(path[:cut])
-                path = path[cut:]
-    return "".join(output)
+        elif segment != ".":
+            output.append(segment)
+    if segment in (".", ".."):
+        output.append("")
+    return "/" + "/".join(output)
 
 
 def reduce_host(host: str, rules: ReductionRules) -> Reduction:

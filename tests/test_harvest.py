@@ -27,7 +27,14 @@ from helixmap.harvest import (
     write_link_set,
 )
 from helixmap.registry import load_registry
-from helixmap.urls import GenericFilterList, ReductionFlag, ReductionRules, SiteKey, reduce_host
+from helixmap.urls import (
+    GenericFilterList,
+    InputError,
+    ReductionFlag,
+    ReductionRules,
+    SiteKey,
+    reduce_host,
+)
 from instances import random_instance
 
 RULES = ReductionRules.bundled()
@@ -211,7 +218,7 @@ def test_harvest_isolates_per_site_failures(snapshot_dir):
         [SiteKey("bad.co.uk"), SiteKey("sitea.co.uk")],
         index, Direction.INLINKS, RULES, now=1,
     )
-    assert [s.value for s in result.failed_sites] == ["bad.co.uk"]
+    assert result.failed_sites == {SiteKey("bad.co.uk"): "backend exploded"}
     assert len(result.links) == 3
 
 
@@ -244,7 +251,7 @@ def test_missing_site_file_means_no_links(snapshot_dir):
     index = SnapshotLinkIndex(snapshot_dir)
     result = harvest_index([SiteKey("unlisted.co.uk")], index, Direction.INLINKS, RULES, now=1)
     assert len(result.links) == 0
-    assert result.failed_sites == []
+    assert result.failed_sites == {}
 
 
 def test_a_line_break_other_than_lf_or_cr_is_part_of_its_url(tmp_path):
@@ -269,13 +276,33 @@ def test_an_index_url_with_an_ipv6_zone_is_skipped(tmp_path):
     assert result.skipped_urls == 1
 
 
-def test_an_index_list_that_is_not_utf8_is_a_failed_site(tmp_path, caplog):
+def test_an_index_list_that_is_not_utf8_is_a_failed_site(tmp_path):
     path = tmp_path / "sitea.co.uk.out"
     path.write_bytes("http://x.com/\nhttp://café.com/\n".encode("latin-1"))
     result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
                            Direction.OUTLINKS, RULES, now=1)
-    assert result.failed_sites == [SiteKey("sitea.co.uk")] and len(result.links) == 0
-    assert f"{path}:2: byte 0xe9 is not UTF-8" in caplog.text
+    assert result.failed_sites == {SiteKey("sitea.co.uk"): f"{path}:2: byte 0xe9 is not UTF-8"}
+    assert len(result.links) == 0
+
+
+def test_an_index_query_reads_a_list_only_as_far_as_its_limit(tmp_path):
+    # 176 KiB of URLs, then a byte that is not UTF-8 on line 10,002
+    path = tmp_path / "sitea.co.uk.out"
+    path.write_bytes(b"# links\n" + b"http://x.com/page\n" * 10000 + b"http://caf\xe9.com/\n")
+    index = SnapshotLinkIndex(tmp_path)
+    assert index.outlinks_of(SiteKey("sitea.co.uk"), 1) == ["http://x.com/page"]
+    with pytest.raises(InputError, match=":10002: byte 0xe9 is not UTF-8$"):
+        index.outlinks_of(SiteKey("sitea.co.uk"), 10001)
+
+
+def test_an_index_url_whose_host_is_longer_than_253_characters_is_skipped(tmp_path):
+    host = "a." * 125 + "com"  # 253 characters
+    (tmp_path / "sitea.co.uk.out").write_text(f"http://{host}/\nhttp://b{host}/\n",
+                                              encoding="utf-8")
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
+                           Direction.OUTLINKS, RULES, now=1)
+    assert [r.key for r in result.links] == [("sitea.co.uk", "a.com")]
+    assert result.skipped_urls == 1
 
 
 # --- generic filtering and CSV round-trip -------------------------------------

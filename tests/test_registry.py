@@ -194,6 +194,21 @@ def test_load_registry_keys_a_unicode_site_by_its_idna_form(tmp_path):
     assert err.value.line == 3
 
 
+def test_load_registry_names_the_line_of_a_site_longer_than_a_host_can_be(tmp_path):
+    # RFC 1035 caps a host name at 253 characters: no host reduces to a longer site
+    p = tmp_path / "reg.csv"
+    rows = ("site,actor_id,label,sector,category,role\n"
+            "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+            "{},long,L,Industry,KnowledgeBasedFirm,\n")
+    site = "a." * 125 + "com"
+    p.write_text(rows.format(site), encoding="utf-8")
+    assert load_registry(p).get("long").sites == frozenset({SiteKey(site)})
+    p.write_text(rows.format("b" + site), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:3: bad site key ") as err:
+        load_registry(p)
+    assert err.value.line == 3
+
+
 def test_load_registry_names_the_physical_line_a_bad_row_starts_on(tmp_path):
     # a quoted label holding a line break spans lines 3 and 4
     p = tmp_path / "reg.csv"

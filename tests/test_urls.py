@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from importlib import resources
 from pathlib import Path
@@ -100,6 +101,36 @@ def test_default_port_dropped_nondefault_kept():
     assert canonicalize("http://a.com:8080/x").port == 8080
 
 
+@pytest.mark.parametrize("raw", ["http://h/a/%2E%2E/../b", "/a/%2E%2E/../b", "//h/a/%2E%2E/../b"])
+def test_every_kind_of_reference_takes_one_path_rule(raw):
+    # dot segments go as written, and only then does %2E%2E become ".."
+    assert str(canonicalize(raw, base=canonicalize("http://h/x/y"))) == "http://h/a/b"
+
+
+def test_a_megabyte_of_parent_segments_canonicalizes_in_linear_time():
+    href = "/.." * 350_000 + "/x"  # 1.05 MB
+    started = time.perf_counter()
+    assert str(canonicalize(href, base=canonicalize("http://h/a/b/c"))) == "http://h/x"
+    assert time.perf_counter() - started < 1
+
+
+def test_a_host_name_holds_at_most_253_characters():
+    # RFC 1035 section 2.3.4; a longer host would cost reduce_host time and
+    # memory in the square of its label count
+    host = "a." * 125 + "com"
+    assert canonicalize(f"http://{host.upper()}./").host == host
+    with pytest.raises(MalformedUrl, match="^host longer than 253 characters "):
+        canonicalize(f"http://b{host}/")
+    # the Unicode form of a host is not what counts: its xn-- form is
+    idn = "\u00e4." + "a." * 121 + "com"
+    assert len(idn) == 247 and len(canonicalize(f"http://{idn}/").host) == 253
+    with pytest.raises(MalformedUrl):
+        canonicalize(f"http://\u00e4{idn}/")
+    assert SiteKey(host).value == host
+    with pytest.raises(ValueError, match="^bad site key "):
+        SiteKey(f"b{host}")
+
+
 def test_dot_segments_removed_from_absolute_url():
     assert canonicalize("http://a.com/x/./y/../z").path == "/x/z"
 
@@ -191,7 +222,7 @@ _SCHEMES = ["", "http:", "HTTP:", "https:", "hTtPs:", "Http:", "ftp:", "mailto:"
             "javascript:"]
 _AUTHORITIES = ["", "//", "//site.com", "//bücher.de", "//xn--bcher-kva.de:8080",
                 "//WWW.Other.ORG:80", "//[::1]:8443", "//me@site.com", "//site.com:"]
-_SEGMENTS = ["/", "..", ".", "%7e", "%7E", "x.html", "a b"]
+_SEGMENTS = ["/", "..", ".", "%2E", "%2e%2E", "%7e", "%7E", "x.html", "a b"]
 _TAILS = ["", "?", "?a=1", "#", "#top", "?q=%7e#f"]
 _HREFS = st.one_of(
     st.tuples(st.sampled_from(_SCHEMES), st.sampled_from(_AUTHORITIES),
@@ -435,7 +466,7 @@ def test_subdomain_exception_must_be_registrable():
         ReductionRules.bundled({"www.wlv.ac.uk"})
 
 
-@pytest.mark.parametrize("domain", ["wlv .ac.uk", "wlv.ac.uk ", "WLV.ac.uk", ""])
+@pytest.mark.parametrize("domain", ["wlv .ac.uk", "wlv.ac.uk ", ""])
 def test_subdomain_exception_must_be_a_site_key(domain):
     # no host could match such an exception: its sub-domains would merge silently
     with pytest.raises(ValueError, match="bad site key"):
@@ -466,6 +497,18 @@ def test_subdomain_exception_file_reads_a_unicode_entry_as_its_idna_form(tmp_pat
     exceptions.write_text("ok.de\n\u2603.de\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(exceptions))}:2: cannot encode "):
         ReductionRules.from_files(suffixes, exceptions)
+
+
+def test_subdomain_exceptions_read_as_a_set_or_a_file_are_the_same(tmp_path):
+    # each entry is read by SiteKey.parse, which lower-cases it and encodes
+    # a name written in Unicode
+    suffixes, exceptions = tmp_path / "suffixes.dat", tmp_path / "exceptions.txt"
+    suffixes.write_text(SNAPSHOT_TEXT, encoding="utf-8")
+    exceptions.write_text("Bücher.de\nWLV.ac.uk\n", encoding="utf-8")
+    from_file = ReductionRules.from_files(suffixes, exceptions)
+    from_set = ReductionRules.bundled({"Bücher.de", "WLV.ac.uk"})
+    assert from_set.subdomain_exceptions == from_file.subdomain_exceptions == frozenset(
+        {"xn--bcher-kva.de", "wlv.ac.uk"})
 
 
 # a suffix rule written in Unicode matches the xn-- form canonicalize gives a host
