@@ -12,6 +12,7 @@ whole numbers for percentages).
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -70,10 +71,14 @@ def degree_table(net: InterlinkNetwork) -> list[DegreeRow]:
 
 
 def top_brokers(net: InterlinkNetwork, k: int) -> list[DegreeRow]:
-    """The k best-connected actors (a stable prefix of the degree table)."""
+    """The k best-connected actors: the first k rows of the degree table,
+    taken without sorting the rest (its key is unique to each node)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return degree_table(net)[:k]
+    _check_stage(net, "top_brokers")
+    degrees = net.degrees
+    top = heapq.nsmallest(k, net.nodes, key=lambda node: (-sum(degrees.get(node, (0, 0))), node))
+    return [DegreeRow(node, *degrees.get(node, (0, 0))) for node in top]
 
 
 # --- category matrix --------------------------------------------------------

@@ -172,6 +172,11 @@ def resolve(site: SiteKey, reg: Registry) -> Actor | None:
 
 REGISTRY_HEADER = ["site", "actor_id", "label", "sector", "category", "role"]
 
+# each enum's members by value, for the cells of a classification file
+_SECTORS = {member.value: member for member in Sector}
+_CATEGORIES = {member.value: member for member in TableCategory}
+_ROLES = {member.value: member for member in FrameworkRole}
+
 
 def load_registry(path: str | Path) -> Registry:
     """Load a classification CSV into a validated Registry.
@@ -201,7 +206,7 @@ def load_registry(path: str | Path) -> Registry:
             end = reader.line_num  # the physical line the last row read ends on
             for raw in reader:
                 line_no, end = end + 1, reader.line_num
-                cells = [cell.strip() for cell in raw]
+                cells = list(map(str.strip, raw))
                 if not any(cells):
                     continue
                 if len(cells) != len(REGISTRY_HEADER):
@@ -213,17 +218,23 @@ def load_registry(path: str | Path) -> Registry:
                     key = SiteKey.parse(site)
                     if not actor_id:
                         raise ValueError("empty actor_id")
-                    row = (label, Sector(sector), TableCategory(category),
-                           FrameworkRole(role) if role else None)
+                    # a table hit skips the Enum call; a miss makes it, to
+                    # raise the Enum's own error
+                    row = (label, _SECTORS.get(sector) or Sector(sector),
+                           _CATEGORIES.get(category) or TableCategory(category),
+                           (_ROLES.get(role) or FrameworkRole(role)) if role else None)
                 except ValueError as exc:
                     raise InputError(path, line_no, str(exc)) from None
                 known = fields.setdefault(actor_id, row)
-                if known != row:
+                if known is row:  # the actor's first row
+                    sites[actor_id] = [key]
+                elif known == row:
+                    sites[actor_id].append(key)
+                else:
                     name, old, new = next(d for d in zip(REGISTRY_HEADER[2:], known, row)
                                           if d[1] != d[2])
                     raise InputError(path, line_no,
                                      f"actor {actor_id!r} redefines {name} ({old} != {new})")
-                sites.setdefault(actor_id, []).append(key)
     except csv.Error as exc:  # a field past csv's size limit, say
         raise ParseError(path, reader.line_num, str(exc)) from None
     except InputError as exc:

@@ -51,7 +51,7 @@ import io
 import ipaddress
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from importlib import resources
 from ipaddress import IPv6Address
@@ -184,24 +184,29 @@ class ReductionRules:
     def __init__(self, suffixes: str | Path, subdomain_exceptions: set[str] | None = None):
         self.version = "unversioned"
         self._exact, self._wildcards, self._exceptions = set(), set(), set()
+        exact, wildcards, exceptions = self._exact, self._wildcards, self._exceptions
         try:
             with input_lines(suffixes) as lines:
                 for line_no, line in enumerate(lines, start=1):
-                    words = line.lower().split()  # a rule is a line's first word
+                    words = line.split()  # a rule is a line's first word
                     if not words:
                         continue
-                    rule = words[0]
-                    if rule[:2] == "//":
+                    rule = words[0].lower()
+                    kind = rule[0]
+                    if kind not in "!*/":
+                        rules = exact
+                    elif kind == "!":
+                        rules, rule = exceptions, rule[1:]
+                    elif rule[:2] == "*.":
+                        rules, rule = wildcards, rule[2:]
+                    elif rule[:2] == "//":
+                        # a comment's whole text is read only for its version
                         comment = line.strip()[2:].strip()
                         if comment.upper().startswith("VERSION:"):
                             self.version = comment.split(":", 1)[1].strip()
                         continue
-                    if rule[0] == "!":
-                        rules, rule = self._exceptions, rule[1:]
-                    elif rule[:2] == "*.":
-                        rules, rule = self._wildcards, rule[2:]
                     else:
-                        rules = self._exact
+                        rules = exact  # a bare "*", or a rule starting "*x" or "/"
                     rules.add(rule if rule.isascii() else _encoded_idn(rule, line.strip()))
         except MalformedUrl as exc:
             raise InputError(suffixes, line_no, str(exc)) from None
@@ -420,22 +425,26 @@ class GenericFilterList:
     ``harvest.filter_generic`` drops a record when its source or target
     site key exactly matches an entry, so each entry must be a site key.
     ``from_text`` and ``from_file`` read a list by ``input_lines``, one
-    entry a line with ``#`` comments, each entry by ``SiteKey.parse``."""
+    entry a line with ``#`` comments, each entry by ``SiteKey.parse``,
+    which checks it once, naming its line."""
 
     entries: frozenset[str]
     version: str = "unversioned"
+    # whether every entry was read as a SiteKey already
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        for entry in sorted(self.entries):
-            SiteKey(entry)
+    def __post_init__(self, _checked: bool):
+        if not _checked:
+            for entry in sorted(self.entries):
+                SiteKey(entry)
 
     @classmethod
     def from_text(cls, text: str) -> "GenericFilterList":
-        return cls(*_read_site_list(text))
+        return cls(*_read_site_list(text), _checked=True)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GenericFilterList":
-        return cls(*_read_site_list(Path(path)))
+        return cls(*_read_site_list(Path(path)), _checked=True)
 
     @classmethod
     def bundled(cls) -> "GenericFilterList":

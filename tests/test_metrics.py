@@ -86,6 +86,15 @@ def test_degree_table_matches_bruteforce(seed):
     assert sum(r.out_degree for r in degree_table(net)) == net.edge_count
 
 
+@given(seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_top_brokers_is_a_prefix_of_the_degree_table(seed, data):
+    reg, inlinks, outlinks, *_ = random_instance(random.Random(seed))
+    net = build_networks(inlinks, outlinks, reg).pruned
+    k = data.draw(st.integers(1, net.node_count + 2))
+    assert top_brokers(net, k) == degree_table(net)[:k]
+
+
 # --- category matrix --------------------------------------------------------
 
 

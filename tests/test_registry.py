@@ -288,6 +288,41 @@ def test_a_registry_error_names_its_path_and_line(tmp_path):
     assert isinstance(err.value, RegistryError)
 
 
+def test_load_registry_reads_every_enum_value(tmp_path):
+    # one actor for each category: each role once, each sector three times
+    p = tmp_path / "reg.csv"
+    rows = [f"a{i}.com,a{i},A{i},{sector.value},{category.value},{role.value}\n"
+            for i, (sector, category, role) in enumerate(
+                zip(list(Sector) * 3, TableCategory, FrameworkRole))]
+    p.write_text("site,actor_id,label,sector,category,role\n" + "".join(rows), encoding="utf-8")
+    reg = load_registry(p)
+    assert [(a.sector, a.category, a.role) for a in reg] == list(
+        zip(list(Sector) * 3, TableCategory, FrameworkRole))
+
+
+@pytest.mark.parametrize("column, enum", [
+    ("sector", Sector), ("category", TableCategory), ("role", FrameworkRole),
+])
+def test_load_registry_refuses_a_case_changed_or_misspelt_enum_value(tmp_path, column, enum):
+    p = tmp_path / "reg.csv"
+    good = {"sector": "Industry", "category": "KnowledgeBasedFirm", "role": "Investor"}
+    for member in enum:
+        for bad in (member.value.lower(), member.value.upper(), member.value[:-1],
+                    member.value + "s"):
+            row = {**good, column: bad}
+            p.write_text(
+                "site,actor_id,label,sector,category,role\n"
+                "park.co.uk,park.co.uk,P,Government,SciencePark,\n"
+                f"a.com,a,A,{row['sector']},{row['category']},{row['role']}\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(ValueError) as enum_error:
+                enum(bad)
+            with pytest.raises(ParseError) as err:
+                load_registry(p)
+            assert str(err.value) == f"{p}:3: {enum_error.value}"
+
+
 def test_load_registry_inconsistent_actor_rows(tmp_path):
     p = tmp_path / "reg.csv"
     p.write_text(

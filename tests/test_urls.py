@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import ipaddress
 import os
 import re
@@ -12,6 +13,7 @@ import types
 from importlib import resources
 from pathlib import Path
 
+import idna
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from helixmap.harvest import Direction, LinkSet, SourceTag, filter_generic
 from helixmap.urls import (
     CanonicalUrl,
     GenericFilterList,
+    InputError,
     MalformedUrl,
     Reduction,
     ReductionFlag,
@@ -537,6 +540,98 @@ def test_unicode_exception_rule_is_keyed_by_its_idna_form():
 def test_bundled_lists_report_their_versions():
     assert ReductionRules.bundled().version == "20240601"
     assert GenericFilterList.bundled().version == "20240601"
+
+
+def _reference_suffix_parse(text: str):
+    """A suffix list read one physical line at a time, each line lower-cased
+    whole and split into words: ``(version, exact, wildcards, exceptions)``,
+    or the ``<line>: <reason>`` of the error that stops the read."""
+    version, exact, wildcards, exceptions = "unversioned", set(), set(), set()
+    for line_no, line in enumerate(io.StringIO(text, newline=""), start=1):
+        words = line.lower().split()
+        if not words:
+            continue
+        rule = words[0]
+        if rule[:2] == "//":
+            comment = line.strip()[2:].strip()
+            if comment.upper().startswith("VERSION:"):
+                version = comment.split(":", 1)[1].strip()
+            continue
+        if rule[0] == "!":
+            rules, rule = exceptions, rule[1:]
+        elif rule[:2] == "*.":
+            rules, rule = wildcards, rule[2:]
+        else:
+            rules = exact
+        if not rule.isascii():
+            try:
+                rule = idna.encode(rule, uts46=True, transitional=False).decode("ascii")
+            except UnicodeError:
+                return f"{line_no}: cannot encode IDN host in {line.strip()!r}"
+        rules.add(rule)
+    if not (exact or wildcards):
+        return "1: suffix snapshot contains no rules"
+    return version, exact, wildcards, exceptions
+
+
+# a line break ends a line only at LF, CRLF or CR: a form feed, NEL or U+2028
+# is white space inside one
+_PSL_SPACE = st.sampled_from([" ", "\t", "  ", "\x0c", "\x85", "\u2028"])
+# upper case, IDN labels (the snowman cannot be encoded), a final sigma, and
+# the Kelvin sign, which lower-cases to ASCII
+_PSL_LABEL = st.text(alphabet="abyzABYZ09-üÜß公司神戸\u2603Σİ\u212a", min_size=1, max_size=5)
+_PSL_RULE = st.one_of(
+    st.builds(lambda kind, labels: kind + ".".join(labels),
+              st.sampled_from(["", "", "!", "*.", "*", "/"]),
+              st.lists(_PSL_LABEL, min_size=1, max_size=3)),
+    st.sampled_from(["!", "*", "*.", "/", "//", "!*."]),
+)
+_VERSION_WORD = st.tuples(*(st.sampled_from([c, c.upper()]) for c in "version")).map("".join)
+_PSL_COMMENT = st.builds(
+    lambda space, word, colon, value: f"//{space}{word}{colon}{value}",
+    st.sampled_from(["", " ", "\t"]), st.one_of(_VERSION_WORD, st.just("note")),
+    st.sampled_from([":", ": ", "", " :"]), st.text(alphabet="09 .:-aZ", max_size=8),
+)
+_PSL_LINE = st.builds(
+    lambda lead, body, trail: lead + body + trail,
+    st.one_of(st.just(""), _PSL_SPACE),
+    st.one_of(_PSL_RULE, _PSL_COMMENT, st.just("")),
+    st.one_of(st.just(""), st.builds(str.__add__, _PSL_SPACE,
+                                     st.sampled_from(["x", "two words", "//", "!a", "Ab"]))),
+)
+
+
+def _joined(lines: list[tuple[str, str]], last_break: bool) -> str:
+    text = "".join(line + end for line, end in lines)
+    return text if last_break or not lines else text[: -len(lines[-1][1])]
+
+
+_SUFFIX_LISTS = st.builds(
+    _joined,
+    st.lists(st.tuples(_PSL_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+    st.booleans(),
+)
+
+
+@given(text=_SUFFIX_LISTS)
+@settings(max_examples=300, deadline=None)
+def test_a_suffix_list_reads_as_a_plain_line_by_line_parse_does(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("suffixes") / "suffixes.dat"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _reference_suffix_parse(text)
+    try:
+        rules = ReductionRules(path)
+    except InputError as exc:
+        assert str(exc) == f"{path}:{expected}"
+        assert exc.path == path
+    else:
+        assert (rules.version, rules._exact, rules._wildcards, rules._exceptions) == expected
+
+
+def test_the_bundled_snapshot_reads_as_a_plain_line_by_line_parse_does():
+    rules = ReductionRules.bundled()
+    assert (rules.version, rules._exact, rules._wildcards,
+            rules._exceptions) == _reference_suffix_parse(SNAPSHOT_TEXT)
 
 
 # Independent oracle: a second, hand-rolled matcher that enumerates suffix
