@@ -60,7 +60,7 @@ from html import unescape
 from urllib.parse import urlsplit
 
 from . import __version__
-from .harvest import Direction, LinkSet, SourceTag
+from .harvest import Direction, LinkSet, SourceTag, check_first_seen
 from .urls import (
     CanonicalUrl,
     MalformedUrl,
@@ -539,9 +539,12 @@ def crawl_outlinks(
     log used for politeness auditing. Each distinct host is reduced to its
     site key, each distinct href resolved, and each linked site recorded,
     once per crawl; the crawl's connections are closed when it returns.
+    ``now``, every record's ``first_seen``, must be a non-negative ``int``;
+    it is checked before the first request.
     """
     if now is None:
         now = int(time.time())
+    check_first_seen(now)
     report = CrawlReport()
     throttle = throttle or HostThrottle(policy.delay_per_host)
     fetcher = Fetcher(policy, throttle, report, host_map)

@@ -6,11 +6,12 @@ commercial search engines used to play). Each observation is reduced to a
 directed ``source site -> target site`` row carrying provenance tags, and
 rows are deduplicated per (source, target) pair.
 
-A ``LinkSet`` stores each row in its CSV form: the (source, target) pair
-of site-key texts maps to a (provenance label, ``first_seen``) tuple.
-Producers add rows; reading, filtering, merging and writing a set work on
-those values alone. ``LinkRecord`` objects are made only while a caller
-iterates a set or asks it for records.
+A ``LinkSet`` maps the (source, target) pair of site-key texts to one int
+per row, ``first_seen << 3 | tags``, where ``tags`` holds one bit per
+``SourceTag``. Producers add rows; reading, filtering, merging and writing
+a set work on those ints alone, and two tables indexed by the tag bits
+give back a row's provenance label and tag set. ``LinkRecord`` objects
+are made only while a caller iterates a set or asks it for records.
 
 The inlink and outlink evidence comes from a ``SnapshotLinkIndex``: a
 directory of per-site link lists, the form a study's exported inlink and
@@ -26,7 +27,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, combinations, islice, starmap
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Iterator, KeysView
 
@@ -81,53 +82,69 @@ def provenance_label(tags: frozenset[SourceTag]) -> str:
     return "+".join(sorted(tag.value for tag in tags))
 
 
-# every non-empty tag set under its label, and back: the one frozenset a
-# label stands for, and the one string that labels a tag set
-_TAG_SETS: dict[str, frozenset[SourceTag]] = {
-    provenance_label(frozenset(tags)): frozenset(tags)
-    for n in range(1, len(SourceTag) + 1)
-    for tags in combinations(SourceTag, n)
-}
-_LABELS: dict[frozenset[SourceTag], str] = {tags: label for label, tags in _TAG_SETS.items()}
+# A stored value is ``first_seen << _TAG_BITS | mask``, with bit i of the
+# mask standing for the i-th SourceTag. Indexed by a mask, _TAG_SETS holds
+# the one frozenset and _LABELS the one label string of its tags; the empty
+# mask (index 0) is never stored.
+_TAG_BITS = len(SourceTag)
+_ALL_TAGS = (1 << _TAG_BITS) - 1
+# each tag's bit, keyed by the tag's value: a str hashes in C, a SourceTag
+# in Python code
+_BIT = {tag.value: 1 << i for i, tag in enumerate(SourceTag)}
+_TAG_SETS: tuple[frozenset[SourceTag], ...] = tuple(
+    frozenset(tag for tag in SourceTag if mask & _BIT[tag.value]) for mask in range(_ALL_TAGS + 1)
+)
+_LABELS: tuple[str, ...] = tuple(map(provenance_label, _TAG_SETS))
+_MASKS: dict[str, int] = {label: mask for mask, label in enumerate(_LABELS) if mask}
 
 
-def _merged(old: tuple[str, int], new: tuple[str, int]) -> tuple[str, int]:
+def _merged(old: int, new: int) -> int:
     """The stored values of two records of one pair as one record's: the
-    union of their tags and the earlier ``first_seen``."""
-    return (_LABELS[_TAG_SETS[old[0]] | _TAG_SETS[new[0]]], min(old[1], new[1]))
+    earlier ``first_seen`` and the union of their tags."""
+    return min(old, new) & ~_ALL_TAGS | (old | new) & _ALL_TAGS
+
+
+def check_first_seen(first_seen: object) -> None:
+    """Refuse a ``first_seen`` that the CSV form cannot hold: anything but
+    a non-negative ``int`` (a ``bool`` included)."""
+    if type(first_seen) is not int or first_seen < 0:
+        raise ValueError(f"first_seen must be a non-negative int, got {first_seen!r}")
 
 
 class LinkSet:
     """Directed link records, at most one per (source, target) pair.
 
-    A set stores each record as the atomic values of its CSV row:
-    ``_records`` maps the (source, target) pair of site-key texts to the
-    record's (provenance label, ``first_seen``). Tuples of strings and ints
-    drop out of the cyclic garbage collector, however many records a set
+    ``_records`` maps the (source, target) pair of site-key texts to one
+    int, ``first_seen << 3 | tags``, with one bit of ``tags`` per
+    ``SourceTag``. Neither those ints nor the keys, tuples of strings, are
+    tracked by the cyclic garbage collector, however many records a set
     holds.
 
     ``LinkRecord``s are made on demand, by iteration and ``records()``, and
-    share one provenance frozenset per label. Iteration yields them in
+    share one provenance frozenset per tag set. Iteration yields them in
     insertion order; ``records()`` returns them sorted by (source, target),
     for output that must be deterministic.
     """
 
     def __init__(self, direction: Direction):
         self.direction = direction
-        self._records: dict[tuple[str, str], tuple[str, int]] = {}
+        self._records: dict[tuple[str, str], int] = {}
 
     def add(self, source: SiteKey, target: SiteKey, tag: SourceTag, first_seen: int) -> None:
         """Add a row; one already held for the pair takes the union of the
-        tags and the earlier ``first_seen``."""
+        tags and the earlier ``first_seen``, which must be a non-negative
+        ``int``."""
+        check_first_seen(first_seen)
         key = (source.value, target.value)
-        value = (tag.value, first_seen)
+        value = first_seen << _TAG_BITS | _BIT[tag._value_]
         old = self._records.setdefault(key, value)
         if old is not value:
             self._records[key] = _merged(old, value)
 
     @staticmethod
-    def _record(key: tuple[str, str], value: tuple[str, int]) -> LinkRecord:
-        return LinkRecord(SiteKey(key[0]), SiteKey(key[1]), _TAG_SETS[value[0]], value[1])
+    def _record(key: tuple[str, str], value: int) -> LinkRecord:
+        return LinkRecord(SiteKey(key[0]), SiteKey(key[1]), _TAG_SETS[value & _ALL_TAGS],
+                          value >> _TAG_BITS)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -221,10 +238,13 @@ def harvest_index(
     not UTF-8) or ``IndexUnavailable`` is recorded as failed, with the
     error's text, and the harvest goes on; any other exception is a bug
     and propagates.
-    Self-pairs are kept here; the network builder removes them.
+    Self-pairs are kept here; the network builder removes them. ``now``,
+    every row's ``first_seen``, must be a non-negative ``int``; it is
+    checked before the first query.
     """
     if now is None:
         now = int(time.time())
+    check_first_seen(now)
     inbound = direction is Direction.INLINKS
     tag = SourceTag.INLINK_INDEX if inbound else SourceTag.OUTLINK_INDEX
     query = index.inlinks_of if inbound else index.outlinks_of
@@ -299,8 +319,8 @@ def write_link_set(links: LinkSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LINKSET_HEADER) + "\n")
         fh.writelines(
-            f"{cells[source]},{cells[target]},{label},{first_seen}\n"
-            for (source, target), (label, first_seen) in zip(keys, map(records.__getitem__, keys))
+            f"{cells[source]},{cells[target]},{_LABELS[value & _ALL_TAGS]},{value >> _TAG_BITS}\n"
+            for (source, target), value in zip(keys, map(records.__getitem__, keys))
         )
 
 
@@ -310,16 +330,17 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _canonical_label(text: str) -> str:
-    """The shared label string of a provenance text, which must be a
-    canonical label: "+"-joined ``SourceTag`` values, sorted, no repeats."""
-    tags = _TAG_SETS.get(text)
-    if tags is None:
+def _tag_mask(text: str) -> int:
+    """The tag mask of a provenance text, which must be a canonical label:
+    "+"-joined ``SourceTag`` values, sorted, no repeats; ``ValueError``
+    names the fault of any other text."""
+    mask = _MASKS.get(text)
+    if mask is None:
         tags = frozenset(SourceTag(t) for t in text.split("+"))
         raise ValueError(
             f"provenance {text!r} is not in canonical form {provenance_label(tags)!r}"
         )
-    return _LABELS[tags]
+    return mask
 
 
 def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
@@ -340,15 +361,13 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
 
     Rows go straight into the set's storage; no ``LinkRecord`` is built.
     Each distinct site text is checked as a ``SiteKey`` once and stored as
-    one string, which every key naming the site shares, and each distinct
-    provenance text is checked once and stored as the one shared label
-    string.
+    one string, which every key naming the site shares. A provenance text
+    is read as its tag mask from the table of the seven canonical labels.
     """
     path = Path(path)
     links = LinkSet(direction)
     records = links._records
     sites: dict[str, str] = {}  # site text -> the first string read for it
-    labels: dict[str, str] = {}  # provenance text -> its shared label
     try:
         with input_lines(path) as fh:
             reader = csv.reader(fh)
@@ -370,16 +389,13 @@ def read_link_set(path: str | Path, direction: Direction) -> LinkSet:
                         target = sites[target]
                     except KeyError:
                         sites[target] = SiteKey(target).value
-                    try:
-                        label = labels[tags_text]
-                    except KeyError:
-                        label = labels[tags_text] = _canonical_label(tags_text)
+                    mask = _MASKS.get(tags_text) or _tag_mask(tags_text)
                     if not (first_seen.isascii() and first_seen.isdigit()):
                         raise ValueError(f"first_seen {first_seen!r} is not ASCII digits")
                     if first_seen[0] == "0" and len(first_seen) > 1:
                         raise ValueError(f"first_seen {first_seen!r} has a leading zero")
                     key = (source, target)
-                    value = (label, int(first_seen))
+                    value = int(first_seen) << _TAG_BITS | mask
                     old = records.setdefault(key, value)
                     if old is not value:
                         records[key] = _merged(old, value)

@@ -201,10 +201,18 @@ def connectivity_share(
 
 
 def ego_coverage(net: InterlinkNetwork, actor_id: str) -> tuple[int, int, int]:
-    """(direct neighbours, other interconnected actors, whole percent)."""
+    """(direct neighbours, other interconnected actors, whole percent).
+
+    The direct neighbours are the other nodes that link to the actor or
+    that it links to, counted from its degrees: a reciprocated pair counts
+    once and a self-link not at all.
+    """
     if actor_id not in net.nodes:
         raise ActorNotInNetwork(actor_id)
-    count = len(net.neighbors[actor_id])
+    in_degree, out_degree = net.degrees.get(actor_id, (0, 0))
+    count = in_degree + out_degree - net.reciprocated[actor_id]
+    if (actor_id, actor_id) in net.edges:
+        count -= 2
     others = net.node_count - 1
     percent = int(_half_up(count * 100, others, "0")) if others else 0
     return count, others, percent

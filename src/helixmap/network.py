@@ -22,8 +22,8 @@ no self-link, no seed out-edge and no isolated node.
 
 Edges are a frozenset of directed actor pairs, so a network is immutable.
 Each network computes its derived structure once, on first use: its
-``degrees`` and its undirected ``neighbors``. Every metric reads them from
-the network rather than recounting the edges.
+``degrees`` and each node's count of ``reciprocated`` out-edges. Every
+metric reads them from the network rather than recounting the edges.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class SeedMissing(ValueError):
 class InterlinkNetwork:
     """Directed network over actor ids; immutable once constructed.
 
-    ``degrees`` and ``neighbors`` are computed once, from ``edges``, on
+    ``degrees`` and ``reciprocated`` are computed once, from ``edges``, on
     first use.
     """
 
@@ -104,14 +104,12 @@ class InterlinkNetwork:
         return degree_counts(self.edges)
 
     @cached_property
-    def neighbors(self) -> dict[str, set[str]]:
-        """Every node's set of other nodes it links to in either direction."""
-        adjacent: dict[str, set[str]] = {node: set() for node in self.nodes}
-        for source, target in self.edges:
-            if source != target:
-                adjacent[source].add(target)
-                adjacent[target].add(source)
-        return adjacent
+    def reciprocated(self) -> Counter[str]:
+        """Per node, how many of its out-edges to another node have an edge
+        back; a node with none is not counted."""
+        edges = self.edges
+        return Counter(source for source, target in edges
+                       if source != target and (target, source) in edges)
 
 
 def degree_counts(edges: frozenset[tuple[str, str]]) -> dict[str, tuple[int, int]]:

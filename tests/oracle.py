@@ -272,6 +272,11 @@ def resolve(base: str, reference: str) -> str:
         result += t_scheme + ":"
     if t_authority is not None:
         result += "//" + t_authority
+    elif t_path.startswith("//"):
+        # without an authority a path cannot begin with "//" (section 3.3),
+        # which would read back as an authority; the WHATWG URL serializer
+        # writes "/." before such a path, and so does this
+        result += "/."
     result += t_path
     if t_query is not None:
         result += "?" + t_query

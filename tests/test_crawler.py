@@ -541,6 +541,17 @@ def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
         assert result.report.skipped_links == skipped
 
 
+@pytest.mark.parametrize("now", [-1, 1.5, True])
+def test_a_crawl_checks_now_before_its_first_request(host_map, monkeypatch, now):
+    def no_fetcher(*args):
+        pytest.fail("a Fetcher was made")
+
+    monkeypatch.setattr(crawler, "Fetcher", no_fetcher)
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    with pytest.raises(ValueError, match="first_seen must be a non-negative int"):
+        crawl_outlinks(SiteKey("site.com"), policy, RULES, host_map=host_map, now=now)
+
+
 def test_a_body_cut_short_is_a_page_error(host_map):
     # shorter than STALL_SECONDS, so the stalled answer times out
     policy = CrawlPolicy(delay_per_host=0, timeout=0.5)

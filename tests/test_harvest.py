@@ -4,6 +4,7 @@ import csv
 import gc
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -573,10 +574,84 @@ def test_read_link_set_stores_no_object_the_collector_tracks(tmp_path):
     gc.collect()
     stored = list(links._records.items())
     assert len(stored) == 77
-    # (source, target) -> (label, first_seen): no LinkRecord, nothing the GC walks
-    assert all(type(label) is str and type(seen) is int for _, (label, seen) in stored)
+    # (source, target) -> one int: no LinkRecord, no tuple, nothing the GC walks
+    assert all(type(source) is str and type(target) is str and type(value) is int
+               for (source, target), value in stored)
     assert not any(gc.is_tracked(key) or gc.is_tracked(value) for key, value in stored)
 
+
+
+# --- the stored int form against a model --------------------------------------
+
+_TAG_SETS = [frozenset(tags) for n in range(1, len(SourceTag) + 1)
+             for tags in combinations(SourceTag, n)]
+_MODEL_SITES = ["a.com", "b.org", "c.net"]
+_model_rows = st.lists(
+    st.tuples(st.sampled_from(_MODEL_SITES), st.sampled_from(_MODEL_SITES),
+              st.sampled_from(_TAG_SETS), st.sampled_from([0, 1, 2**40, 2**70])),
+    max_size=25,
+)
+
+
+def _model(rows):
+    """{pair: (tags, earliest first_seen)} of rows, in first-seen order."""
+    model = {}
+    for source, target, tags, seen in rows:
+        old_tags, old_seen = model.get((source, target), (frozenset(), seen))
+        model[(source, target)] = (old_tags | tags, min(old_seen, seen))
+    return model
+
+
+def _as_model(links):
+    return {r.key: (r.provenance, r.first_seen) for r in links}
+
+
+@given(xs=_model_rows, ys=_model_rows, denied=st.sets(st.sampled_from(_MODEL_SITES)))
+@settings(max_examples=200, deadline=None)
+def test_link_sets_hold_what_their_model_holds(tmp_path_factory, xs, ys, denied):
+    a, b = _set(Direction.OUTLINKS, *xs), _set(Direction.OUTLINKS, *ys)
+    assert list(_as_model(a).items()) == list(_model(xs).items())
+    model = _model(xs + ys)
+    merged = merge_link_sets(a, b)
+    assert list(_as_model(merged).items()) == list(model.items())
+    assert [r.key for r in merged.records()] == sorted(model)
+
+    kept, dropped = filter_generic(merged, GenericFilterList(frozenset(denied)))
+    expected = {pair: value for pair, value in model.items()
+                if pair[0] not in denied and pair[1] not in denied}
+    assert list(_as_model(kept).items()) == list(expected.items())
+    assert dropped == len(model) - len(expected)
+
+    directory = tmp_path_factory.mktemp("model")
+    write_link_set(merged, directory / "written.csv")
+    assert _as_model(read_link_set(directory / "written.csv", Direction.OUTLINKS)) == model
+    # rows in any order, pairs repeated under other tags and dates
+    _write_rows(directory / "rows.csv", xs + ys)
+    read = read_link_set(directory / "rows.csv", Direction.OUTLINKS)
+    assert list(_as_model(read).items()) == list(model.items())
+    assert read == merged
+
+
+@pytest.mark.parametrize("first_seen", [-1, 1.5, True, "1", None])
+def test_add_refuses_a_first_seen_the_csv_form_cannot_hold(first_seen):
+    links = LinkSet(Direction.OUTLINKS)
+    with pytest.raises(ValueError, match="first_seen must be a non-negative int"):
+        links.add(SiteKey("a.com"), SiteKey("b.com"), SourceTag.CRAWL, first_seen)
+    assert len(links) == 0
+
+
+@pytest.mark.parametrize("now", [-1, 1.5, True])
+def test_harvest_index_checks_now_before_its_first_query(now):
+    queried = []
+
+    class RecordingIndex:
+        def inlinks_of(self, site, limit):
+            queried.append(site)
+            return ["http://x.com/"]
+
+    with pytest.raises(ValueError, match="first_seen must be a non-negative int"):
+        harvest_index([SiteKey("a.co.uk")], RecordingIndex(), Direction.INLINKS, RULES, now=now)
+    assert queried == []
 
 
 # --- a UTF-8 byte-order mark -------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -215,18 +216,67 @@ def test_connectivity_share_empty_category():
 # --- ego networks -----------------------------------------------------------
 
 
+def _oracle_neighbours(net, node):
+    return oracle.ego(net.nodes, dict.fromkeys(net.edges, 1), node)[0]
+
+
 def test_ego_network_direct_neighbors_both_directions():
     net = _net({"a", "b", "c", "d", "seed"},
                [("a", "b"), ("c", "a"), ("c", "d"), ("d", "seed")], seed="seed")
-    assert net.neighbors["a"] == {"b", "c"}
+    assert _oracle_neighbours(net, "a") == {"b", "c"}
     count, others, pct = ego_coverage(net, "a")
     assert (count, others, pct) == (2, 4, 50)
 
 
 def test_ego_isolated_node_pre_pruning():
     net = _net({"a", "b", "c"}, [("b", "c")], stage=Stage.DICHOTOMIZED, seed="a")
-    assert net.neighbors["a"] == set()
+    assert _oracle_neighbours(net, "a") == set()
     assert ego_coverage(net, "a") == (0, 2, 0)
+
+
+def test_ego_counts_a_reciprocated_pair_once_and_a_self_link_not_at_all():
+    # a: self-link, reciprocated with b, linked from c, linking to d;
+    # d: self-link and one in-edge; e: only a self-link
+    edges = [("a", "a"), ("a", "b"), ("b", "a"), ("c", "a"), ("a", "d"), ("d", "d"), ("e", "e")]
+    net = _net({"a", "b", "c", "d", "e"}, edges, stage=Stage.RAW, seed="a")
+    expected = {"a": 3, "b": 1, "c": 1, "d": 1, "e": 0}
+    for node, count in expected.items():
+        assert len(_oracle_neighbours(net, node)) == count
+        assert ego_coverage(net, node)[0] == count, node
+
+
+def _neighbour_sets(nodes, edges):
+    """Every node's set of other nodes it links to in either direction:
+    the per-node structure ego coverage was once counted from."""
+    adjacent = {node: set() for node in nodes}
+    for source, target in edges:
+        if source != target:
+            adjacent[source].add(target)
+            adjacent[target].add(source)
+    return adjacent
+
+
+def test_ego_coverage_retains_a_fifth_of_what_neighbour_sets_took():
+    rng = random.Random(5)
+    nodes = [f"n{i:04d}" for i in range(2000)]
+    edges = set()
+    while len(edges) < 20_000:
+        edges.add((rng.choice(nodes), rng.choice(nodes)))
+    nodes, edges = frozenset(nodes), frozenset(edges)
+    net = InterlinkNetwork(nodes, edges, Stage.RAW, "n0000")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sets = _neighbour_sets(nodes, edges)
+        neighbour_sets = tracemalloc.get_traced_memory()[0] - before
+        del sets
+        before = tracemalloc.get_traced_memory()[0]
+        coverage = ego_coverage(net, "n0001")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert coverage[0] == len(_oracle_neighbours(net, "n0001"))
+    assert retained * 5 <= neighbour_sets, (retained, neighbour_sets)
 
 
 def test_ego_unknown_actor():
@@ -241,10 +291,12 @@ def test_ego_matches_bruteforce(seed):
     rng = random.Random(seed)
     reg, inlinks, outlinks, *_ = random_instance(rng)
     net = build_networks(inlinks, outlinks, reg).pruned
+    others = net.node_count - 1
     for node in sorted(net.nodes):
-        neighbors, _ = oracle.ego(net.nodes, dict.fromkeys(net.edges, 1), node)
-        assert net.neighbors[node] == neighbors
-        assert ego_coverage(net, node)[0] == len(neighbors)
+        count = len(_oracle_neighbours(net, node))
+        # the whole percent, rounded half up
+        percent = (200 * count + others) // (2 * others) if others else 0
+        assert ego_coverage(net, node) == (count, others, percent)
 
 
 @given(seed=st.integers(0, 10_000))

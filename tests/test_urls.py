@@ -15,7 +15,7 @@ from pathlib import Path
 
 import idna
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -356,6 +356,9 @@ _RFC3986_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
 
 @given(raw=_HREFS, base=st.sampled_from(_BASES))
 @settings(max_examples=300)
+# a scheme, no authority, and a path whose dot segments leave it led by "//"
+@example(raw="http:/..//site.com", base=_BASES[0])
+@example(raw="http:x.html/..//x.html?q", base=_BASES[0])
 def test_resolution_matches_the_rfc3986_transcription(raw, base):
     # Appendix B takes any text before the first ":" for a scheme; text that
     # no scheme can be makes no URI reference, and urlsplit reads it as a
