@@ -25,12 +25,8 @@ least the configured delay, robots.txt is honoured as RFC 9309 says
 (including a full-site exclusion, and complete disallow while robots.txt
 is unreachable), redirects are followed up to 5 hops with the final URL
 deciding the site key, and per-page failures never abort a crawl. A crawl
-has at most one request in flight: once a page's answer is read, and
-before the page is scanned, the request for the next page in the queue is
-sent (after its host's delay, as every request is), so the server answers
-it while the crawl resolves this page's links.
-Requests go in the order of a crawl that sends each one only after the
-page before is scanned, since a page's links join the queue at its end.
+has one request in flight at a time: a page's request is sent only once
+the page before it was read and scanned.
 
 A host map ("host -> address:port") lets fixtures and mirrors serve a
 logical hostname from a local address, exactly like a hosts-file entry:
@@ -142,9 +138,9 @@ class CrawlResult:
 class HostThrottle:
     """Spaces consecutive requests to one host by at least ``delay`` seconds.
 
-    A fetcher waits for a slot before every request it sends, a request sent
-    ahead of its page's fetch included. Crawls run one at a time; a
-    throttle is not shared between threads.
+    A fetcher waits for a slot before every request it sends, each redirect
+    hop and resend included. Crawls run one at a time; a throttle is not
+    shared between threads.
     """
 
     def __init__(self, delay: float):
@@ -318,10 +314,6 @@ def _body(response: http.client.HTTPResponse) -> bytes:
     return b"".join(chunks)
 
 
-# a sent GET: the time it was sent, the connection it went over, the
-# transport error that stopped it or None, and whether the connection had
-# carried a request before
-_Request = tuple[float, http.client.HTTPConnection, Exception | None, bool]
 # what a reused connection that the server closed before answering raises
 _UNANSWERED = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
@@ -338,13 +330,6 @@ class Fetcher:
     is sent once more only when a reused connection closes before its
     answer's status line comes, and then on a new connection; the second
     send waits for its host's slot and is logged as every request is.
-
-    A fetch either sends its first request or reads the answer to the one
-    sent ahead for its URL by ``_send_ahead``, which the crawl calls before
-    it scans a page, so that the server's work and the crawl's overlap. At
-    most one request is sent ahead. It waits for its host's slot as any
-    request does, the fetch that reads its answer logs it, and ``close``
-    closes its connection with the rest.
     """
 
     def __init__(
@@ -364,8 +349,6 @@ class Fetcher:
             split = urlsplit(f"//{address}")
             self.addresses[host] = (split.hostname, split.port)
         self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
-        # the request sent ahead of its fetch, and its URL
-        self._ahead: tuple[CanonicalUrl, _Request] | None = None
         # an unclosed fetcher closes its connections when it is collected
         self._finalizer = weakref.finalize(self, _close_all, self._connections)
 
@@ -391,32 +374,12 @@ class Fetcher:
     def _log(self, sent: float, url: CanonicalUrl, status: str) -> None:
         self.report.log.append(CrawlLogEntry(sent, url.host, str(url), status))
 
-    def _send(self, url: CanonicalUrl) -> _Request:
-        """Wait for the slot of ``url``'s host, then send its GET."""
-        self.throttle.wait(url.host)
-        sent = time.time()
-        connection = self._connection(url)
-        reused = connection.sock is not None
-        target = url.path if url.query is None else f"{url.path}?{url.query}"
-        try:
-            connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
-                               headers={**HTTP_HEADERS, "Host": url.authority})
-        except (OSError, http.client.HTTPException) as exc:
-            return sent, connection, exc, reused
-        return sent, connection, None, reused
-
-    def _send_ahead(self, url: CanonicalUrl) -> None:
-        """Send the GET of ``url`` now, so that the server answers it while
-        the caller works; the next ``fetch`` of ``url`` reads the answer."""
-        self._ahead = (url, self._send(url))
-
-    def _answer(self, url: CanonicalUrl, request: _Request
-                ) -> tuple[http.client.HTTPResponse, bytes] | FetchError:
-        """The answer to ``request``, the GET of ``url``, with its body read
-        to the end; or why there is none. The request is logged with the
-        answer's status, or as an error. An answer left half-read is closed
-        with its connection, so the rest of its body can never be taken for
-        the start of the next answer.
+    def _get(self, url: CanonicalUrl) -> tuple[http.client.HTTPResponse, bytes] | FetchError:
+        """Wait for the slot of ``url``'s host, send its GET and read the
+        answer, its body to the end; or why there is none. The request is
+        logged with the answer's status, or as an error. An answer left
+        half-read is closed with its connection, so the rest of its body can
+        never be taken for the start of the next answer.
 
         A server may close a kept-alive connection just as a request goes
         out on it. So a GET that a reused connection dropped before any
@@ -424,11 +387,15 @@ class Fetcher:
         9112 §9.3.1 allows for an idempotent request; one sent on a new
         connection is not.
         """
-        sent, connection, error, reused = request
+        self.throttle.wait(url.host)
+        sent = time.time()
+        connection = self._connection(url)
+        reused = connection.sock is not None
+        target = url.path if url.query is None else f"{url.path}?{url.query}"
         response = None
         try:
-            if error is not None:
-                raise error
+            connection.request("GET", _UNSAFE_IN_TARGET.sub(_percent_encoded, target),
+                               headers={**HTTP_HEADERS, "Host": url.authority})
             response = connection.getresponse()
             body = _body(response)
         except UnreadableBody as exc:
@@ -448,7 +415,7 @@ class Fetcher:
                 connection.close()
                 if response is not None:
                     response.close()
-        return self._answer(url, self._send(url))
+        return self._get(url)
 
     def fetch(self, url: CanonicalUrl) -> tuple[CanonicalUrl, str, str] | FetchError:
         """GET one page: (final_url, content_type, body), or why it failed.
@@ -458,20 +425,10 @@ class Fetcher:
         Every request carries ``HTTP_HEADERS`` and the URL's authority as
         ``Host``. Every answer's body is read, up to MAX_PAGE_BYTES; the
         page's is decoded in the charset ``body_charset`` picks.
-
-        The first request is the one sent ahead for ``url``, if there is
-        one; a request sent ahead for another URL is closed with its
-        connection, its answer unread.
         """
-        ahead_url, request = self._ahead or (None, None)
-        self._ahead = None
-        if request is not None and ahead_url != url:
-            request[1].close()  # its connection
-            request = None
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
-            answer = self._answer(current, request or self._send(current))
-            request = None
+            answer = self._get(current)
             if isinstance(answer, FetchError):
                 return answer
             response, body = answer
@@ -605,25 +562,14 @@ def crawl_outlinks(
         seen: set[str] = {str(entry)}
 
         attempts = 0  # the page cap bounds requests, failed ones included
-
-        def next_page() -> tuple[CanonicalUrl, int] | None:
-            # the queue's next URL robots.txt allows, with its depth, if the
-            # page cap allows one more request; the URLs passed over are logged
-            nonlocal attempts
-            while queue and attempts < policy.max_pages_per_site:
-                url, depth = queue.popleft()
-                if robots.can_fetch(USER_AGENT, str(url)):
-                    attempts += 1
-                    return url, depth
+        while queue and attempts < policy.max_pages_per_site:
+            url, depth = queue.popleft()
+            if not robots.can_fetch(USER_AGENT, str(url)):
                 report.log.append(CrawlLogEntry(time.time(), url.host, str(url), "robots"))
                 if url == entry:
                     report.robots_blocked = True
-            return None
-
-        ahead = None  # the next page, when its request is already sent
-        while (page := ahead or next_page()) is not None:
-            ahead = None
-            url, depth = page
+                continue
+            attempts += 1
             fetched = fetcher.fetch(url)
             if isinstance(fetched, FetchError):
                 report.errors.append(fetched)
@@ -637,13 +583,6 @@ def crawl_outlinks(
                 continue
             if "html" not in content_type.lower():
                 continue
-
-            # the server answers the next page while this one is scanned:
-            # the page's links join the queue at its end, so its head, and
-            # the order of requests, are what they would be after the scan
-            ahead = next_page()
-            if ahead is not None:
-                fetcher._send_ahead(ahead[0])
             page_text = str(final_url)
             for href in extract_hrefs(body, page_text):
                 resolved = resolve(href, final_url, page_text)

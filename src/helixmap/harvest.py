@@ -239,12 +239,15 @@ def harvest_index(
     error's text, and the harvest goes on; any other exception is a bug
     and propagates.
     Self-pairs are kept here; the network builder removes them. ``now``,
-    every row's ``first_seen``, must be a non-negative ``int``; it is
+    every row's ``first_seen``, and ``limit``, the most URLs a site's query
+    gives, must each be a non-negative ``int`` (not a ``bool``); both are
     checked before the first query.
     """
     if now is None:
         now = int(time.time())
     check_first_seen(now)
+    if type(limit) is not int or limit < 0:
+        raise ValueError(f"limit must be a non-negative int, got {limit!r}")
     inbound = direction is Direction.INLINKS
     tag = SourceTag.INLINK_INDEX if inbound else SourceTag.OUTLINK_INDEX
     query = index.inlinks_of if inbound else index.outlinks_of

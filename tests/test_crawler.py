@@ -156,8 +156,7 @@ SITES = {
         "/100%25.html": "",
         "/after.html": '<a href="http://after.org/">a</a>',
     },
-    # a site whose crawl sends requests ahead: after "/" a page is read while
-    # the queue holds more, among them a redirect (/old.html), a path
+    # a site whose queue, after "/", holds a redirect (/old.html), a path
     # robots.txt disallows, a 404 and a page that is not HTML (/doc.txt)
     "ahead.com": {
         "/": ('<a href="/a.html">a</a> <a href="/old.html">o</a> <a href="/private/p.html">p</a> '
@@ -404,8 +403,7 @@ def test_requests_to_one_host_are_spaced_by_the_delay(host_map, monkeypatch):
     monkeypatch.setattr(crawler, "time", SimpleNamespace(
         time=time.monotonic, monotonic=time.monotonic, sleep=time.sleep))
     policy = CrawlPolicy(delay_per_host=0.05, timeout=5, max_depth=4)
-    # chain.com's crawl sends each request once the page before is scanned,
-    # ahead.com's mostly before; the count is robots.txt and the pages
+    # the count is robots.txt and the pages, and ahead.com's redirect hop
     for site, requests in (("chain.com", 6), ("ahead.com", 10)):
         result = crawl_outlinks(SiteKey(site), policy, RULES, host_map=host_map)
         stamps = [e.timestamp for e in result.report.log if e.host == site and e.status != "robots"]
@@ -780,7 +778,7 @@ def test_a_site_a_registry_writes_in_unicode_is_crawled(host_map, tmp_path):
     assert {record.key for record in result.links} == {("xn--bcher-kva.de", "ext.org")}
 
 
-# how long an answer is held back unless a test says otherwise
+# how long each answer is held back
 HOLD_SECONDS = 0.02
 
 
@@ -795,7 +793,6 @@ class _RecordingServer(ThreadingHTTPServer):
         self.most_unanswered = 0
         self.early = 0  # requests sent on a connection before its last one was answered
         self.dropped = []  # paths of the requests whose connection closed unanswered
-        self.hold = {}  # path -> seconds its answer is held back, else HOLD_SECONDS
         # paths whose next request is read and its connection then closed
         # unanswered, though the answers before it left the connection open
         self.hang_up = set()
@@ -820,8 +817,7 @@ class _RecordingHandler(_Handler):
                 return
             server.unanswered += 1
             server.most_unanswered = max(server.most_unanswered, server.unanswered)
-        held = select.select([self.connection], [], [],
-                             server.hold.get(self.path, HOLD_SECONDS))[0]
+        held = select.select([self.connection], [], [], HOLD_SECONDS)[0]
         try:
             closed = bool(held) and not self.connection.recv(1, socket.MSG_PEEK)
         except ConnectionError:
@@ -843,96 +839,50 @@ def _recorded(server) -> dict[str, str]:
     return {"ahead.com": f"127.0.0.1:{server.server_address[1]}"}
 
 
-def test_a_crawl_sends_each_request_ahead_in_the_order_of_a_sequential_walk(monkeypatch):
-    sent_ahead = []
-    real = Fetcher._send_ahead
-
-    def recording(self, url):
-        sent_ahead.append(str(url))
-        real(self, url)
-
+def test_a_crawl_sends_one_request_at_a_time_in_the_order_of_its_queue():
     # the cap stops the crawl with /b.html, /private/q.html and /d.html queued
     policy = CrawlPolicy(delay_per_host=0, timeout=5, max_depth=5, max_pages_per_site=6)
-    walks = []
-    # with requests sent ahead, then each sent when its fetch starts
-    for send_ahead in (recording, lambda self, url: None):
-        monkeypatch.setattr(Fetcher, "_send_ahead", send_ahead)
-        with _serving(_RecordingHandler, _RecordingServer) as server:
-            result = crawl_outlinks(SiteKey("ahead.com"), policy, RULES,
-                                    host_map=_recorded(server), now=7)
-        assert server.most_unanswered == 1
-        assert server.early == 0
-        assert server.dropped == []
-        report = result.report
-        walks.append(([path for _, path, _ in server.requests],
-                      [(e.host, e.url, e.status) for e in report.log],
-                      report.pages_fetched, report.errors, report.skipped_links,
-                      list(result.links)))
-    assert sent_ahead == ["http://ahead.com/old.html", "http://ahead.com/missing.html"]
-    assert walks[0] == walks[1]
-    requests, log, pages_fetched, errors, skipped_links, links = walks[0]
-    assert requests == ["/robots.txt", "/", "/a.html", "/old.html", "/new.html",
-                        "/missing.html", "/doc.txt", "/c.html"]
-    assert [(url, status) for _, url, status in log] == [
-        ("http://ahead.com/robots.txt", "200"),
-        ("http://ahead.com/", "200"),
-        ("http://ahead.com/a.html", "200"),
-        ("http://ahead.com/old.html", "301"),
-        ("http://ahead.com/new.html", "200"),
-        ("http://ahead.com/private/p.html", "robots"),
-        ("http://ahead.com/missing.html", "404"),
-        ("http://ahead.com/doc.txt", "200"),
-        ("http://ahead.com/c.html", "200"),
-    ]
-    assert pages_fetched == 5
-    assert [(e.url, e.status) for e in errors] == [("http://ahead.com/missing.html", 404)]
-    assert skipped_links == 1  # the mailto: link
-    assert [record.target.value for record in links] == ["ext.org", "other.org"]
-
-
-def test_a_fetch_of_another_url_closes_the_request_sent_ahead_unread():
     with _serving(_RecordingHandler, _RecordingServer) as server:
-        server.hold["/b.html"] = 5.0  # answered only if its connection stays open
-        report = CrawlReport()
-        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0), report,
-                          host_map=_recorded(server))
-        try:
-            fetcher._send_ahead(canonicalize("http://ahead.com/b.html"))
-            deadline = time.monotonic() + 5
-            while not server.requests and time.monotonic() < deadline:
-                time.sleep(0.01)
-            fetched = fetcher.fetch(canonicalize("http://ahead.com/c.html"))
-        finally:
-            fetcher.close()
-    assert fetched == (canonicalize("http://ahead.com/c.html"), "text/html", "")
-    assert [(e.url, e.status) for e in report.log] == [("http://ahead.com/c.html", "200")]
-    assert server.dropped == ["/b.html"]
-    (_, first, ahead_peer), (_, second, peer) = server.requests
-    assert (first, second) == ("/b.html", "/c.html")
-    assert ahead_peer != peer
+        result = crawl_outlinks(SiteKey("ahead.com"), policy, RULES,
+                                host_map=_recorded(server), now=7)
+    assert server.most_unanswered == 1
+    assert server.early == 0
+    assert server.dropped == []
+    assert [path for _, path, _ in server.requests] == [
+        "/robots.txt", "/", "/a.html", "/old.html", "/new.html",
+        "/missing.html", "/doc.txt", "/c.html"]
+    report = result.report
+    assert [(e.host, e.url, e.status) for e in report.log] == [
+        ("ahead.com", "http://ahead.com/robots.txt", "200"),
+        ("ahead.com", "http://ahead.com/", "200"),
+        ("ahead.com", "http://ahead.com/a.html", "200"),
+        ("ahead.com", "http://ahead.com/old.html", "301"),
+        ("ahead.com", "http://ahead.com/new.html", "200"),
+        ("ahead.com", "http://ahead.com/private/p.html", "robots"),
+        ("ahead.com", "http://ahead.com/missing.html", "404"),
+        ("ahead.com", "http://ahead.com/doc.txt", "200"),
+        ("ahead.com", "http://ahead.com/c.html", "200"),
+    ]
+    assert report.pages_fetched == 5
+    assert [(e.url, e.status) for e in report.errors] == [("http://ahead.com/missing.html", 404)]
+    assert report.skipped_links == 1  # the mailto: link
+    assert [record.target.value for record in result.links] == ["ext.org", "other.org"]
 
 
-def test_a_request_sent_ahead_to_a_closed_port_fails_as_a_fetch_does(closed_port):
-    url = canonicalize("http://gone.com/x.html")
-    outcomes = []
-    for ahead in (True, False):
-        report = CrawlReport()
-        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0), report,
-                          host_map={"gone.com": f"127.0.0.1:{closed_port}"})
-        try:
-            if ahead:
-                fetcher._send_ahead(url)
-            fetched = fetcher.fetch(url)
-        finally:
-            fetcher.close()
-        outcomes.append((fetched, [(e.host, e.url, e.status) for e in report.log]))
-    assert outcomes[0] == outcomes[1]
-    fetched, log = outcomes[0]
+def test_a_fetch_from_a_closed_port_is_a_page_error(closed_port):
+    report = CrawlReport()
+    fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0), report,
+                      host_map={"gone.com": f"127.0.0.1:{closed_port}"})
+    try:
+        fetched = fetcher.fetch(canonicalize("http://gone.com/x.html"))
+    finally:
+        fetcher.close()
     assert (fetched.url, fetched.status) == ("http://gone.com/x.html", None)
-    assert log == [("gone.com", "http://gone.com/x.html", "error")]
+    assert [(e.host, e.url, e.status) for e in report.log] == [
+        ("gone.com", "http://gone.com/x.html", "error")]
 
 
-def test_a_crawl_that_raises_with_a_request_in_flight_closes_its_sockets(monkeypatch):
+def test_a_crawl_whose_scan_raises_with_a_connection_open_closes_its_sockets(monkeypatch):
     real = crawler.extract_hrefs
 
     def failing(html, url=""):
@@ -945,14 +895,14 @@ def test_a_crawl_that_raises_with_a_request_in_flight_closes_its_sockets(monkeyp
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with _serving(_RecordingHandler, _RecordingServer) as server:
-            # /old.html is sent ahead while /a.html is scanned
-            server.hold["/old.html"] = 5.0
+            # /a.html's answer is read to its end, so its connection is
+            # kept open for the next request when the scan raises
             with pytest.raises(RuntimeError, match="scan failed"):
                 crawl_outlinks(SiteKey("ahead.com"), policy, RULES, host_map=_recorded(server))
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
-    assert [path for _, path, _ in server.requests][-1] == "/old.html"
-    assert server.dropped == ["/old.html"]
+    assert [path for _, path, _ in server.requests][-1] == "/a.html"
+    assert server.dropped == []
 
 
 def test_a_request_target_is_percent_encoded():
@@ -982,10 +932,10 @@ class _CountingThrottle(HostThrottle):
         super().wait(host)
 
 
-def test_a_request_sent_ahead_on_a_connection_the_server_then_closes_is_sent_again():
+def test_a_request_on_a_kept_alive_connection_the_server_then_closes_is_sent_again():
     # the server answers /a.html with a Content-Length and no "Connection:
-    # close", reads /old.html, sent ahead on that connection while /a.html
-    # is scanned, and closes the connection without answering it
+    # close", so the connection is kept alive; it reads /old.html, the next
+    # request on that connection, and closes it without answering
     policy = CrawlPolicy(delay_per_host=0, timeout=5, max_depth=5, max_pages_per_site=6)
     throttle = _CountingThrottle()
     with _serving(_RecordingHandler, _RecordingServer) as server:

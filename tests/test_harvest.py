@@ -654,6 +654,23 @@ def test_harvest_index_checks_now_before_its_first_query(now):
     assert queried == []
 
 
+@pytest.mark.parametrize("limit", [-1, True, 1.5])
+def test_harvest_index_checks_limit_before_its_first_query(tmp_path, limit):
+    # an unlisted site first, whose query reads no list, then a listed one
+    (tmp_path / "sitea.co.uk.out").write_text("http://x.com/\n", encoding="utf-8")
+    queried = []
+
+    class RecordingIndex(SnapshotLinkIndex):
+        def outlinks_of(self, site, limit):
+            queried.append(site)
+            return super().outlinks_of(site, limit)
+
+    with pytest.raises(ValueError, match="limit must be a non-negative int"):
+        harvest_index([SiteKey("siteb.co.uk"), SiteKey("sitea.co.uk")], RecordingIndex(tmp_path),
+                      Direction.OUTLINKS, RULES, limit=limit, now=1)
+    assert queried == []
+
+
 # --- a UTF-8 byte-order mark -------------------------------------------------
 
 def _harvested(path):

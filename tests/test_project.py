@@ -110,8 +110,7 @@ def test_only_the_crawler_imports_network_modules():
 
 
 def test_no_module_imports_a_concurrency_layer():
-    # a crawl overlaps its server's work with its own by sending the next
-    # request ahead, on the one thread it runs on
+    # a crawl runs on one thread, with one request in flight at a time
     layers = {"threading", "concurrent", "asyncio", "multiprocessing"}
     for path in (ROOT / "src" / "helixmap").glob("*.py"):
         imported = {name.partition(".")[0] for name in _imports(path.read_text(encoding="utf-8"))}
