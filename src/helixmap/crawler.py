@@ -18,7 +18,10 @@ memory one tag can take. A tag that repeats ``href`` is read by its first,
 as the HTML tokenizer drops a repeated attribute; otherwise, on well-formed
 markup, the scanner finds what the standard library's ``html.parser``
 finds. ``<![ foo``, on which ``html.parser`` raises, is read as a
-declaration.
+declaration. The scanner resolves nothing: it returns the hrefs as written,
+with the first ``<base href>`` beside them, and the crawl resolves each
+distinct (href, base) once, on the URL ``document_base`` gives, so a base
+in a scheme the crawl does not follow leaves every relative href skipped.
 
 Politeness contract: consecutive requests to one host are spaced by at
 least the configured delay, robots.txt is honoured as RFC 9309 says
@@ -209,27 +212,20 @@ def _href_value(attrs: str) -> str | None:
     return None
 
 
-def _canonical(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl | None:
-    try:
-        return canonicalize(raw, base)
-    except (MalformedUrl, UnsupportedScheme):
-        return None
+class Hrefs(list):
+    """The a/area hrefs of a page as written, in document order, and
+    ``base``: the href of its first ``<base>`` that has one, or None."""
+
+    base: str | None = None
 
 
-def extract_hrefs(html: str, url: str = "") -> list[str]:
-    """All a[href] / area[href] values in document order.
-
-    When the document has a ``<base href>``, the first one is resolved
-    against ``url`` (the document's own URL), and every href against it, by
-    ``canonicalize``: the RFC 3986 resolution a crawl gives an href on a
-    page without a base. Those hrefs are returned as canonical URL text, or
-    as written when canonicalize rejects them. Without a base, or with one
-    that canonicalize rejects, the values are returned as written. A tag
+def extract_hrefs(html: str) -> Hrefs:
+    """All a[href] / area[href] values in document order, as written, with
+    the first ``<base href>`` value as ``base``; nothing is resolved. A tag
     that repeats ``href`` gives its first value only, as the HTML tokenizer
     drops a repeated attribute; an empty href gives no link.
     """
-    hrefs: list[str] = []
-    base: str | None = None
+    hrefs = Hrefs()
     for token in _SCAN.finditer(html):
         attrs = token["attrs"]
         if attrs is None:
@@ -238,17 +234,25 @@ def extract_hrefs(html: str, url: str = "") -> list[str]:
         if token["base"] is None:
             if href:
                 hrefs.append(href)
-        elif base is None:
-            base = href
-    if base is None:
-        return hrefs
-    # an empty base is the document itself, though canonicalize, which reads
-    # an empty href as no link, refuses it
-    base_url = _canonical(base, _canonical(url)) if base.strip() else _canonical(url)
-    if base_url is None:
-        return hrefs
-    return [str(resolved) if (resolved := _canonical(href, base_url)) else href
-            for href in hrefs]
+        elif hrefs.base is None:
+            hrefs.base = href
+    return hrefs
+
+
+def document_base(page: CanonicalUrl, base: str | None) -> CanonicalUrl | None:
+    """The URL the relative hrefs of the page at ``page`` resolve on (HTML's
+    document base URL), given its ``<base href>``: the base resolved against
+    ``page``; ``page`` when there is none, or it is empty or canonicalize
+    cannot read it; None when its scheme is one the crawl does not follow,
+    where no relative href leads anywhere (RFC 3986 §5.1)."""
+    if base is None or not base.strip():
+        return page
+    try:
+        return canonicalize(base, page)
+    except MalformedUrl:
+        return page
+    except UnsupportedScheme:
+        return None
 
 
 def body_charset(content_type: str) -> str:
@@ -475,9 +479,9 @@ def _load_robots(entry: CanonicalUrl, fetcher: Fetcher) -> urllib.robotparser.Ro
 
 
 # what crawl_outlinks has for an href it has not resolved yet, and for one
-# that resolves only against the page it is on
+# without a scheme, which resolves only on a base
 _UNSEEN = object()
-_NEEDS_PAGE = object()
+_RELATIVE = object()
 
 
 def crawl_outlinks(
@@ -494,10 +498,10 @@ def crawl_outlinks(
     crawled site; same-site links only feed the frontier. The returned
     report carries per-page errors, the robots verdict, and the request
     log used for politeness auditing. Each distinct host is reduced to its
-    site key, each distinct href resolved, and each linked site recorded,
-    once per crawl; the crawl's connections are closed when it returns.
-    ``now``, every record's ``first_seen``, must be a non-negative ``int``;
-    it is checked before the first request.
+    site key, each distinct (href, base) resolved, and each linked site
+    recorded, once per crawl; the crawl's connections are closed when it
+    returns. ``now``, every record's ``first_seen``, must be a non-negative
+    ``int``; it is checked before the first request.
     """
     if now is None:
         now = int(time.time())
@@ -507,14 +511,11 @@ def crawl_outlinks(
     fetcher = Fetcher(policy, throttle, report, host_map)
     targets: dict[SiteKey, None] = {}  # the linked sites, in first-seen order
     site_of: dict[str, SiteKey] = {}  # host -> its site key: each host is reduced once
-    # href -> what it resolves to, or _NEEDS_PAGE; (href, page URL) -> what
-    # an href that needs its page resolves to on that page. What an href
-    # resolves to is (URL, URL text, site key) for a page of this site,
-    # (None, None, site key) for another site, and None when it is skipped.
-    resolved_of: dict[str | tuple[str, str], object] = {}
-    # URL text -> the one (URL, URL text, site key) of a page of this site,
-    # which every href that resolves to it shares
-    same_site: dict[str, tuple[CanonicalUrl, str, SiteKey]] = {}
+    # href -> its outcome, or _RELATIVE for an href without a scheme;
+    # (href, base text) -> the outcome of such an href on that base. An
+    # outcome is (URL, URL text) for a page of this site, the SiteKey of
+    # another site, or None for a skipped link.
+    outcomes: dict[str | tuple[str, str], object] = {}
 
     def reduced(host: str) -> SiteKey:
         key = site_of.get(host)
@@ -522,37 +523,29 @@ def crawl_outlinks(
             key = site_of[host] = reduce_host(host, rules).site
         return key
 
-    def target(url: CanonicalUrl) -> tuple[CanonicalUrl | None, str | None, SiteKey]:
-        key = reduced(url.host)
-        if key != site:
-            return None, None, key
-        text = str(url)
-        return same_site.setdefault(text, (url, text, key))
-
-    def resolve(href: str, page: CanonicalUrl, page_text: str):
+    def outcome(href: str, base: CanonicalUrl | None, base_text: str):
         # canonicalize reads a base only for an href without a scheme, and
         # without a base raises MalformedUrl for one: any other answer to
-        # the base-less call holds on every page
-        hit = resolved_of.get(href, _UNSEEN)
-        if hit is _UNSEEN:
-            try:
-                hit = target(canonicalize(href))
-            except UnsupportedScheme:
-                hit = None
-            except MalformedUrl:
-                hit = _NEEDS_PAGE
-            resolved_of[href] = hit
-        if hit is not _NEEDS_PAGE:
-            return hit
-        key = (href, page_text)
-        hit = resolved_of.get(key, _UNSEEN)
-        if hit is _UNSEEN:
-            try:
-                hit = target(canonicalize(href, base=page))
-            except (MalformedUrl, UnsupportedScheme):
-                hit = None
-            resolved_of[key] = hit
-        return hit
+        # the base-less call holds on every base
+        key, against = href, None
+        while True:
+            hit = outcomes.get(key, _UNSEEN)
+            if hit is _UNSEEN:
+                try:
+                    url = canonicalize(href, against)
+                except UnsupportedScheme:
+                    hit = None
+                except MalformedUrl:
+                    hit = _RELATIVE if against is None else None
+                else:
+                    linked = reduced(url.host)
+                    hit = (url, str(url)) if linked == site else linked
+                outcomes[key] = hit
+            if hit is not _RELATIVE:
+                return hit
+            if base is None:
+                return None
+            key, against = (href, base_text), base
 
     try:
         # str() brackets an IPv6 key
@@ -583,18 +576,18 @@ def crawl_outlinks(
                 continue
             if "html" not in content_type.lower():
                 continue
-            page_text = str(final_url)
-            for href in extract_hrefs(body, page_text):
-                resolved = resolve(href, final_url, page_text)
-                if resolved is None:
+            hrefs = extract_hrefs(body)
+            base = document_base(final_url, hrefs.base)
+            base_text = str(base)
+            for href in hrefs:
+                hit = outcome(href, base, base_text)
+                if hit is None:
                     report.skipped_links += 1
-                    continue
-                link_url, link_text, target_site = resolved
-                if link_url is None:
-                    targets[target_site] = None
-                elif depth + 1 <= policy.max_depth and link_text not in seen:
-                    seen.add(link_text)
-                    queue.append((link_url, depth + 1))
+                elif type(hit) is SiteKey:
+                    targets[hit] = None
+                elif depth + 1 <= policy.max_depth and hit[1] not in seen:
+                    seen.add(hit[1])
+                    queue.append((hit[0], depth + 1))
     finally:
         fetcher.close()
     links = LinkSet(Direction.OUTLINKS)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -233,6 +234,9 @@ def harvest_index(
 ) -> HarvestResult:
     """Add one row per URL the index lists for a site, each URL reduced to
     its site key; a URL that does not parse, or is not http(s), is skipped.
+    A URL is read as ``http`` unless the text before its first ``://`` is an
+    RFC 3986 scheme, so ``x.com/a``, ``//x.com/a`` and
+    ``x.com/out?u=http://y.com`` are all ``x.com``'s.
 
     A site whose list raises ``OSError``, ``InputError`` (a list that is
     not UTF-8) or ``IndexUnavailable`` is recorded as failed, with the
@@ -273,9 +277,16 @@ def harvest_index(
     return result
 
 
+# an RFC 3986 section 3.1 scheme and the "://" after it
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
+
+
 def _reduce_url(raw: str, rules: ReductionRules):
-    # index dumps often list bare hosts; tolerate a missing scheme
-    if "://" not in raw:
+    # index dumps often list bare hosts, and hosts after "//": a URL is read
+    # as http unless the text before its first "://" is a scheme
+    if raw.startswith("//"):
+        raw = "http:" + raw
+    elif "://" not in raw or not _SCHEME.match(raw):
         raw = "http://" + raw
     try:
         url = canonicalize(raw)

@@ -267,8 +267,11 @@ def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
     the one path rule of ``_normalize_path``; a query-only reference keeps
     the base's path. Raises MalformedUrl for unparseable input, a relative
     reference with no base or a host longer than 253 characters, and
-    UnsupportedScheme for non-http(s) schemes. Idempotent: canonicalizing
-    the rendering of a canonical URL returns an equal value.
+    UnsupportedScheme for non-http(s) schemes. A host's trailing root dot,
+    written as ``.`` or as a Unicode full stop (``。``, ``．``, ``｡``), is
+    dropped, so ``http://example.com。/`` is ``http://example.com/``.
+    Idempotent: canonicalizing the rendering of a canonical URL returns an
+    equal value.
     """
     if raw is None or not raw.strip():
         raise MalformedUrl("empty URL")
@@ -344,7 +347,9 @@ def _normalize_host(host: str, raw: str) -> str:
     if _FORBIDDEN_HOST_CHARS.search(host):
         raise MalformedUrl(f"forbidden code point in host of {raw!r}")
     if not host.isascii():
-        host = _encoded_idn(host, raw)
+        # UTS #46 maps a Unicode full stop to ".", so a root dot written as
+        # one shows only now
+        host = _encoded_idn(host, raw).rstrip(".")
     if len(host) > _MAX_HOST_LENGTH:
         raise MalformedUrl(f"host longer than {_MAX_HOST_LENGTH} characters in {raw!r}")
     return host

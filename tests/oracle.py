@@ -169,20 +169,27 @@ class LinkCollector(HTMLParser):
             self.base = href
 
 
-def page_hrefs(html: str, url: str = "") -> list[str]:
+def page_hrefs(html: str) -> tuple[list[str], str | None]:
     """The links ``crawler.extract_hrefs`` finds on a page, from
-    html.parser: the hrefs, each resolved by ``resolve`` against the first
-    base when there is one. A base that resolves to no http or https URL
-    with a host is passed over, and the hrefs are returned as written."""
+    html.parser: the hrefs as written, and the href of the first base that
+    has one (None when none has)."""
     collector = LinkCollector()
     collector.feed(html)
-    if collector.base is None:
-        return collector.hrefs
-    base = resolve(url, collector.base.strip())
-    scheme, authority, _, _, _ = split_reference(base)
-    if (scheme or "").lower() not in ("http", "https") or not authority:
-        return collector.hrefs
-    return [resolve(base, href.strip()) for href in collector.hrefs]
+    return collector.hrefs, collector.base
+
+
+def document_base(url: str, base: str | None) -> str | None:
+    """The URL the relative hrefs of the page at ``url`` resolve on, given
+    the href of its first base: the base resolved by ``resolve`` against
+    ``url``; ``url`` itself without a base, or for an empty one or one that
+    resolves to no host; None for one in a scheme other than http and https."""
+    if base is None or not base.strip():
+        return url
+    resolved = resolve(url, base.strip())
+    scheme, authority, _, _, _ = split_reference(resolved)
+    if scheme.lower() not in ("http", "https"):
+        return None
+    return resolved if authority else url
 
 
 # --- URI reference resolution: RFC 3986 Appendix B and sections 5.2.2-5.3 -----

@@ -23,6 +23,7 @@ from helixmap.crawler import (
     Fetcher,
     HostThrottle,
     crawl_outlinks,
+    document_base,
     extract_hrefs,
 )
 from helixmap.harvest import LinkRecord, SourceTag
@@ -97,12 +98,32 @@ SITES = {
         "/odd.html": '<a href="http://before.org/">b</a> <![ foo',
         "/after.html": '<a href="http://after.org/">a</a>',
     },
-    # every page repeats the same hrefs; "y.html" resolves differently on "/d/"
+    # every page but one repeats the same hrefs; "y.html" resolves
+    # differently on "/d/", and "/b/" and "/c/x.html" resolve theirs on "/d/"
+    # by a <base>, written two ways
     "repeat.com": {
         "/": REPEATED_HREFS,
         "/y.html": REPEATED_HREFS,
         "/d/": REPEATED_HREFS,
-        "/d/y.html": "",
+        "/d/y.html": '<a href="/b/">b</a> <a href="/c/x.html">c</a>',
+        "/b/": '<base href="/d/">' + REPEATED_HREFS,
+        "/c/x.html": '<base href="HTTP://Repeat.com:80/d/">' + REPEATED_HREFS,
+    },
+    # its pages' bases are in schemes the crawl does not follow, so their
+    # relative hrefs ("//ext.org/" among them) lead nowhere
+    "unfollowed.com": {
+        "/": ('<base href="ftp://cdn.x/"><a href="p.html">p</a> <a href="/q.html">q</a> '
+              '<a href="//ext.org/">n</a> <a href="http://unfollowed.com/r.html">r</a> '
+              '<a href="http://other.org/">o</a>'),
+        "/r.html": '<base href="javascript:void(0)"><a href="s.html">s</a> <a href="https://third.org/">t</a>',
+        "/p.html": "",
+        "/q.html": "",
+        "/s.html": "",
+    },
+    # its hosts end in a Unicode full stop, a root dot UTS #46 maps to "."
+    "dots.com": {
+        "/": '<a href="http://ext.org\u3002/">e</a> <a href="http://dots.com\uff0e/x.html">x</a>',
+        "/x.html": '<a href="https://other.org\uff61/y">o</a>',
     },
     # links to ext.org and elsewhere.org twice each: by an href and by
     # www.ext.org's, and by a redirect (/away.html) and an href
@@ -257,12 +278,21 @@ def host_map():
         yield {host: address for host in SITES}
 
 
+def _resolved(html: str, page: str) -> list[str]:
+    """The hrefs of ``html``, resolved as a crawl of ``page`` resolves them."""
+    hrefs = extract_hrefs(html)
+    base = document_base(canonicalize(page), hrefs.base)
+    return [str(canonicalize(href, base)) for href in hrefs]
+
+
 def test_extract_hrefs_resolves_against_first_base():
     html = '<base href="http://cdn.other.com/"><a href="page.html">p</a>'
-    assert extract_hrefs(html) == ["http://cdn.other.com/page.html"]
+    assert extract_hrefs(html) == ["page.html"]
+    assert extract_hrefs(html).base == "http://cdn.other.com/"
+    assert _resolved(html, "http://site.com/") == ["http://cdn.other.com/page.html"]
     # a relative base is resolved against the document's own URL
     html = '<base href="/docs/"><a href="p.html">p</a><area href="../q.html">'
-    assert extract_hrefs(html, "http://site.com/x/y.html") == [
+    assert _resolved(html, "http://site.com/x/y.html") == [
         "http://site.com/docs/p.html",
         "http://site.com/q.html",
     ]
@@ -270,7 +300,22 @@ def test_extract_hrefs_resolves_against_first_base():
 
 def test_extract_hrefs_without_base_returns_values_as_written():
     html = '<a href="page.html">p</a><a>no href</a><area href="/map">'
-    assert extract_hrefs(html, "http://site.com/x/") == ["page.html", "/map"]
+    assert extract_hrefs(html) == ["page.html", "/map"]
+    assert extract_hrefs(html).base is None
+    page = canonicalize("http://site.com/x/")
+    assert document_base(page, None) is page
+    assert _resolved(html, "http://site.com/x/") == ["http://site.com/x/page.html",
+                                                      "http://site.com/map"]
+
+
+def test_a_base_in_a_scheme_the_crawl_does_not_follow_resolves_no_href():
+    page = canonicalize("http://site.com/x/y.html")
+    for base in ("ftp://cdn.x/", "javascript:void(0)", "mailto:me@site.com"):
+        assert document_base(page, base) is None, base
+    # an empty base, or one canonicalize cannot read, is the page itself
+    for base in ("", "  ", "http://user@cdn.x/", "http://exa mple.com/"):
+        assert document_base(page, base) is page, base
+    assert str(document_base(page, "../z/")) == "http://site.com/z/"
 
 
 def test_crawl_is_breadth_first_and_honours_base(host_map):
@@ -474,9 +519,16 @@ def test_a_crawl_canonicalizes_each_distinct_href_once(host_map, monkeypatch):
     monkeypatch.setattr(crawler, "canonicalize", counting)
     policy = CrawlPolicy(delay_per_host=0, max_depth=5, timeout=5)
     result = crawl_outlinks(SiteKey("repeat.com"), policy, RULES, host_map=host_map)
-    # three pages of eight hrefs; no href is resolved twice against one base
-    assert len(calls) < 3 * len(extract_hrefs(REPEATED_HREFS))
+    # five pages of eight hrefs; no href is resolved twice against one base
+    assert len(calls) < 5 * len(extract_hrefs(REPEATED_HREFS))
     assert len(calls) == len(set(calls))
+    # the pages with a <base> resolve only it: their hrefs were resolved on
+    # "/d/" already
+    assert [call for call in calls if call[1] in ("http://repeat.com/b/",
+                                                  "http://repeat.com/c/x.html")] == [
+        ("/d/", "http://repeat.com/b/"),
+        ("HTTP://Repeat.com:80/d/", "http://repeat.com/c/x.html"),
+    ]
     # what the crawl found and asked for is that of a crawl resolving every href
     assert _requests(result) == [
         ("http://repeat.com/robots.txt", "404"),
@@ -484,10 +536,42 @@ def test_a_crawl_canonicalizes_each_distinct_href_once(host_map, monkeypatch):
         ("http://repeat.com/y.html", "200"),
         ("http://repeat.com/d/", "200"),
         ("http://repeat.com/d/y.html", "200"),
+        ("http://repeat.com/b/", "200"),
+        ("http://repeat.com/c/x.html", "200"),
     ]
     assert {record.key for record in result.links} == {("repeat.com", "ext.org")}
     # each page's two mailto: links are skipped, each time they occur
-    assert result.report.skipped_links == 6
+    assert result.report.skipped_links == 10
+
+
+def test_relative_hrefs_under_a_base_in_another_scheme_are_skipped_links(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("unfollowed.com"), policy, RULES, host_map=host_map)
+    # no request for p.html, /q.html or s.html; the absolute hrefs are followed
+    assert _requests(result) == [
+        ("http://unfollowed.com/robots.txt", "404"),
+        ("http://unfollowed.com/", "200"),
+        ("http://unfollowed.com/r.html", "200"),
+    ]
+    assert {record.key for record in result.links} == {
+        ("unfollowed.com", "other.org"), ("unfollowed.com", "third.org"),
+    }
+    assert result.report.skipped_links == 4
+    assert result.report.errors == []
+
+
+def test_a_host_ending_in_a_unicode_full_stop_is_its_host_without_it(host_map):
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("dots.com"), policy, RULES, host_map=host_map)
+    assert _requests(result) == [
+        ("http://dots.com/robots.txt", "404"),
+        ("http://dots.com/", "200"),
+        ("http://dots.com/x.html", "200"),
+    ]
+    assert {record.key for record in result.links} == {
+        ("dots.com", "ext.org"), ("dots.com", "other.org"),
+    }
+    assert result.report.skipped_links == 0
 
 
 def test_a_page_html_parser_cannot_read_does_not_stop_the_crawl(host_map):
@@ -524,7 +608,9 @@ def test_a_crawl_records_each_linked_site_once(host_map, monkeypatch):
             ("http://repeat.com/y.html", "200"),
             ("http://repeat.com/d/", "200"),
             ("http://repeat.com/d/y.html", "200"),
-        ], 6),
+            ("http://repeat.com/b/", "200"),
+            ("http://repeat.com/c/x.html", "200"),
+        ], 10),
     ):
         added.clear()
         result = crawl_outlinks(SiteKey(site), policy, RULES, host_map=host_map, now=7)
@@ -885,10 +971,10 @@ def test_a_fetch_from_a_closed_port_is_a_page_error(closed_port):
 def test_a_crawl_whose_scan_raises_with_a_connection_open_closes_its_sockets(monkeypatch):
     real = crawler.extract_hrefs
 
-    def failing(html, url=""):
-        if url.endswith("/a.html"):
+    def failing(html):
+        if html == SITES["ahead.com"]["/a.html"]:
             raise RuntimeError("scan failed")
-        return real(html, url)
+        return real(html)
 
     monkeypatch.setattr(crawler, "extract_hrefs", failing)
     policy = CrawlPolicy(delay_per_host=0, timeout=5)

@@ -277,6 +277,28 @@ def test_an_index_url_with_an_ipv6_zone_is_skipped(tmp_path):
     assert result.skipped_urls == 1
 
 
+def test_a_host_ending_in_a_unicode_full_stop_does_not_stop_the_harvest(tmp_path):
+    (tmp_path / "sitea.co.uk.out").write_text(
+        "http://a.com/\nhttp://example.com\u3002/x\nhttp://b.com/\n", encoding="utf-8")
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
+                           Direction.OUTLINKS, RULES, now=1)
+    assert [r.key for r in result.links] == [
+        ("sitea.co.uk", "a.com"), ("sitea.co.uk", "example.com"), ("sitea.co.uk", "b.com")]
+    assert result.skipped_urls == 0 and result.failed_sites == {}
+
+
+def test_an_index_url_is_read_as_http_unless_it_starts_with_a_scheme(tmp_path):
+    # RFC 3986 section 3.1: a scheme is a letter, then letters, digits, "+",
+    # "-" and "."; a "://" later in a URL starts no scheme
+    lines = ["//x.com/a", "y.com/out?u=http://other.org", "z.com", "HTTP://W.com/",
+             "a.b-c+d://v.com/", "ftp://u.com/", "mailto:me@t.com", "javascript:void(0)"]
+    (tmp_path / "sitea.co.uk.out").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = harvest_index([SiteKey("sitea.co.uk")], SnapshotLinkIndex(tmp_path),
+                           Direction.OUTLINKS, RULES, now=1)
+    assert [r.target.value for r in result.links] == ["x.com", "y.com", "z.com", "w.com"]
+    assert result.skipped_urls == 4
+
+
 def test_an_index_list_that_is_not_utf8_is_a_failed_site(tmp_path):
     path = tmp_path / "sitea.co.uk.out"
     path.write_bytes("http://x.com/\nhttp://café.com/\n".encode("latin-1"))

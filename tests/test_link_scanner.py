@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helixmap.crawler import extract_hrefs
+from helixmap.crawler import document_base, extract_hrefs
 from helixmap.urls import MalformedUrl, UnsupportedScheme, canonicalize
 
 PAGE_URL = "http://site.com/dir/page.html"
@@ -115,11 +115,12 @@ DOCUMENT = st.lists(
 ).map("".join)
 
 
-def _target(href: str):
-    """What a crawl of PAGE_URL takes an href for: the canonical URL it
-    resolves to on the page, or the error canonicalize raises."""
+def _target(href: str, base=None):
+    """What a crawl takes an href for on a page whose relative hrefs resolve
+    on ``base``: the canonical URL it resolves to, or the error canonicalize
+    raises."""
     try:
-        return canonicalize(href, base=canonicalize(PAGE_URL))
+        return canonicalize(href, base)
     except (MalformedUrl, UnsupportedScheme) as exc:
         return type(exc)
 
@@ -127,12 +128,18 @@ def _target(href: str):
 @settings(max_examples=400, deadline=None)
 @given(DOCUMENT)
 def test_scanner_finds_what_html_parser_finds(document):
-    # extract_hrefs writes the hrefs a base resolves as canonical URLs, which
-    # the oracle's resolution does not normalize
-    found, expected = extract_hrefs(document, PAGE_URL), oracle.page_hrefs(document, PAGE_URL)
-    assert list(map(_target, found)) == list(map(_target, expected))
-    if "<base" not in document.lower():
-        assert found == expected
+    found = extract_hrefs(document)
+    hrefs, base = oracle.page_hrefs(document)
+    assert found == hrefs
+    assert found.base == base
+    # the crawl's resolution of each href is the oracle's, which it then
+    # only normalizes
+    crawl_base = document_base(canonicalize(PAGE_URL), found.base)
+    oracle_base = oracle.document_base(PAGE_URL, base)
+    assert [_target(href, crawl_base) for href in found] == [
+        _target(href if oracle_base is None else oracle.resolve(oracle_base, href.strip()))
+        for href in hrefs
+    ]
 
 
 def test_scanner_handles_each_kind_of_markup():
@@ -150,13 +157,16 @@ def test_a_tag_is_read_by_its_first_href():
     # the HTML tokenizer drops a repeated attribute, and the document's base
     # is the first base that has an href
     assert extract_hrefs('<a href="x" href=y><a href href=y><a href="" href=z>') == ["x"]
-    for bases, link in (
-        ('<base href="/b/" href="/c/">', "http://site.com/b/p"),
-        ('<base target=_top><base href="/b/"><base href="/c/">', "http://site.com/b/p"),
+    page = canonicalize(PAGE_URL)
+    for bases, base, link in (
+        ('<base href="/b/" href="/c/">', "/b/", "http://site.com/b/p"),
+        ('<base target=_top><base href="/b/"><base href="/c/">', "/b/", "http://site.com/b/p"),
         # an href without a value is the page's own URL
-        ("<base href><base href='/c/'>", "http://site.com/dir/p"),
+        ("<base href><base href='/c/'>", "", "http://site.com/dir/p"),
     ):
-        assert extract_hrefs(f'{bases}<a href="p">', PAGE_URL) == [link], bases
+        hrefs = extract_hrefs(f'{bases}<a href="p">')
+        assert (hrefs, hrefs.base) == (["p"], base), bases
+        assert str(canonicalize("p", document_base(page, hrefs.base))) == link, bases
 
 
 def test_a_script_tag_closed_by_its_slash_has_no_raw_text():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracle
 from helixmap import urls
-from helixmap.crawler import extract_hrefs
+from helixmap.crawler import document_base, extract_hrefs
 from helixmap.harvest import Direction, LinkSet, SourceTag, filter_generic
 from helixmap.urls import (
     CanonicalUrl,
@@ -158,6 +158,16 @@ def test_idn_deviation_characters_kept_by_uts46():
     # IDNA 2003 would map these to fass.de and xn--0xahbl4a.gr
     assert canonicalize("http://faß.de/").host == "xn--fa-hia.de"
     assert canonicalize("http://σοφός.gr/").host == "xn--0xagbn4a.gr"
+
+
+@pytest.mark.parametrize("stop", ["\u3002", "\uff0e", "\uff61"])
+def test_a_root_dot_written_as_a_unicode_full_stop_is_dropped(stop):
+    # UTS #46 maps each to ".", which is then the root dot
+    url = canonicalize(f"http://example.com{stop}/")
+    assert str(url) == "http://example.com/"
+    assert canonicalize(str(url)) == url
+    assert canonicalize(f"https://b\u00fccher.de{stop}/a").host == "xn--bcher-kva.de"
+    assert reduce_host(url.host, RULES) == Reduction(SiteKey("example.com"))
 
 
 def test_empty_label_rejected():
@@ -329,12 +339,14 @@ def test_references_resolve_as_rfc3986_examples_say(reference, expected):
 
 def _crawled(html: str, url: str) -> list:
     """The targets a crawl takes the links of a page at ``url`` for: what
-    ``extract_hrefs`` gives, resolved against the page's URL, or the error
-    canonicalize raises."""
+    ``extract_hrefs`` gives, resolved on the URL ``document_base`` gives for
+    the page, or the error canonicalize raises."""
     targets = []
-    for href in extract_hrefs(html, url):
+    hrefs = extract_hrefs(html)
+    base = document_base(canonicalize(url), hrefs.base)
+    for href in hrefs:
         try:
-            targets.append(str(canonicalize(href, base=canonicalize(url))))
+            targets.append(str(canonicalize(href, base=base)))
         except (MalformedUrl, UnsupportedScheme) as exc:
             targets.append(type(exc))
     return targets
