@@ -24,10 +24,14 @@ distinct (href, base) once, on the URL ``document_base`` gives, so a base
 in a scheme the crawl does not follow leaves every relative href skipped.
 
 Politeness contract: consecutive requests to one host are spaced by at
-least the configured delay, robots.txt is honoured as RFC 9309 says
-(including a full-site exclusion, and complete disallow while robots.txt
-is unreachable), redirects are followed up to 5 hops with the final URL
-deciding the site key, and per-page failures never abort a crawl. A crawl
+least the configured delay, robots.txt is honoured (a full-site exclusion
+included, and complete disallow while it is unreachable), redirects are
+followed up to 5 hops with the final URL deciding the site key, and
+per-page failures never abort a crawl. ``urllib.robotparser`` reads
+robots.txt and departs from RFC 9309: ``User-agent: map`` binds
+``helixmap`` (a substring, not §2.2.1's product token), the first rule
+that matches wins (not the longest, nor allow on a tie), ``*`` and ``$``
+are read as text, and groups naming one agent are not merged. A crawl
 has one request in flight at a time: a page's request is sent only once
 the page before it was read and scanned.
 
@@ -548,8 +552,7 @@ def crawl_outlinks(
             key, against = (href, base_text), base
 
     try:
-        # str() brackets an IPv6 key
-        entry = canonicalize(str(CanonicalUrl("http", site.value, None, "/")))
+        entry = CanonicalUrl("http", site.value, None, "/")
         robots = _load_robots(entry, fetcher)
         queue: deque[tuple[CanonicalUrl, int]] = deque([(entry, 0)])
         seen: set[str] = {str(entry)}

@@ -6,24 +6,24 @@ then reduced to a *site key*: the registrable domain of the host (e.g.
 ``wlv.ac.uk``), or a configured sub-domain when a study keeps the
 sub-sites of one registrable domain apart (e.g. ``cybermetrics.wlv.ac.uk``).
 
-A site key is what a reduced host can be: lower-case ASCII text of at most
-253 characters with no empty label, holding no code point ``canonicalize``
-refuses in a host but the ``:`` of an IPv6 literal. ``SiteKey`` alone holds that rule, and every
-site read from a file is built as one, so a site that no host can reduce
-to is refused. Every site list (the registry, the generic filter and the
-sub-domain exceptions) reads a site written in Unicode through
-``SiteKey.parse``, in the ``xn--`` form of its host; so is a suffix rule
-written in Unicode. ``input_lines`` reads every study file.
+One host rule reads every host, in a URL or as a site key: ``_host_text``
+lower-cases it, drops its root dot and writes a Unicode name in its UTS #46
+form, and ``_host_fault`` refuses what is then no host. ``canonicalize``
+and ``SiteKey.parse`` both apply it, so every site list (the registry, the
+generic filter, the sub-domain exceptions) reads ``Google.COM.`` as the
+crawled host ``google.com``, and ``SiteKey`` takes only what the rule
+writes. ``input_lines`` reads every study file.
 
 Canonicalization rules:
 
 - only ``http``/``https`` URLs are accepted; everything else (``mailto:``,
   ``data:``, userinfo URLs) is rejected,
-- scheme and host are lowercased; hosts holding a WHATWG forbidden domain
-  code point (space, ``<``, ``>``, ``%``, ``^``, ``|``, controls) are
-  rejected; non-ASCII hosts are converted to punycode by UTS #46
-  non-transitional processing, so ``faß.de`` becomes ``xn--fa-hia.de``;
-  a host longer than 253 characters (RFC 1035 §2.3.4) is rejected,
+- the scheme is lowercased, and the host takes the one host rule: it is
+  lowercased, loses its root dot, and a non-ASCII host is converted to
+  punycode by UTS #46 non-transitional processing, so ``faß.de`` becomes
+  ``xn--fa-hia.de``; a host with an empty label, a WHATWG forbidden domain
+  code point (space, ``<``, ``>``, ``%``, ``^``, ``|``, controls) or more
+  than 253 characters (RFC 1035 §2.3.4) is rejected,
 - default ports are dropped, fragments are removed,
 - percent-encodings in the path and query are normalized (RFC 3986
   §6.2.2.2): hex digits are uppercased and encoded unreserved characters
@@ -110,30 +110,21 @@ class CanonicalUrl:
 @dataclass(frozen=True, order=True, slots=True)
 class SiteKey:
     """An actor-level web identity: a registrable domain, a kept sub-domain
-    or an IP literal, as lower-case ASCII text of at most 253 characters
-    with no empty label and no forbidden domain code point but the ``:`` of
-    an IPv6 literal."""
+    or an IP literal, written as the one host rule writes a host, so text
+    that ``_host_fault`` refuses is no key."""
 
     value: str
 
     def __post_init__(self):
-        value = self.value
-        if (not value.isascii() or value != value.lower() or ".." in f".{value}."
-                or len(value) > _MAX_HOST_LENGTH
-                or _FORBIDDEN_HOST_CHARS.search(value) and not _ipv6_literal(value)):
-            raise ValueError(f"bad site key {value!r}")
+        if _host_fault(self.value):
+            raise ValueError(f"bad site key {self.value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "SiteKey":
-        """The key of a site as a file writes it: lower-cased, with a name
-        written in Unicode encoded by UTS #46 as ``canonicalize`` encodes a
-        host, so ``Bücher.de`` is ``xn--bcher-kva.de``. ValueError for text
-        that is no site key, a ``MalformedUrl`` for a name IDNA cannot
-        encode."""
-        text = text.lower()
-        if not text.isascii():
-            text = _encoded_idn(text, text)
-        return cls(text)
+        """A site as a file writes it, read by ``canonicalize``'s host rule,
+        so ``Bücher.DE.`` is ``xn--bcher-kva.de``. ValueError for text that
+        is no site key, ``MalformedUrl`` for a name IDNA cannot encode."""
+        return cls(_host_text(text, text))
 
 
 def _ipv6_literal(text: str) -> bool:
@@ -266,12 +257,12 @@ def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
     empty query (``?``) replaces the base's. Every kind of reference takes
     the one path rule of ``_normalize_path``; a query-only reference keeps
     the base's path. Raises MalformedUrl for unparseable input, a relative
-    reference with no base or a host longer than 253 characters, and
-    UnsupportedScheme for non-http(s) schemes. A host's trailing root dot,
-    written as ``.`` or as a Unicode full stop (``。``, ``．``, ``｡``), is
-    dropped, so ``http://example.com。/`` is ``http://example.com/``.
-    Idempotent: canonicalizing the rendering of a canonical URL returns an
-    equal value.
+    reference with no base or a host the one host rule refuses, and
+    UnsupportedScheme for non-http(s) schemes. The host is read as
+    ``SiteKey.parse`` reads a site: a root dot written as ``.`` or as a
+    Unicode full stop (``。``, ``．``, ``｡``) is dropped, so
+    ``http://example.com。/`` is ``http://example.com/``. Idempotent:
+    canonicalizing the rendering of a canonical URL returns an equal value.
     """
     if raw is None or not raw.strip():
         raise MalformedUrl("empty URL")
@@ -327,32 +318,37 @@ def _host_and_port(netloc: str, raw: str) -> tuple[str, int | None]:
         number = int(port)
     else:
         raise MalformedUrl(f"bad port in {raw!r}")
-    if not host:
-        raise MalformedUrl(f"empty host in {raw!r}")
-    return _normalize_host(host, raw), number
+    host = _host_text(host, raw)
+    if fault := _host_fault(host):
+        raise MalformedUrl(f"{fault} in {raw!r}")
+    return host, number
 
 
-def _normalize_host(host: str, raw: str) -> str:
-    host = host.rstrip(".").lower()
-    if not host:
-        raise MalformedUrl(f"empty host in {raw!r}")
-    if ":" in host:
-        # bracketed IPv6 literal; urlsplit has stripped the brackets. As the
-        # WHATWG URL standard does, a zone identifier ("%" on) is refused
-        if not _ipv6_literal(host):
-            raise MalformedUrl(f"bad IPv6 literal in {raw!r}")
-        return host
-    if any(not label for label in host.split(".")):
-        raise MalformedUrl(f"empty host label in {raw!r}")
-    if _FORBIDDEN_HOST_CHARS.search(host):
-        raise MalformedUrl(f"forbidden code point in host of {raw!r}")
-    if not host.isascii():
-        # UTS #46 maps a Unicode full stop to ".", so a root dot written as
-        # one shows only now
-        host = _encoded_idn(host, raw).rstrip(".")
-    if len(host) > _MAX_HOST_LENGTH:
-        raise MalformedUrl(f"host longer than {_MAX_HOST_LENGTH} characters in {raw!r}")
+def _host_text(host: str, raw: str) -> str:
+    """``host`` lower-cased and, unless it holds an IPv6 literal's ``:``, without
+    its root dot and in UTS #46 form; IDNA's refusal raises ``MalformedUrl`` naming ``raw``."""
+    host = host.lower()
+    if ":" not in host:
+        host = host.rstrip(".")
+        if not host.isascii():  # UTS #46 maps a Unicode full stop to "."
+            host = _encoded_idn(host, raw).rstrip(".")
     return host
+
+
+def _host_fault(host: str) -> str | None:
+    """Why ``host`` is no host as ``_host_text`` writes one, or None. As the
+    WHATWG URL standard does, an IPv6 literal's zone identifier is refused."""
+    if not host.isascii() or host != host.lower():
+        return "host not in lower-case ASCII"
+    if ":" in host:
+        return None if _ipv6_literal(host) else "bad IPv6 literal"
+    if ".." in f".{host}.":
+        return "empty host label"
+    if _FORBIDDEN_HOST_CHARS.search(host):
+        return "forbidden host code point"
+    if len(host) > _MAX_HOST_LENGTH:
+        return f"host longer than {_MAX_HOST_LENGTH} characters"
+    return None
 
 
 def _encoded_idn(host: str, raw: str) -> str:

@@ -1,12 +1,15 @@
 """Independent brute-force reference for the network pipeline and metrics,
-for the crawler's link extraction, and for URI reference resolution.
+for the crawler's link extraction, for URI reference resolution, and for
+the public-suffix algorithm.
 
 Everything here is written as explicit set/list enumeration with no shared
 code or data structures from the package under test: records are plain
 string tuples, networks are (nodes, edges) pairs, means use Fractions with
 hand-rolled half-up rounding. Links are read with the standard library's
 ``html.parser``. References are resolved by a transcription of RFC 3986's
-own text. Slow on purpose; only correctness matters.
+own text. A host's registrable domain is found by the algorithm at
+https://publicsuffix.org/list/, enumerated from the host's own suffixes.
+Slow on purpose; only correctness matters.
 """
 
 from __future__ import annotations
@@ -290,3 +293,40 @@ def resolve(base: str, reference: str) -> str:
     if t_fragment is not None:
         result += "#" + t_fragment
     return result
+
+
+# --- the public-suffix algorithm of https://publicsuffix.org/list/ ---------
+
+
+def registrable(host: str, suffix_text: str) -> str | None:
+    """The registrable domain of ``host`` under a suffix list written one
+    plain-text rule a line: the public suffix plus one label. An exception
+    rule that matches prevails, whatever its length, and its public suffix
+    is the rule less its leftmost label; otherwise the matching rule with
+    the most labels is the public suffix. None when no rule matches or the
+    host is itself a public suffix."""
+    exact, wild, exc = set(), set(), set()
+    for line in suffix_text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("//"):
+            continue
+        if line.startswith("!"):
+            exc.add(line[1:])
+        elif line.startswith("*."):
+            wild.add(line[2:])
+        else:
+            exact.add(line)
+    labels = host.split(".")
+    suffixes = [labels[-k:] for k in range(len(labels), 0, -1)]  # longest first
+    exceptions = [suffix for suffix in suffixes if ".".join(suffix) in exc]
+    if exceptions:
+        public = exceptions[0][1:]
+    else:
+        rules = [suffix for suffix in suffixes if ".".join(suffix) in exact
+                 or len(suffix) > 1 and ".".join(suffix[1:]) in wild]
+        if not rules:
+            return None
+        public = rules[0]
+    if len(labels) <= len(public):
+        return None
+    return ".".join(labels[-len(public) - 1:])

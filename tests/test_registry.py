@@ -176,6 +176,17 @@ def test_load_registry_tolerates_case_and_padding_in_site_cells(tmp_path):
     assert resolve(SiteKey("park.co.uk"), reg).id == "park.co.uk"
 
 
+def test_load_registry_reads_a_site_written_with_a_root_dot_as_its_host(tmp_path):
+    # as canonicalize reads the host of http://Example.COM./
+    p = tmp_path / "reg.csv"
+    p.write_text(
+        "site,actor_id,label,sector,category,role\n"
+        "Example.COM.,park,P,Government,SciencePark,\n",
+        encoding="utf-8",
+    )
+    assert load_registry(p).get("park").sites == frozenset({SiteKey("example.com")})
+
+
 def test_load_registry_keys_a_unicode_site_by_its_idna_form(tmp_path):
     # the form canonicalize gives a host, which every crawled or harvested
     # link's site key is reduced from

@@ -432,6 +432,44 @@ def test_site_key_accepts_every_kind_of_reduced_host(text):
     assert reduce_host(text, RULES_WLV).site == SiteKey(text)
 
 
+# host texts built from upper case, dots and Unicode full stops, a deviation
+# character, IDN labels (the snowman cannot be encoded), digits, ":" and
+# forbidden code points; no URL delimiter (/ ? # @ \ [ ]), and no tab, line
+# break or edge space, which urlsplit drops
+_HOST_PIECES = ["a", "Z", "x9", "0", "-", "\u00df", "B\u00fccher", "\u516c\u53f8", "\u2603",
+                ".", "\u3002", "\uff0e", "\uff61", ":", "::1", "2001:DB8::", " ", "%", "<", "^",
+                "|", "\x00", "\x7f"]
+
+
+@given(text=st.lists(st.sampled_from(_HOST_PIECES), max_size=6).map("".join)
+       .filter(lambda text: text == text.strip()))
+@settings(max_examples=500)
+@example(text="Example.COM.")
+@example(text="example.com\u3002")
+@example(text="::1.")
+@example(text="fe80::1%eth0")
+def test_a_site_key_and_a_url_host_are_read_by_one_rule(text):
+    url = f"http://[{text}]/" if ":" in text else f"http://{text}/"
+    try:
+        host = canonicalize(url).host
+    except MalformedUrl:
+        with pytest.raises(ValueError):
+            SiteKey.parse(text)
+        return
+    assert SiteKey.parse(text).value == host
+
+
+def test_a_site_list_reads_a_root_dot_as_a_url_host_does(tmp_path):
+    assert SiteKey.parse("example.com\u3002") == SiteKey("example.com")
+    assert GenericFilterList.from_text("google.com.\n").entries == frozenset({"google.com"})
+    suffixes, exceptions = tmp_path / "suffixes.dat", tmp_path / "exceptions.txt"
+    suffixes.write_text(SNAPSHOT_TEXT, encoding="utf-8")
+    exceptions.write_text("wlv.ac.uk.\n", encoding="utf-8")
+    assert ReductionRules.from_files(suffixes, exceptions).subdomain_exceptions == frozenset(
+        {"wlv.ac.uk"})
+    assert ReductionRules.bundled({"wlv.ac.uk."}).subdomain_exceptions == frozenset({"wlv.ac.uk"})
+
+
 # --- reduce_host ------------------------------------------------------------
 
 
@@ -649,39 +687,10 @@ def test_the_bundled_snapshot_reads_as_a_plain_line_by_line_parse_does():
             rules._exceptions) == _reference_suffix_parse(SNAPSHOT_TEXT)
 
 
-# Independent oracle: a second, hand-rolled matcher that enumerates suffix
-# candidates from the host side instead of iterating rules.
-
-
-def _oracle_registrable(host: str, snapshot_text: str) -> str | None:
-    exact, wild, exc = set(), set(), set()
-    for line in snapshot_text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("//"):
-            continue
-        if line.startswith("!"):
-            exc.add(line[1:])
-        elif line.startswith("*."):
-            wild.add(line[2:])
-        else:
-            exact.add(line)
-    labels = host.split(".")
-    best_suffix = None
-    for k in range(len(labels), 0, -1):
-        candidate = ".".join(labels[-k:])
-        rest = ".".join(labels[-k:][1:])
-        if candidate in exc:
-            best_suffix = rest
-            break
-        if candidate in exact or (k >= 2 and rest in wild):
-            best_suffix = candidate
-            break
-    if best_suffix is None:
-        return None
-    n = len(best_suffix.split(".")) if best_suffix else 0
-    if len(labels) <= n:
-        return None
-    return ".".join(labels[-(n + 1):])
+# Independent oracle: oracle.registrable, a hand-rolled matcher that
+# enumerates suffix candidates from the host side instead of iterating rules.
+# perfbench/test_perfbench.py imports it from here by this name.
+_oracle_registrable = oracle.registrable
 
 
 SAMPLED_HOSTS = [
@@ -701,9 +710,10 @@ SAMPLED_HOSTS = [
 ]
 
 
-def _assert_matches_oracle(host: str) -> None:
-    expected = _oracle_registrable(host, SNAPSHOT_TEXT)
-    got = reduce_host(host, RULES)
+def _assert_matches_oracle(host: str, suffix_text: str = SNAPSHOT_TEXT,
+                           rules: ReductionRules = RULES) -> None:
+    expected = _oracle_registrable(host, suffix_text)
+    got = reduce_host(host, rules)
     if expected is None:
         assert got.flag is ReductionFlag.UNKNOWN_SUFFIX, host
         assert got.site.value == ".".join(host.split(".")[-2:]), host
@@ -716,6 +726,14 @@ def test_reduction_matches_independent_matcher_on_sampled_hosts():
     assert len(SAMPLED_HOSTS) >= 50
     for host in SAMPLED_HOSTS:
         _assert_matches_oracle(host)
+
+
+@pytest.mark.parametrize("host", ["x.a.b.c", "a.b.c", "b.c", "y.x.a.b.c", "w.z.c", "z.c", "c"])
+def test_reduction_matches_independent_matcher_when_an_exception_is_shorter(host):
+    # the exception !b.c prevails over the longer exact rule a.b.c, as the
+    # publicsuffix.org algorithm says: x.a.b.c reduces to b.c
+    text = "c\n*.c\n!b.c\na.b.c\n"
+    _assert_matches_oracle(host, text, ReductionRules(text))
 
 
 # every rule of the snapshot as a host suffix: "*.sch.uk" gives "sch.uk" and

@@ -29,13 +29,34 @@ Each edge is a row of the outlink set, of the inlink set or of both, and
 one SSO actor owns two sites. Noise: ``NOISY_ACTORS`` actors also link to
 their own site, and to a stranger site that no actor owns, so restriction
 drops ``NOISY_ACTORS`` rows.
+
+``write_york_files(study, directory)`` writes a study as the files a
+URL-level study reads, and states the counts its pipeline must give:
+
+- **Sites:** every actor site is a sub-domain of ``york.test``. The suffix
+  list holds ``test`` and the exceptions file lists ``york.test``, so each
+  sub-domain is a site of its own, as ``hull.ac.uk``'s are in a real study.
+- **Spellings the host rule folds:** registry sites come as written, in
+  upper case, with a root dot, or both. Index URLs name a host bare, in
+  upper case, under ``www.``, with a root dot, or with both and a Unicode
+  full stop, with or without a scheme, and on an empty path,
+  ``/about.html`` or ``/a/b/../c``.
+- **Index lists:** each outlink row is a URL in its source's ``.out`` list,
+  and each inlink row a URL in its target's ``.in`` list.
+- **Noise added:** each actor with a stranger row also lists a second
+  stranger, two generic sites (the filter writes one with a root dot), and
+  a ``mailto:`` URL in its ``.out`` list and a ``javascript:`` URL in its
+  ``.in`` list, which the harvest skips.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 
 from goldens import ACTOR_COUNTS, KBF_CONNECTED, SBF_CONNECTED, TABLE_CELLS
 from helixmap.harvest import Direction, LinkSet, SourceTag
@@ -133,3 +154,72 @@ def york_study(seed: int) -> YorkStudy:
         outlinks.add(SiteKey(sites[actor][0]), own, SourceTag.OUTLINK_INDEX, FIRST_SEEN)
         outlinks.add(own, SiteKey(f"stranger-{k}.test"), SourceTag.OUTLINK_INDEX, FIRST_SEEN)
     return YorkStudy(Registry(actors), inlinks, outlinks, york)
+
+
+SUFFIXES = "// VERSION: york-test\ntest\ncom\n"
+EXCEPTIONS = "# sub-domains kept as sites of their own\nYork.test.\n"
+GENERIC_FILTER = "# VERSION: york-test\nGoogle.COM.\nfacebook.com  # social\n"
+GENERIC_URLS = ("https://www.google.com/search?q=york", "http://m.facebook.com/york")
+_SITE_SPELLINGS = (str, str.upper, "{}.".format, lambda site: f"{site.upper()}.")
+_HOST_SPELLINGS = (str, str.upper, "www.{}".format, "{}.".format,
+                   lambda host: f"WWW.{host.upper()}\u3002")
+_SCHEMES = ("http://", "HTTPS://", "")  # a harvest reads a bare host as http
+_PATHS = ("", "/about.html", "/a/b/../c")
+
+
+@dataclass(frozen=True)
+class YorkFiles:
+    """The files ``write_york_files`` wrote, and the counts that reading
+    them must give."""
+
+    registry: Path
+    suffixes: Path
+    exceptions: Path
+    generic_filter: Path
+    index: Path
+    skipped_inlink_urls: int
+    skipped_outlink_urls: int
+    generic_records: int  # outlink records naming a generic site
+    stranger_records: int  # the records that remain naming a site no actor owns
+
+
+def write_york_files(study: YorkStudy, directory: Path) -> YorkFiles:
+    """Write ``study`` into ``directory`` as a URL-level study's files."""
+    spelt = itertools.count()
+
+    def url(site: str) -> str:
+        n = next(spelt)
+        return _SCHEMES[n % 3] + _HOST_SPELLINGS[n % 5](site) + _PATHS[n % 7 % 3]
+
+    lists: dict[str, list[str]] = defaultdict(list)  # index list name -> its URLs
+    for source, target in study.outlinks.pairs():
+        lists[f"{source}.out"].append(url(target))
+    for source, target in study.inlinks.pairs():
+        lists[f"{target}.in"].append(url(source))
+    strangers = [(source, target) for source, target in study.outlinks.pairs()
+                 if target.startswith("stranger-")]
+    for k, (source, _) in enumerate(strangers):
+        lists[f"{source}.out"] += [url(f"elsewhere-{k}.test"), *GENERIC_URLS,
+                                   f"mailto:info@{source}"]
+        lists[f"{source}.in"].append("javascript:void(0)")
+
+    index = directory / "index"
+    index.mkdir()
+    for name, urls in lists.items():
+        (index / name).write_text("".join(f"{u}\n" for u in urls), encoding="utf-8")
+    registry = directory / "registry.csv"
+    with open(registry, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["site", "actor_id", "label", "sector", "category", "role"])
+        rows = sorted((site.value, actor) for actor in study.registry.actors()
+                      for site in actor.sites)
+        for n, (site, actor) in enumerate(rows):
+            writer.writerow([_SITE_SPELLINGS[n % 4](site), actor.id, actor.label,
+                             actor.sector.value, actor.category.value, ""])
+    paths = [directory / name for name in ("suffixes.dat", "exceptions.txt", "generic.txt")]
+    for path, text in zip(paths, (SUFFIXES, EXCEPTIONS, GENERIC_FILTER)):
+        path.write_text(text, encoding="utf-8")
+    return YorkFiles(registry, *paths, index, skipped_inlink_urls=len(strangers),
+                     skipped_outlink_urls=len(strangers),
+                     generic_records=len(GENERIC_URLS) * len(strangers),
+                     stranger_records=2 * len(strangers))
