@@ -38,7 +38,11 @@ the page before it was read and scanned.
 A host map ("host -> address:port") lets fixtures and mirrors serve a
 logical hostname from a local address, exactly like a hosts-file entry:
 the request goes to the address and still names the logical host and port
-in its ``Host`` header. It is the one supported way to redirect a crawl:
+in its ``Host`` header. A key is read by the one host rule, as
+``SiteKey.parse`` reads a site (``Park.TEST.`` is ``park.test``, and
+``[::1]`` is ``::1``), and an address as ``canonicalize`` reads an
+authority; a key that is no host or an address that is no authority
+raises ``ValueError`` before the first request. The map is the one supported way to redirect a crawl:
 pages are fetched with the standard library's ``http.client`` by one
 ``Fetcher`` per crawl, which keeps a connection per origin and reads no
 proxy variable and no ``~/.netrc``. Every transport failure (an
@@ -60,7 +64,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from html import unescape
-from urllib.parse import urlsplit
 
 from . import __version__
 from .harvest import Direction, LinkSet, SourceTag, check_first_seen
@@ -70,6 +73,7 @@ from .urls import (
     ReductionRules,
     SiteKey,
     UnsupportedScheme,
+    _host_and_port,
     canonicalize,
     input_lines,
     reduce_host,
@@ -354,8 +358,9 @@ class Fetcher:
         # scheme's default port
         self.addresses: dict[str, tuple[str, int | None]] = {}
         for host, address in (host_map or {}).items():
-            split = urlsplit(f"//{address}")
-            self.addresses[host] = (split.hostname, split.port)
+            if host[:1] + host[-1:] == "[]" and ":" in host:  # an IPv6 literal as Host writes it
+                host = host[1:-1]
+            self.addresses[SiteKey.parse(host).value] = _host_and_port(address, address)
         self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
         # an unclosed fetcher closes its connections when it is collected
         self._finalizer = weakref.finalize(self, _close_all, self._connections)

@@ -28,8 +28,10 @@ Canonicalization rules:
 - percent-encodings in the path and query are normalized (RFC 3986
   §6.2.2.2): hex digits are uppercased and encoded unreserved characters
   are decoded, so ``%7e`` becomes ``~`` and ``%2f`` becomes ``%2F``,
-- a relative reference is resolved against its base as RFC 3986 §5.2.2
-  says, on the base's parsed parts,
+- every reference is split by one grammar, RFC 3986 Appendix B, and its
+  authority read as §3.2's ``host [":" port]``, a ``[`` opening an IPv6
+  literal that ``]`` closes; a relative reference is resolved against its
+  base as §5.2.2 says, on the base's parsed parts,
 - every reference's path takes one rule: dot segments are removed from
   the path as written (§5.2.4), then its percent-encodings are normalized
   and dot segments removed again (§6.2.2.3), so ``/a/%2E%2E/../b`` is
@@ -57,7 +59,6 @@ from importlib import resources
 from ipaddress import IPv6Address
 from pathlib import Path
 from typing import TextIO
-from urllib.parse import urlsplit
 
 import idna
 
@@ -75,10 +76,13 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 # the forbidden domain code points of the WHATWG URL standard
 _FORBIDDEN_HOST_CHARS = re.compile(r"[\x00-\x20#%/:<>?@\[\\\]^|\x7f]")
 _PERCENT_ENCODED = re.compile(r"%[0-9A-Fa-f]{2}")
-# what urlsplit drops from a URL before it parses it: C0 controls and
-# spaces at its start, and every tab and line break
+# what the WHATWG URL parser drops from a URL before it parses it: C0
+# controls and spaces at its start, and every tab and line break
 _C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
 _TAB_AND_NEWLINE = str.maketrans("", "", "\t\n\r")
+# a URI reference split by RFC 3986 Appendix B, with section 3.1's scheme
+# rule: scheme, authority, path and query, None for a part it lacks
+_REFERENCE = re.compile(r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?")
 _UNRESERVED = frozenset(string.ascii_letters + string.digits + "-._~")
 # the longest host name RFC 1035 section 2.3.4 allows, in text form
 _MAX_HOST_LENGTH = 253
@@ -268,50 +272,50 @@ def canonicalize(raw: str, base: CanonicalUrl | None = None) -> CanonicalUrl:
         raise MalformedUrl("empty URL")
     raw = raw.strip()
     if not raw.isprintable():
-        # drop what urlsplit drops before it parses, so that raw is the
-        # text it parses
+        # drop what a browser drops before it parses, so that raw is the
+        # text the grammar reads
         raw = raw.lstrip(_C0_CONTROL_OR_SPACE).translate(_TAB_AND_NEWLINE)
 
-    try:
-        scheme, netloc, path, query, _ = urlsplit(raw)
-    except ValueError as exc:
-        raise MalformedUrl(f"unparseable URL {raw!r}: {exc}") from exc
-    query = _normalize_percent(query) if query else None
-
+    scheme, authority, path, written_query = _REFERENCE.match(raw).groups()
+    query = _normalize_percent(written_query) if written_query else None
     if scheme:
+        scheme = scheme.lower()
         if scheme not in _ALLOWED_SCHEMES:
             raise UnsupportedScheme(f"unsupported scheme {scheme!r} in {raw!r}")
-        if not netloc:
+        if not authority:
             raise MalformedUrl(f"missing host in {raw!r}")
     elif base is None:
         raise MalformedUrl(f"relative URL {raw!r} without a base")
-    elif netloc or raw.startswith("//"):
+    elif authority is not None:
         scheme = base.scheme  # a network-path reference: its own authority
     elif path:
         if path[0] != "/":
             path = base.path[: base.path.rfind("/") + 1] + path
         return CanonicalUrl(base.scheme, base.host, base.port, _normalize_path(path), query)
-    elif "?" in raw.partition("#")[0]:
+    elif written_query is not None:
         return CanonicalUrl(base.scheme, base.host, base.port, base.path, query)
     else:
         return base  # a fragment alone, or nothing
 
-    host, port = _host_and_port(netloc, raw)
+    host, port = _host_and_port(authority, raw)
     if port == _DEFAULT_PORTS[scheme]:
         port = None
     return CanonicalUrl(scheme, host, port, _normalize_path(path), query)
 
 
-def _host_and_port(netloc: str, raw: str) -> tuple[str, int | None]:
-    """The normalized host and the port of a URL's authority, read as
-    urlsplit's ``hostname`` and ``port`` read them; userinfo is refused."""
-    if "@" in netloc:
+def _host_and_port(authority: str, raw: str) -> tuple[str, int | None]:
+    """The normalized host and the port of an authority, read as RFC 3986
+    §3.2's ``host [":" port]``: a host that starts with ``[`` is an IPv6
+    literal closed by ``]``. Anything else, userinfo too, is ``MalformedUrl``."""
+    if "@" in authority:
         raise MalformedUrl(f"userinfo is not supported: {raw!r}")
-    if "[" in netloc:
-        host, _, port = netloc.partition("[")[2].partition("]")
-        port = port.partition(":")[2]
+    if authority[:1] == "[":
+        host, bracket, port = authority[1:].partition("]")
+        if not bracket or ":" not in host or port[:1] not in ("", ":"):
+            raise MalformedUrl(f"bad IPv6 literal in {raw!r}")
+        port = port[1:]
     else:
-        host, _, port = netloc.partition(":")
+        host, _, port = authority.partition(":")
     if not port:
         number = None
     elif port.isascii() and port.isdigit() and len(port.lstrip("0")) <= 5 and int(port) <= 65535:

@@ -1,14 +1,15 @@
 """Independent brute-force reference for the network pipeline and metrics,
-for the crawler's link extraction, for URI reference resolution, and for
-the public-suffix algorithm.
+for the crawler's link extraction, for URI reference resolution and
+authorities, and for the public-suffix algorithm.
 
 Everything here is written as explicit set/list enumeration with no shared
 code or data structures from the package under test: records are plain
 string tuples, networks are (nodes, edges) pairs, means use Fractions with
 hand-rolled half-up rounding. Links are read with the standard library's
-``html.parser``. References are resolved by a transcription of RFC 3986's
-own text. A host's registrable domain is found by the algorithm at
-https://publicsuffix.org/list/, enumerated from the host's own suffixes.
+``html.parser``. References are resolved, and authorities read, by a
+transcription of RFC 3986's own text. A host's registrable domain is found
+by the algorithm at https://publicsuffix.org/list/, enumerated from the
+host's own suffixes.
 Slow on purpose; only correctness matters.
 """
 
@@ -293,6 +294,51 @@ def resolve(base: str, reference: str) -> str:
     if t_fragment is not None:
         result += "#" + t_fragment
     return result
+
+
+# --- the authority of a URI: RFC 3986 section 3.2 --------------------------
+# Each rule of the ABNF as a regular expression, named as the RFC names it.
+# ABNF's quoted strings match either case (RFC 5234 section 2.3), so "v" is
+# [vV].
+
+_UNRESERVED = r"[A-Za-z0-9\-._~]"
+_PCT_ENCODED = r"%[0-9A-Fa-f][0-9A-Fa-f]"
+_SUB_DELIMS = r"[!$&'()*+,;=]"
+_USERINFO = rf"(?:{_UNRESERVED}|{_PCT_ENCODED}|{_SUB_DELIMS}|:)*"
+_H16 = r"[0-9A-Fa-f]{1,4}"
+_DEC_OCTET = r"(?:[0-9]|[1-9][0-9]|1[0-9][0-9]|2[0-4][0-9]|25[0-5])"
+_IPV4ADDRESS = rf"{_DEC_OCTET}\.{_DEC_OCTET}\.{_DEC_OCTET}\.{_DEC_OCTET}"
+_LS32 = rf"(?:{_H16}:{_H16}|{_IPV4ADDRESS})"
+_IPV6ADDRESS = "(?:" + "|".join([
+    rf"(?:{_H16}:){{6}}{_LS32}",
+    rf"::(?:{_H16}:){{5}}{_LS32}",
+    rf"(?:{_H16})?::(?:{_H16}:){{4}}{_LS32}",
+    rf"(?:(?:{_H16}:){{0,1}}{_H16})?::(?:{_H16}:){{3}}{_LS32}",
+    rf"(?:(?:{_H16}:){{0,2}}{_H16})?::(?:{_H16}:){{2}}{_LS32}",
+    rf"(?:(?:{_H16}:){{0,3}}{_H16})?::{_H16}:{_LS32}",
+    rf"(?:(?:{_H16}:){{0,4}}{_H16})?::{_LS32}",
+    rf"(?:(?:{_H16}:){{0,5}}{_H16})?::{_H16}",
+    rf"(?:(?:{_H16}:){{0,6}}{_H16})?::",
+]) + ")"
+_IPVFUTURE = rf"[vV][0-9A-Fa-f]+\.(?:{_UNRESERVED}|{_SUB_DELIMS}|:)+"
+_REG_NAME = rf"(?:{_UNRESERVED}|{_PCT_ENCODED}|{_SUB_DELIMS})*"
+_PORT = r"[0-9]*"
+_AUTHORITY = re.compile(
+    rf"(?:(?P<userinfo>{_USERINFO})@)?"
+    rf"(?:\[(?:(?P<ipv6>{_IPV6ADDRESS})|(?P<ipvfuture>{_IPVFUTURE}))\]"
+    rf"|(?P<ipv4>{_IPV4ADDRESS})|(?P<reg_name>{_REG_NAME}))"
+    rf"(?::(?P<port>{_PORT}))?"
+)
+
+
+def authority_parts(text: str) -> dict[str, str | None] | None:
+    """The parts of ``text`` read as RFC 3986 section 3.2's
+    ``authority = [ userinfo "@" ] host [ ":" port ]``: ``userinfo``, the
+    host as ``ipv6``, ``ipvfuture``, ``ipv4`` or ``reg_name`` (None for the
+    kinds it is not) and ``port``, None for a part it lacks; None when
+    ``text`` is no authority."""
+    match = _AUTHORITY.fullmatch(text)
+    return None if match is None else match.groupdict()
 
 
 # --- the public-suffix algorithm of https://publicsuffix.org/list/ ---------

@@ -17,10 +17,10 @@ import pytest
 
 import goldens
 from helixmap import metrics, network
-from helixmap.harvest import Direction, SnapshotLinkIndex, filter_generic, harvest_index
-from helixmap.registry import TableCategory, load_registry
-from helixmap.urls import GenericFilterList, ReductionRules
-from york import FIRST_SEEN, NOISY_ACTORS, write_york_files, york_study
+from helixmap.harvest import Direction, filter_generic
+from helixmap.registry import TableCategory
+from helixmap.urls import GenericFilterList
+from york import NOISY_ACTORS, harvest_york_files, write_york_files, york_study
 
 # each golden group, by name, as goldens.py states it
 GOLDENS = {
@@ -106,12 +106,7 @@ def url_level(tmp_path_factory):
     files say, what each stage gives, and the golden values."""
     study = york_study(0)
     files = write_york_files(study, tmp_path_factory.mktemp("york"))
-    reg = load_registry(files.registry)
-    rules = ReductionRules.from_files(files.suffixes, files.exceptions)
-    index = SnapshotLinkIndex(files.index)
-    sites = sorted(site for actor in reg.actors() for site in actor.sites)
-    harvests = {direction: harvest_index(sites, index, direction, rules, now=FIRST_SEEN)
-                for direction in Direction}
+    reg, harvests = harvest_york_files(files)
     generic = GenericFilterList.from_file(files.generic_filter)
     kept = {direction: filter_generic(harvest.links, generic)
             for direction, harvest in harvests.items()}

@@ -721,10 +721,45 @@ def test_the_host_header_names_the_urls_authority():
     assert server.hosts == ["a.com:8080", "a.com", "a.com", "[::1]:8443", "[::1]", address]
 
 
+@pytest.mark.parametrize("key", ["Park.TEST", "park.test.", "PARK.test\u3002", "[::1]", "::1"])
+def test_a_host_map_key_is_read_by_the_one_host_rule(key):
+    url = canonicalize("http://[::1]/x" if ":" in key else "http://park.test/x")
+    with _serving(_HostRecorder) as server:
+        server.hosts = []
+        fetcher = Fetcher(CrawlPolicy(delay_per_host=0, timeout=5), HostThrottle(0), CrawlReport(),
+                          host_map={key: f"127.0.0.1:{server.server_address[1]}"})
+        try:
+            # checked first, so that a key the map misses sends no request
+            # to a name server
+            assert url.host in fetcher.addresses
+            assert not isinstance(fetcher.fetch(url), crawler.FetchError)
+        finally:
+            fetcher.close()
+    assert server.hosts == [url.authority]
+
+
+@pytest.mark.parametrize("key, address", [
+    ("a b.test", "127.0.0.1:80"), ("", "127.0.0.1:80"), ("park.test:80", "127.0.0.1:80"),
+    ("[park.test]", "127.0.0.1:80"), ("[::1]x", "127.0.0.1:80"), ("park.test", "user@127.0.0.1:80"),
+    ("park.test", "[::1]junk:80"), ("park.test", "127.0.0.1:99999"), ("park.test", "127.0.0.1:x"),
+    ("park.test", ""),
+])
+def test_a_host_map_entry_that_is_no_host_and_address_fails_before_any_request(
+        key, address, monkeypatch):
+    def no_request(*args):
+        raise AssertionError("a request was made")
+
+    monkeypatch.setattr(Fetcher, "_get", no_request)
+    with pytest.raises(ValueError):
+        crawl_outlinks(SiteKey("park.test"), CrawlPolicy(delay_per_host=0), RULES,
+                       host_map={key: address})
+
+
 def test_a_site_keyed_by_an_ipv6_literal_is_crawled(host_map):
-    # the key reduce_host gives http://[::1]/; its requests name [::1] as Host
+    # the key reduce_host gives http://[::1]/; its requests name [::1] as
+    # Host, and the host map's key [::1] is read as ::1
     policy = CrawlPolicy(delay_per_host=0, timeout=5)
-    result = crawl_outlinks(SiteKey("::1"), policy, RULES, host_map={"::1": host_map["[::1]"]})
+    result = crawl_outlinks(SiteKey("::1"), policy, RULES, host_map=host_map)
     assert result.report.errors == []
     assert _requests(result) == [
         ("http://[::1]/robots.txt", "404"),

@@ -109,6 +109,13 @@ def test_only_the_crawler_imports_network_modules():
     assert importers == {"crawler.py"}
 
 
+def test_no_module_imports_urllib_parse():
+    # urls.canonicalize holds the one URL grammar; a second parser would
+    # split some reference another way
+    for path in (ROOT / "src" / "helixmap").glob("*.py"):
+        assert "urllib.parse" not in _imports(path.read_text(encoding="utf-8")), path.name
+
+
 def test_no_module_imports_a_concurrency_layer():
     # a crawl runs on one thread, with one request in flight at a time
     layers = {"threading", "concurrent", "asyncio", "multiprocessing"}

@@ -189,6 +189,54 @@ def test_ipv6_zone_identifier_rejected(raw):
         canonicalize(raw)
 
 
+@pytest.mark.parametrize("raw", [
+    "http://[::1]junk/", "http://[::1]x:81/p", "http://x[::1]/", "http://[v1.x]/",
+    "http://[::1]]/", "http://a]b/", "http://[::1/",
+])
+def test_an_authority_outside_rfc3986_section_3_2_is_malformed(raw):
+    # after "]" comes nothing or ":port"; a "[" opens only an IPv6 literal
+    with pytest.raises(MalformedUrl):
+        canonicalize(raw)
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("http://[::1]:8080/a", "http://[::1]:8080/a"),
+    ("http://[::1]:/", "http://[::1]/"),
+    ("http://[::ffff:1.2.3.4]/", "http://[::ffff:1.2.3.4]/"),
+    ("//a.com/x", "http://a.com/x"),
+    ("?", "http://b.com/d/p"),
+    ("#x", "http://b.com/d/p?q"),
+])
+def test_the_reference_grammar_splits_each_part(raw, expected):
+    assert str(canonicalize(raw, canonicalize("http://b.com/d/p?q"))) == expected
+
+
+# pieces of authorities: brackets, colons, ports, IPv6 and IPvFuture
+# literals, an IPv4 address, userinfo and reg-name junk
+_AUTHORITY_PIECES = ["[", "]", ":", "::", "0", "80", "65536", "::1", "fe80::1", "1:2:3:4:5:6:7",
+                     "::ffff:1.2.3.4", "1.2.3.4", "v1.x", "V7.a:b", "x", "a.com", "J-u_n~k!$&'()*+,;=",
+                     "@"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_AUTHORITY_PIECES), min_size=1, max_size=8).map("".join))
+@example("[::1]junk")
+@example("[::1]:")
+@example("[v1.x]")
+def test_an_authority_is_accepted_exactly_when_rfc3986_section_3_2_reads_it(authority):
+    # the grammar is oracle.authority_parts; beyond it, canonicalize refuses
+    # userinfo and IPvFuture, ports past 65535 and an empty host
+    try:
+        canonicalize(f"http://{authority}/")
+        accepted = True
+    except MalformedUrl:
+        accepted = False
+    parts = oracle.authority_parts(authority)
+    assert accepted == (parts is not None and parts["userinfo"] is None
+                        and parts["ipvfuture"] is None and parts["reg_name"] != ""
+                        and int(parts["port"] or 0) <= 65535)
+
+
 _hostnames = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8)
     .filter(lambda s: not s.startswith("-") and not s.endswith("-")),
@@ -373,8 +421,8 @@ _RFC3986_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*")
 @example(raw="http:x.html/..//x.html?q", base=_BASES[0])
 def test_resolution_matches_the_rfc3986_transcription(raw, base):
     # Appendix B takes any text before the first ":" for a scheme; text that
-    # no scheme can be makes no URI reference, and urlsplit reads it as a
-    # path. An empty href is no link, and canonicalize refuses it.
+    # no scheme can be makes no URI reference, and canonicalize, which
+    # takes §3.1's scheme rule, reads it as a path. An empty href is no link, and canonicalize refuses it.
     scheme = oracle.split_reference(raw)[0]
     assume(raw.strip() and (scheme is None or _RFC3986_SCHEME.fullmatch(scheme)))
     try:
@@ -435,7 +483,7 @@ def test_site_key_accepts_every_kind_of_reduced_host(text):
 # host texts built from upper case, dots and Unicode full stops, a deviation
 # character, IDN labels (the snowman cannot be encoded), digits, ":" and
 # forbidden code points; no URL delimiter (/ ? # @ \ [ ]), and no tab, line
-# break or edge space, which urlsplit drops
+# break or edge space, which canonicalize drops
 _HOST_PIECES = ["a", "Z", "x9", "0", "-", "\u00df", "B\u00fccher", "\u516c\u53f8", "\u2603",
                 ".", "\u3002", "\uff0e", "\uff61", ":", "::1", "2001:DB8::", " ", "%", "<", "^",
                 "|", "\x00", "\x7f"]

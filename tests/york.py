@@ -59,9 +59,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from goldens import ACTOR_COUNTS, KBF_CONNECTED, SBF_CONNECTED, TABLE_CELLS
-from helixmap.harvest import Direction, LinkSet, SourceTag
-from helixmap.registry import CATEGORY_ORDER, Actor, Registry, Sector, TableCategory
-from helixmap.urls import SiteKey
+from helixmap.harvest import (
+    Direction,
+    HarvestResult,
+    LinkSet,
+    SnapshotLinkIndex,
+    SourceTag,
+    harvest_index,
+)
+from helixmap.registry import CATEGORY_ORDER, Actor, Registry, Sector, TableCategory, load_registry
+from helixmap.urls import ReductionRules, SiteKey
 
 SBF, KBF, CONSULTANTS, BDI, ACADEMIA, SSO, PNGO, GOVERNMENT, PARK = range(len(CATEGORY_ORDER))
 # how many actors of a category have an edge after pruning: the goldens'
@@ -223,3 +230,15 @@ def write_york_files(study: YorkStudy, directory: Path) -> YorkFiles:
                      skipped_outlink_urls=len(strangers),
                      generic_records=len(GENERIC_URLS) * len(strangers),
                      stranger_records=2 * len(strangers))
+
+
+def harvest_york_files(files: YorkFiles) -> tuple[Registry, dict[Direction, HarvestResult]]:
+    """The registry of ``files``, and their index harvested in both
+    directions for its sites under their reduction rules, as a study reads
+    them."""
+    reg = load_registry(files.registry)
+    rules = ReductionRules.from_files(files.suffixes, files.exceptions)
+    index = SnapshotLinkIndex(files.index)
+    sites = sorted(site for actor in reg.actors() for site in actor.sites)
+    return reg, {direction: harvest_index(sites, index, direction, rules, now=FIRST_SEEN)
+                 for direction in Direction}
