@@ -42,17 +42,18 @@ in its ``Host`` header. A key is read by the one host rule, as
 ``SiteKey.parse`` reads a site (``Park.TEST.`` is ``park.test``, and
 ``[::1]`` is ``::1``), and an address as ``canonicalize`` reads an
 authority; a key that is no host or an address that is no authority
-raises ``ValueError`` before the first request. The map is the one supported way to redirect a crawl:
-pages are fetched with the standard library's ``http.client`` by one
-``Fetcher`` per crawl, which keeps a connection per origin and reads no
-proxy variable and no ``~/.netrc``. Every transport failure (an
-``OSError`` or an ``http.client.HTTPException``, a body cut short among
-them) is a recorded page error, and so is a body in a content coding.
+raises ``ValueError`` before the first request. The map is the one
+supported way to redirect a crawl: pages are fetched with the standard
+library's ``http.client`` by one ``Fetcher`` per crawl, closed in its
+``finally``, which keeps a connection per origin, reads no proxy variable
+and no ``~/.netrc``, reads each body by one bounded ``read`` and takes its
+charset from the header ``http.client`` parsed. Every transport failure
+(an ``OSError`` or an ``http.client.HTTPException``, a body cut short
+among them) is a recorded page error, as is a body in a content coding.
 """
 
 from __future__ import annotations
 
-import email.message
 import http.client
 import logging
 import re
@@ -60,7 +61,6 @@ import select
 import socket
 import time
 import urllib.robotparser
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from html import unescape
@@ -93,7 +93,6 @@ USER_AGENT = f"helixmap/{__version__}"
 # but identity is refused, so no decoder ever runs on an answer
 HTTP_HEADERS = {"User-Agent": USER_AGENT, "Accept": "*/*",
                 "Accept-Encoding": "identity", "Connection": "keep-alive"}
-_READ_CHUNK = 2**16
 # a character a request target may not hold as it is: outside RFC 3986's
 # unreserved, sub-delims, ":", "@", "/" and "?", or a "%" that starts no
 # percent-encoding
@@ -263,20 +262,6 @@ def document_base(page: CanonicalUrl, base: str | None) -> CanonicalUrl | None:
         return None
 
 
-def body_charset(content_type: str) -> str:
-    """The charset a ``Content-Type`` declares, else UTF-8 (not the
-    ISO-8859-1 that RFC 2616 gave text/*); ``LookupError`` when it names no
-    text codec."""
-    header = email.message.Message()
-    header["Content-Type"] = content_type
-    charset = header.get_content_charset("utf-8")
-    try:
-        b"\n".decode(charset, "replace")  # bytes-to-bytes codecs raise LookupError
-    except (LookupError, UnicodeError):
-        raise LookupError(f"unknown charset {charset!r}") from None
-    return charset
-
-
 class UnreadableBody(Exception):
     """An answer went on past ``MAX_PAGE_BYTES``, or came in a content
     coding."""
@@ -295,35 +280,22 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-def _close_all(connections: dict) -> None:
-    for connection in connections.values():
-        connection.close()
-    connections.clear()
-
-
 def _body(response: http.client.HTTPResponse) -> bytes:
-    """The whole body of ``response``, which is closed once it is read:
-    ``UnreadableBody`` for one in a content coding or of more than
-    ``MAX_PAGE_BYTES``, ``http.client.HTTPException`` for one cut short."""
+    """The whole body of ``response``, by one bounded ``read`` that keeps to
+    its framing and closes it at the body's end: ``UnreadableBody`` for one
+    in a content coding or of more than ``MAX_PAGE_BYTES``,
+    ``http.client.HTTPException`` for one cut short."""
     coding = response.getheader("Content-Encoding", "").strip().lower()
     if coding not in ("", "identity"):
         raise UnreadableBody(f"answer in content coding {coding!r}")
-    bound = MAX_PAGE_BYTES
-    chunks = []
-    received = 0
-    while chunk := response.read1(_READ_CHUNK):
-        received += len(chunk)
-        if received > bound:
-            raise UnreadableBody(f"answer exceeds {bound} bytes")
-        chunks.append(chunk)
-    # read1 ends a body cut short of its Content-Length without raising
+    body = response.read(MAX_PAGE_BYTES + 1)
+    if len(body) > MAX_PAGE_BYTES:
+        raise UnreadableBody(f"answer exceeds {MAX_PAGE_BYTES} bytes")
+    # read ends a body cut short of its Content-Length without raising
     if response.length:
         raise http.client.HTTPException(
             f"answer ends {response.length} bytes short of its Content-Length")
-    # nor does it close an answer read to the end, which the connection's
-    # next request needs
-    response.close()
-    return b"".join(chunks)
+    return body
 
 
 # what a reused connection that the server closed before answering raises
@@ -334,14 +306,15 @@ class Fetcher:
     """HTTP fetcher with manual redirect handling and host-map support.
 
     GETs go over one keep-alive ``http.client`` connection per origin
-    (scheme, address, port), open until ``close``; no proxy variable or
-    ``~/.netrc`` is read. HTTPS is verified with the default ``ssl``
-    context. ``policy.timeout`` bounds each socket operation. A connection
-    carries the next request only after its answer was read to the end; one
-    that the server closed while it was idle is opened again first. A GET
-    is sent once more only when a reused connection closes before its
-    answer's status line comes, and then on a new connection; the second
-    send waits for its host's slot and is logged as every request is.
+    (scheme, address, port), open until ``close``, which a crawl calls in
+    its ``finally``; no proxy variable or ``~/.netrc`` is read. HTTPS is
+    verified with the default ``ssl`` context. ``policy.timeout`` bounds
+    each socket operation. A connection carries the next request only after
+    its answer was read to the end; one that the server closed while it was
+    idle is opened again first. A GET is sent once more only when a reused
+    connection closes before its answer's status line comes, and then on a
+    new connection; the second send waits for its host's slot and is logged
+    as every request is.
     """
 
     def __init__(
@@ -362,12 +335,12 @@ class Fetcher:
                 host = host[1:-1]
             self.addresses[SiteKey.parse(host).value] = _host_and_port(address, address)
         self._connections: dict[tuple[str, str, int], http.client.HTTPConnection] = {}
-        # an unclosed fetcher closes its connections when it is collected
-        self._finalizer = weakref.finalize(self, _close_all, self._connections)
 
     def close(self) -> None:
-        """Close every connection."""
-        self._finalizer()
+        """Close every connection, and forget it."""
+        for connection in self._connections.values():
+            connection.close()
+        self._connections.clear()
 
     def _connection(self, url: CanonicalUrl) -> http.client.HTTPConnection:
         """The connection to ``url``'s origin, at its mapped address if the
@@ -437,7 +410,8 @@ class Fetcher:
         and logged against its own host, stamped with the time it was sent.
         Every request carries ``HTTP_HEADERS`` and the URL's authority as
         ``Host``. Every answer's body is read, up to MAX_PAGE_BYTES; the
-        page's is decoded in the charset ``body_charset`` picks.
+        page's is decoded once, in ``response.msg``'s charset, else UTF-8 (not
+        RFC 2616's ISO-8859-1 for text/*); one with no text codec is a page error.
         """
         current = url
         for _ in range(MAX_REDIRECT_HOPS + 1):
@@ -457,12 +431,14 @@ class Fetcher:
                 continue
             if status != 200:
                 return FetchError(str(current), f"HTTP {status}", status)
-            content_type = response.getheader("Content-Type", "")
+            charset = response.msg.get_content_charset("utf-8")
             try:
-                charset = body_charset(content_type)
-            except LookupError as exc:
-                return FetchError(str(current), str(exc), status)
-            return current, content_type, body.decode(charset, "replace")
+                text = body.decode(charset, "replace")
+                if not body:  # b"" decodes in any charset, a text codec or not
+                    b"\n".decode(charset, "replace")
+            except (LookupError, UnicodeError):  # bytes-to-bytes codecs raise LookupError
+                return FetchError(str(current), f"unknown charset {charset!r}", status)
+            return current, response.getheader("Content-Type", ""), text
         return FetchError(str(url), "too many redirects", status)
 
 

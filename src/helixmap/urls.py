@@ -330,12 +330,12 @@ def _host_and_port(authority: str, raw: str) -> tuple[str, int | None]:
 
 def _host_text(host: str, raw: str) -> str:
     """``host`` lower-cased and, unless it holds an IPv6 literal's ``:``, without
-    its root dot and in UTS #46 form; IDNA's refusal raises ``MalformedUrl`` naming ``raw``."""
+    its one root dot and in UTS #46 form; IDNA's refusal raises ``MalformedUrl`` naming ``raw``."""
     host = host.lower()
     if ":" not in host:
-        host = host.rstrip(".")
         if not host.isascii():  # UTS #46 maps a Unicode full stop to "."
-            host = _encoded_idn(host, raw).rstrip(".")
+            host = _encoded_idn(host, raw)
+        host = host.removesuffix(".")
     return host
 
 

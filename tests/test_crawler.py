@@ -84,11 +84,14 @@ SITES = {
     "intl.com": {
         "/": ('<meta charset="utf-8"><a href="http://bücher.de/">b</a>'
               '<a href="/latin.html">l</a> <a href="/bogus.html">x</a>'
-              '<a href="/wide.html">w</a> <a href="/b64.html">6</a>'),
+              '<a href="/wide.html">w</a> <a href="/b64.html">6</a>'
+              '<a href="/empty.html">e</a> <a href="/empty-b64.html">f</a>'),
         "/latin.html": '<a href="http://münchen.de/">m</a>',
         "/bogus.html": '<a href="http://lost.org/">l</a>',
         "/wide.html": '<a href="http://köln.de/">k</a>',
         "/b64.html": '<a href="http://lost.org/">l</a>',
+        "/empty.html": "",
+        "/empty-b64.html": "",
     },
     # its robots.txt allows everything, in a charset with no codec
     "shy.com": {"/": "", "/robots.txt": "User-agent: *\nAllow: /\n"},
@@ -161,6 +164,15 @@ SITES = {
         "/": '<a href="/z.html">z</a> <a href="/after.html">a</a>',
         "/after.html": '<a href="http://after.org/">a</a>',
     },
+    # its links are answers framed by chunks and by the end of the
+    # connection (HTTP/1.0 without a Content-Length), each under and past a
+    # bound of 200 bytes
+    "framed.com": {
+        "/": ('<a href="/chunked.html">c</a> <a href="/chunked-big.html">C</a> '
+              '<a href="/plain.html">p</a> <a href="/plain-big.html">P</a> '
+              '<a href="/after.html">a</a>'),
+        "/after.html": '<a href="http://after.org/">a</a>',
+    },
     # the host of bücher.de
     "xn--bcher-kva.de": {
         "/": '<a href="/x.html">x</a>',
@@ -194,6 +206,16 @@ SITES = {
 }
 _LINK = b'<a href="http://short.org/">s</a>'
 _ZIPPED = gzip.compress(b'<a href="http://zipped.org/">z</a>')
+_LOST = b'<a href="http://lost.org/">l</a>' + b"x" * 200
+_CHUNKED = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nTransfer-Encoding: chunked\r\n\r\n"
+_UNTIL_CLOSE = b"HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n"
+
+
+def _chunks(*parts: bytes) -> bytes:
+    """``parts`` as chunks, and the last chunk after them."""
+    return b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (*parts, b""))
+
+
 # (host, path) -> the whole answer, sent as it is
 RAW = {
     ("cut.com", "/short.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
@@ -208,6 +230,10 @@ RAW = {
     ("zipped.com", "/z.html"): (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
                                 b"Content-Encoding: gzip\r\n"
                                 b"Content-Length: %d\r\n\r\n" % len(_ZIPPED) + _ZIPPED),
+    ("framed.com", "/chunked.html"): _CHUNKED + _chunks(b'<a href="http://chunked.org/">', b"c</a>"),
+    ("framed.com", "/chunked-big.html"): _CHUNKED + _chunks(_LOST[:100], _LOST[100:]),
+    ("framed.com", "/plain.html"): _UNTIL_CLOSE + b'<a href="http://plain.org/">p</a>',
+    ("framed.com", "/plain-big.html"): _UNTIL_CLOSE + _LOST,
 }
 # (host, path) of the RAW answers whose server then sends nothing for
 # STALL_SECONDS, and hangs up
@@ -222,6 +248,8 @@ ENCODINGS = {
     ("intl.com", "/wide.html"): ("text/html; charset=utf-16", "utf-16"),
     # a codec that turns bytes into bytes, not into text
     ("intl.com", "/b64.html"): ("text/html; charset=base64", "utf-8"),
+    ("intl.com", "/empty.html"): ("text/html; charset=x-no-such-codec", "utf-8"),
+    ("intl.com", "/empty-b64.html"): ("text/html; charset=base64", "utf-8"),
     ("shy.com", "/robots.txt"): ("text/plain; charset=x-no-such-codec", "utf-8"),
     ("ahead.com", "/robots.txt"): ("text/plain", "utf-8"),
     ("ahead.com", "/doc.txt"): ("text/plain", "utf-8"),
@@ -375,10 +403,13 @@ def test_pages_are_read_in_their_declared_charset_else_utf8(host_map):
     assert {record.target.value for record in result.links} == {
         "xn--bcher-kva.de", "xn--mnchen-3ya.de", "xn--kln-sna.de",
     }
-    # a page in a charset with no text codec is a page error, not a guess
+    # a page in a charset with no text codec is a page error, not a guess,
+    # though b"" decodes in any charset
     assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
         ("http://intl.com/bogus.html", "unknown charset 'x-no-such-codec'", 200),
         ("http://intl.com/b64.html", "unknown charset 'base64'", 200),
+        ("http://intl.com/empty.html", "unknown charset 'x-no-such-codec'", 200),
+        ("http://intl.com/empty-b64.html", "unknown charset 'base64'", 200),
     ]
     assert result.report.pages_fetched == 3
 
@@ -477,6 +508,38 @@ def test_a_page_past_the_byte_bound_is_a_page_error(host_map, monkeypatch):
     result = crawl_outlinks(SiteKey("heavy.com"), policy, RULES, host_map=host_map)
     assert result.report.errors == []
     assert result.report.pages_fetched == 3
+
+
+def test_a_body_is_read_in_its_framing_up_to_the_byte_bound(host_map, monkeypatch):
+    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 200)
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    result = crawl_outlinks(SiteKey("framed.com"), policy, RULES, host_map=host_map)
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://framed.com/chunked-big.html", "answer exceeds 200 bytes", 200),
+        ("http://framed.com/plain-big.html", "answer exceeds 200 bytes", 200),
+    ]
+    assert result.report.pages_fetched == 4
+    assert {record.key for record in result.links} == {
+        ("framed.com", "chunked.org"), ("framed.com", "plain.org"), ("framed.com", "after.org")}
+
+
+def test_an_answer_one_byte_past_the_bound_is_read_to_its_end(monkeypatch):
+    # heavy.com's 1000-byte page comes with its Content-Length on a kept-alive
+    # connection: read whole, it is a page error, and the connection carries
+    # the next request
+    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 999)
+    policy = CrawlPolicy(delay_per_host=0, timeout=5)
+    with _serving(_RecordingHandler, _RecordingServer) as server:
+        result = crawl_outlinks(SiteKey("heavy.com"), policy, RULES,
+                                host_map={"heavy.com": f"127.0.0.1:{server.server_address[1]}"})
+    assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
+        ("http://heavy.com/big.html", "answer exceeds 999 bytes", 200),
+    ]
+    assert [path for _, path, _ in server.requests] == [
+        "/robots.txt", "/", "/big.html", "/after.html"]
+    assert len({peer for _, _, peer in server.requests}) == 1
+    assert server.dropped == []
+    assert {record.key for record in result.links} == {("heavy.com", "after.org")}
 
 
 def test_a_crawl_reduces_each_host_once(host_map, monkeypatch):
@@ -796,17 +859,17 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
 
 def test_an_answer_left_half_read_does_not_carry_the_next_request(monkeypatch):
-    # the read of the 1000-byte page stops at the bound, before its end; all
-    # of it has come, so no unread byte on the socket shows the fetcher that
-    # the connection is unusable
-    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 999)
+    # the read of the 1000-byte page stops one byte past the bound, one byte
+    # before its end; all of it has come, so no unread byte on the socket
+    # shows the fetcher that the connection is unusable
+    monkeypatch.setattr(crawler, "MAX_PAGE_BYTES", 998)
     with _serving(_KeepAliveHandler) as server:
         server.peers = []
         policy = CrawlPolicy(delay_per_host=0, timeout=5)
         result = crawl_outlinks(SiteKey("kept.com"), policy, RULES,
                                 host_map={"kept.com": f"127.0.0.1:{server.server_address[1]}"})
     assert [(e.url, e.cause, e.status) for e in result.report.errors] == [
-        ("http://kept.com/big.html", "answer exceeds 999 bytes", 200),
+        ("http://kept.com/big.html", "answer exceeds 998 bytes", 200),
     ]
     assert _requests(result) == [
         ("http://kept.com/robots.txt", "404"),

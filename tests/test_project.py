@@ -116,6 +116,14 @@ def test_no_module_imports_urllib_parse():
         assert "urllib.parse" not in _imports(path.read_text(encoding="utf-8")), path.name
 
 
+def test_no_module_imports_email():
+    # http.client parses an answer's header; a second parser would read
+    # some header another way
+    for path in (ROOT / "src" / "helixmap").glob("*.py"):
+        imported = {name.partition(".")[0] for name in _imports(path.read_text(encoding="utf-8"))}
+        assert "email" not in imported, path.name
+
+
 def test_no_module_imports_a_concurrency_layer():
     # a crawl runs on one thread, with one request in flight at a time
     layers = {"threading", "concurrent", "asyncio", "multiprocessing"}

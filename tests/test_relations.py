@@ -7,10 +7,68 @@ test names the stage its relation guards.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
-from helixmap.harvest import Direction
-from york import harvest_york_files, write_york_files, york_study
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helixmap.harvest import Direction, SnapshotLinkIndex, filter_generic, harvest_index, write_link_set
+from helixmap.metrics import category_matrix, category_matrix_csv
+from helixmap.network import build_networks
+from helixmap.registry import load_registry
+from helixmap.urls import GenericFilterList, ReductionRules
+from york import FIRST_SEEN, YorkFiles, harvest_york_files, write_york_files, york_study
+
+
+def _study_output(files: YorkFiles, rng: random.Random | None) -> dict[str, bytes]:
+    """The link-set CSVs and the category matrix CSV that a study of
+    ``files`` writes, harvesting its sites in sorted order, or in an order
+    ``rng`` shuffles."""
+    reg = load_registry(files.registry)
+    rules = ReductionRules.from_files(files.suffixes, files.exceptions)
+    generic = GenericFilterList.from_file(files.generic_filter)
+    index = SnapshotLinkIndex(files.index)
+    sites = sorted(site for actor in reg.actors() for site in actor.sites)
+    if rng is not None:
+        rng.shuffle(sites)
+    output, kept = {}, {}
+    for direction in Direction:
+        harvested = harvest_index(sites, index, direction, rules, now=FIRST_SEEN)
+        kept[direction] = filter_generic(harvested.links, generic)[0]
+        path = files.index.parent / f"{direction.name.lower()}.csv"
+        write_link_set(kept[direction], path)
+        output[path.name] = path.read_bytes()
+    built = build_networks(kept[Direction.INLINKS], kept[Direction.OUTLINKS], reg)
+    output["matrix.csv"] = category_matrix_csv(category_matrix(built.pruned, reg)).encode()
+    return output
+
+
+@pytest.fixture(scope="module")
+def york_output(tmp_path_factory):
+    """Seed 0's study, and the files that a study of it writes."""
+    study = york_study(0)
+    return study, _study_output(write_york_files(study, tmp_path_factory.mktemp("york")), None)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_order_relation_guards_every_stage_that_writes_a_file(tmp_path_factory, york_output, seed):
+    # ROADMAP item 3, relation 1: the registry's rows, each index list's
+    # lines and the order of the harvested sites shuffled give the same files
+    study, expected = york_output
+    rng = random.Random(seed)
+    files = write_york_files(study, tmp_path_factory.mktemp("shuffled"))
+    for path in [files.registry, *sorted(files.index.iterdir())]:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        head, rows = (lines[:1], lines[1:]) if path == files.registry else ([], lines)
+        rng.shuffle(rows)
+        path.write_text("".join(head + rows), encoding="utf-8")
+    output = _study_output(files, rng)
+    assert output.keys() == expected.keys() == {"inlinks.csv", "outlinks.csv", "matrix.csv"}
+    for name, written in output.items():
+        assert written == expected[name], name
 
 
 def _respelt(url: str, n: int) -> str:

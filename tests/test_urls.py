@@ -175,6 +175,18 @@ def test_empty_label_rejected():
         canonicalize("http://a..b.com/")
 
 
+def test_a_host_has_one_root_dot_and_the_label_before_a_second_is_empty():
+    # RFC 1035 allows one root dot; "a.com.." ends in an empty label
+    for host in ("a.com..", "a.com...", "a.com\u3002.", "a.com.\u3002", "b\u00fccher.de.."):
+        fault = "empty host label" if host.isascii() else "cannot encode IDN host"
+        with pytest.raises(MalformedUrl, match=fault):
+            canonicalize(f"http://{host}/")
+        with pytest.raises(ValueError):
+            SiteKey.parse(host)
+    for host in ("a.com.", "a.com\u3002", "A.COM\uff0e"):
+        assert canonicalize(f"http://{host}/").host == SiteKey.parse(host).value == "a.com"
+
+
 @pytest.mark.parametrize("host", ["ex ample.com", "a<b>.com", "exa%41mple.com", "a|b.com"])
 def test_forbidden_host_code_point_rejected(host):
     with pytest.raises(MalformedUrl):
